@@ -20,11 +20,8 @@ from .designs import (
     unbiasedness_defect,
 )
 from .entropies import (
-    CqEnsemble,
     JointDistribution,
     classical_h2_cond,
-    cq_embedding,
-    cq_state,
     d0_relative,
     family_guess_prob,
     h2nu,
@@ -33,8 +30,6 @@ from .entropies import (
     measure_family,
     measure_in_basis,
     pg_recovery_fidelity,
-    pg_recovery_fidelity_explicit,
-    pgm_guess_prob,
 )
 from .errors import (
     DesignDefectError,
@@ -50,12 +45,9 @@ from .errors import (
 from .game import GameResult, simulate_game
 from .linops import (
     RANK_TOL,
-    EigenDecomposition,
-    eigh_decomp,
     func_on_support,
     max_entangled,
     partial_trace,
-    pure_target_fidelity,
     support_projector,
     swap_operator,
     tensor,

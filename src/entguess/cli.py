@@ -122,6 +122,8 @@ def _family_for(name: str, d: int) -> designs.MeasurementFamily:
 
 
 def cmd_verify(cfg: RunConfig) -> int:
+    if cfg.samples < 1:
+        raise EntguessError(f"samples must be >= 1, got {cfg.samples}")
     if cfg.relation == "main":
         family = _family_for(cfg.family, cfg.d)
         tol = cfg.tolerance if cfg.tolerance is not None else relations.EQUALITY_TOL
@@ -202,17 +204,18 @@ def _load_state(cfg: RunConfig) -> DensityMatrix:
         return DensityMatrix(np.eye(n) / n, (d, d_b))
     if cfg.state == "random":
         n = d * d_b
-        return random_density(n, cfg.rank or n, spec, dims=(d, d_b))
+        return random_density(n, n if cfg.rank is None else cfg.rank, spec, dims=(d, d_b))
     if cfg.state == "separable":
         return random_separable(d, d_b, terms=4, seed=spec)
     if cfg.state and cfg.state.startswith("file:"):
         with open(cfg.state[5:]) as fh:
-            doc = json.load(fh)
-        try:
-            m = np.array(doc["re"], dtype=float) + 1j * np.array(doc["im"], dtype=float)
-            return DensityMatrix(m, tuple(doc["dims"]))
-        except (KeyError, TypeError, ValueError) as exc:
-            raise FormatError(f"malformed density-matrix document: {exc}") from exc
+            try:
+                doc = json.load(fh)
+                m = np.array(doc["re"], dtype=float) + 1j * np.array(doc["im"], dtype=float)
+                dims = tuple(doc["dims"])
+            except (json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
+                raise FormatError(f"malformed density-matrix document: {exc}") from exc
+        return DensityMatrix(m, dims)
     raise EntguessError(f"unknown state specifier {cfg.state!r}")
 
 
@@ -273,8 +276,9 @@ def config_from_args(args: argparse.Namespace) -> RunConfig:
     cfg = RunConfig(command=args.command)
     cfg.relation = getattr(args, "relation", None)
     cfg.d = getattr(args, "d", None)
-    cfg.d_b = getattr(args, "db", None) or (cfg.d if cfg.d else None)
-    cfg.d_e = getattr(args, "de", None) or (cfg.d if cfg.d else None)
+    db, de = getattr(args, "db", None), getattr(args, "de", None)
+    cfg.d_b = cfg.d if db is None else db
+    cfg.d_e = cfg.d if de is None else de
     cfg.family = getattr(args, "family", "mub")
     cfg.nu = getattr(args, "nu", 0.0)
     cfg.samples = getattr(args, "samples", 50)

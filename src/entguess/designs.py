@@ -13,7 +13,8 @@ setting the scales are all 1, for a SIC they are 1/d.  Effect vectors are
 stored as the COLUMNS of the setting's `vectors` matrix.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -24,9 +25,7 @@ from .errors import (
     UnsupportedFamilyError,
 )
 from .linops import swap_operator
-
-_COMPLETENESS_TOL = 1e-10
-_NORM_TOL = 1e-11
+from .tolerances import BASIS_SCALE_TOL, COMPLETENESS_TOL, NORM_TOL
 
 MUB_COMPLETE = "MUB-complete"
 SIC = "SIC"
@@ -46,24 +45,23 @@ class Setting:
 
     def is_basis(self) -> bool:
         d, m = self.vectors.shape
-        return m == d and np.allclose(self.scales, 1.0, atol=1e-12)
+        return m == d and np.allclose(self.scales, 1.0, atol=BASIS_SCALE_TOL)
 
 
-@dataclass(eq=False)
+@dataclass(frozen=True, eq=False)
 class MeasurementFamily:
     """A weighted collection of rank-1 measurement settings on a d-dim system.
 
     Settings share a uniform sampling weight 1/len(settings).  Families for
     which the guessing-probability equality holds carry its constant:
     d+1 for complete-MUB and Clifford-orbit families, d(d+1) for SICs,
-    None otherwise.  Treat instances as immutable after construction.
+    None otherwise.
     """
 
     d: int
     kind: str
     settings: tuple
     equality_constant: float | None = None
-    _defect_cache: float | None = field(default=None, repr=False, compare=False)
 
     def __post_init__(self):
         if self.kind == MUB_COMPLETE or self.kind == CLIFFORD_ORBIT:
@@ -84,10 +82,10 @@ class MeasurementFamily:
         if d != self.d:
             raise DimensionError(f"setting vectors live in dim {d}, family is {self.d}")
         norms = np.linalg.norm(s.vectors, axis=0)
-        if np.abs(norms - 1.0).max() > _NORM_TOL:
+        if np.abs(norms - 1.0).max() > NORM_TOL:
             raise ParameterError("effect vectors must be normalized")
         gram = (s.vectors * s.scales) @ s.vectors.conj().T
-        if np.abs(gram - np.eye(self.d)).max() > _COMPLETENESS_TOL:
+        if np.abs(gram - np.eye(self.d)).max() > COMPLETENESS_TOL:
             raise ParameterError("setting effects do not sum to the identity")
 
     @property
@@ -110,8 +108,20 @@ class MeasurementFamily:
         if not 1 <= n <= self.n_settings:
             raise ParameterError(f"n {n} out of range [1, {self.n_settings}]")
         return MeasurementFamily(
-            d=self.d, kind=f"MUB-subset({n})", settings=self.settings[:n]
+            d=self.d, kind=f"{self.kind}-subset({n})", settings=self.settings[:n]
         )
+
+    @cached_property
+    def _design_defect(self) -> float:
+        d = self.d
+        pooled = self.pooled_vectors()
+        moment = np.zeros((d * d, d * d), dtype=complex)
+        for k in range(pooled.shape[1]):
+            proj = np.outer(pooled[:, k], pooled[:, k].conj())
+            moment += np.kron(proj, proj)
+        moment /= pooled.shape[1]
+        target = (np.eye(d * d) + swap_operator(d)) / (d * (d + 1))
+        return float(np.linalg.norm(moment - target))
 
     def to_json_dict(self) -> dict:
         return {
@@ -277,21 +287,9 @@ def design_defect(family: MeasurementFamily) -> float:
 
     The uniform average of |v><v| tensor |v><v| over all pooled effect
     vectors is compared against the 2-design target; 0 means the family
-    generates an exact complex projective 2-design.
+    generates an exact complex projective 2-design.  Computed once per family.
     """
-    if family._defect_cache is not None:
-        return family._defect_cache
-    d = family.d
-    pooled = family.pooled_vectors()
-    moment = np.zeros((d * d, d * d), dtype=complex)
-    for k in range(pooled.shape[1]):
-        proj = np.outer(pooled[:, k], pooled[:, k].conj())
-        moment += np.kron(proj, proj)
-    moment /= pooled.shape[1]
-    target = (np.eye(d * d) + swap_operator(d)) / (d * (d + 1))
-    defect = float(np.linalg.norm(moment - target))
-    family._defect_cache = defect
-    return defect
+    return family._design_defect
 
 
 def unbiasedness_defect(family: MeasurementFamily) -> float:

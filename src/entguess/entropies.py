@@ -8,9 +8,16 @@ collision entropy family, for nu in [0, 1]:
 
 with all powers of rho_B taken on its support.  nu = 0 is the conditional
 Renyi 2-entropy; nu = 1 is the variant -log Tr[rho_AB^2 (1 (x) rho_B^-1)].
-For a classical-quantum state (measurement outcome plus side information)
-2^(-H_2) equals the probability of guessing the outcome with the pretty
-good measurement Pi^k = rho_B^(-1/2) rho_B^k rho_B^(-1/2).
+
+Measuring A goes through one primitive, `measure_family`, which returns
+the conditional operators rho_B^k of every effect as one array of shape
+(n_effects, d_B, d_B).  Everything computed from the measured ensemble
+reads that array and decomposes rho_B once per state.  One collision
+kernel serves every ensemble; `cq_collision` applies it to a single one
+and returns sum_k Tr[rho_B^k M1 rho_B^k M2].  At nu = 0 that sum is
+2^(-H_2) of the classical-quantum state, i.e. the probability of guessing
+the outcome with the pretty good measurement
+Pi^k = rho_B^(-1/2) rho_B^k rho_B^(-1/2); there is no separate PGM routine.
 
 Quantities that need semidefinite optimization are deliberately absent and
 only bound the ones computed here: the optimal guessing probability
@@ -25,108 +32,115 @@ import numpy as np
 
 from .designs import MeasurementFamily, Setting
 from .errors import DimensionError, FormatError, InfiniteDivergence, ParameterError
-from .linops import RANK_TOL, func_on_support, support_projector
+from .linops import func_on_support, support_projector
 from .states import DensityMatrix
+from .tolerances import ORTHONORMAL_TOL, RANK_TOL, TABLE_NEG_TOL, TABLE_SUM_TOL
+
+
+def _require_nu(nu: float) -> None:
+    if not 0.0 <= nu <= 1.0:
+        raise ParameterError(f"nu must lie in [0, 1], got {nu}")
 
 
 def h2nu(rho: DensityMatrix, nu: float, rank_tol: float = RANK_TOL) -> float:
     """Conditional collision entropy H_{2,nu}(A|B) of a bipartite state."""
-    if not 0.0 <= nu <= 1.0:
-        raise ParameterError(f"nu must lie in [0, 1], got {nu}")
+    _require_nu(nu)
     d_a, d_b = rho.d_a, rho.d_b
-    rho_b = rho.marginal("B")
-    left = func_on_support(rho_b, -(1.0 - nu) / 4.0, rank_tol)
-    right = func_on_support(rho_b, -(1.0 + nu) / 4.0, rank_tol)
+    left, right = func_on_support(
+        rho.marginal("B"), (-(1.0 - nu) / 4.0, -(1.0 + nu) / 4.0), rank_tol
+    )
     m4 = rho.matrix.reshape(d_a, d_b, d_a, d_b)
     rho_nu = np.einsum("pb,abcd,dq->apcq", left, m4, right).reshape(rho.matrix.shape)
     return -np.log2(float(np.real(np.sum(np.abs(rho_nu) ** 2))))
 
 
-def measure_in_basis(rho: DensityMatrix, basis: np.ndarray) -> list:
+def _measure(rho: DensityMatrix, settings) -> np.ndarray:
+    d_a, d_b = rho.d_a, rho.d_b
+    # rows (a, c), columns (b, d): rho[(a, b), (c, d)]
+    m = rho.matrix.reshape(d_a, d_b, d_a, d_b).transpose(0, 2, 1, 3).reshape(d_a * d_a, -1)
+    blocks = []
+    for s in settings:
+        # per effect, scale_k conj(v_k[a]) v_k[c] flattened over (a, c); one
+        # setting at a time keeps the temporaries at the size of rho
+        effects = np.einsum("ak,ck->kac", s.vectors.conj(), s.vectors * s.scales)
+        blocks.append(effects.reshape(s.n_outcomes, -1) @ m)
+    return np.concatenate(blocks).reshape(-1, d_b, d_b)
+
+
+def measure_family(rho: DensityMatrix, family: MeasurementFamily) -> np.ndarray:
+    """Conditional operators rho_B^k = scale_k <v_k| rho |v_k>_A of every effect.
+
+    Returns an array of shape (n_effects, d_B, d_B) whose rows follow the
+    columns of ``family.pooled_vectors()``.  The rows of each setting sum to
+    rho_B, and their traces are the setting's outcome probabilities.
+    """
+    if family.d != rho.d_a:
+        raise DimensionError(f"family acts on dim {family.d}, state has d_A = {rho.d_a}")
+    return _measure(rho, family.settings)
+
+
+def measure_in_basis(rho: DensityMatrix, basis: np.ndarray) -> np.ndarray:
     """Conditional operators rho_B^k from measuring A in an orthonormal basis.
 
-    `basis` holds the basis vectors as columns.  Returns the list
+    `basis` holds the basis vectors as columns.  Returns the array of
     rho_B^k = <k| rho |k>_A (partial inner product on A), whose traces are
     the outcome probabilities and whose sum is rho_B.
     """
-    d_a, d_b = rho.d_a, rho.d_b
+    d_a = rho.d_a
     basis = np.asarray(basis)
     if basis.shape != (d_a, d_a):
         raise DimensionError(f"basis shape {basis.shape}, expected ({d_a}, {d_a})")
-    if np.abs(basis.conj().T @ basis - np.eye(d_a)).max() > 1e-10:
+    if np.abs(basis.conj().T @ basis - np.eye(d_a)).max() > ORTHONORMAL_TOL:
         raise ParameterError("basis columns are not orthonormal")
-    return _setting_conditionals(rho, Setting(vectors=basis, scales=np.ones(d_a)))
+    return _measure(rho, (Setting(vectors=basis, scales=np.ones(d_a)),))
 
 
-def _setting_conditionals(rho: DensityMatrix, setting: Setting) -> list:
-    d_a, d_b = rho.d_a, rho.d_b
-    m4 = rho.matrix.reshape(d_a, d_b, d_a, d_b)
-    # all outcomes at once: conds[k] = scale_k <v_k| rho |v_k>_A
-    conds = np.einsum("ak,abcd,ck->kbd", setting.vectors.conj(), m4, setting.vectors)
-    return [setting.scales[k] * conds[k] for k in range(setting.n_outcomes)]
+def _setting_starts(family: MeasurementFamily) -> np.ndarray:
+    """Row offsets of each setting in measure_family's array, then its length."""
+    return np.cumsum([0] + [s.n_outcomes for s in family.settings])
 
 
-@dataclass(frozen=True, eq=False)
-class CqEnsemble:
-    """Per-setting conditional operators of a measured bipartite state."""
+def _collision_terms(conds: np.ndarray, rho_b: np.ndarray, nu: float, rank_tol: float):
+    """Tr[c M1 c M2] for every conditional operator c.
 
-    conditionals: tuple  # tuple over settings of lists of rho_B^k
-    weights: tuple  # setting sampling weights, summing to 1
-
-    def __post_init__(self):
-        if abs(sum(self.weights) - 1.0) > 1e-11:
-            raise ParameterError("setting weights must sum to 1")
-        for conds in self.conditionals:
-            total = sum(float(np.trace(c).real) for c in conds)
-            if abs(total - 1.0) > 1e-11:
-                raise ParameterError(f"conditional traces sum to {total}, not 1")
-
-
-def measure_family(rho: DensityMatrix, family: MeasurementFamily) -> CqEnsemble:
-    """Measure every setting of the family on A of a bipartite state."""
-    conds = tuple(_setting_conditionals(rho, s) for s in family.settings)
-    return CqEnsemble(
-        conditionals=conds, weights=(family.setting_weight,) * family.n_settings
-    )
-
-
-def pgm_guess_prob(conds, rank_tol: float = RANK_TOL) -> float:
-    """Success probability of the pretty good measurement on an ensemble.
-
-    For conditional operators rho_B^k with rho_B = sum_k rho_B^k, forms
-    Pi^k = rho_B^(-1/2) rho_B^k rho_B^(-1/2) (inverse on support) and
-    returns sum_k Tr[Pi^k rho_B^k].
+    M1 = rho_B^(-(1-nu)/2) and M2 = rho_B^(-(1+nu)/2) come from one
+    decomposition of rho_B.
     """
-    rho_b = sum(conds)
-    inv_sqrt = func_on_support(rho_b, -0.5, rank_tol)
-    total = 0.0
-    for c in conds:
-        pgm_op = inv_sqrt @ c @ inv_sqrt
-        total += float(np.real(np.trace(pgm_op @ c)))
-    return total
+    _require_nu(nu)
+    m1, m2 = func_on_support(rho_b, (-(1.0 - nu) / 2.0, -(1.0 + nu) / 2.0), rank_tol)
+    return np.real(np.einsum("kij,kji->k", conds @ m1, conds @ m2))
 
 
 def cq_collision(conds, nu: float, rank_tol: float = RANK_TOL) -> float:
     """The nu-family collision sum sum_k Tr[rho_B^k M1 rho_B^k M2] of an ensemble.
 
-    M1 = rho_B^(-(1-nu)/2) and M2 = rho_B^(-(1+nu)/2).  At nu = 0 this is
-    exactly the pretty-good-measurement guessing probability.
+    M1 = rho_B^(-(1-nu)/2) and M2 = rho_B^(-(1+nu)/2) with rho_B = sum_k
+    rho_B^k.  At nu = 0 this is exactly the success probability of the
+    pretty good measurement Pi^k = rho_B^(-1/2) rho_B^k rho_B^(-1/2).
     """
-    if not 0.0 <= nu <= 1.0:
-        raise ParameterError(f"nu must lie in [0, 1], got {nu}")
-    rho_b = sum(conds)
-    m1 = func_on_support(rho_b, -(1.0 - nu) / 2.0, rank_tol)
-    m2 = func_on_support(rho_b, -(1.0 + nu) / 2.0, rank_tol)
-    return float(sum(np.real(np.trace(c @ m1 @ c @ m2)) for c in conds))
+    conds = np.asarray(conds)
+    return float(_collision_terms(conds, conds.sum(axis=0), nu, rank_tol).sum())
+
+
+def _measured_collisions(
+    rho: DensityMatrix, family: MeasurementFamily, nu: float, rank_tol: float
+) -> np.ndarray:
+    """Collision term of every effect of the family measured on A.
+
+    rho_B is the setting-weighted sum of the measured operators, not the
+    partial trace the bipartite side uses; every complete setting sums to it.
+    """
+    conds = measure_family(rho, family)
+    return _collision_terms(conds, family.setting_weight * conds.sum(axis=0), nu, rank_tol)
 
 
 def family_guess_prob(
     rho: DensityMatrix, family: MeasurementFamily, rank_tol: float = RANK_TOL
 ):
     """Per-setting PGM guessing probabilities and their weighted average."""
-    ensemble = measure_family(rho, family)
-    per_setting = [pgm_guess_prob(c, rank_tol) for c in ensemble.conditionals]
-    average = float(np.dot(ensemble.weights, per_setting))
+    terms = _measured_collisions(rho, family, 0.0, rank_tol)
+    per_setting = np.add.reduceat(terms, _setting_starts(family)[:-1]).tolist()
+    average = family.setting_weight * float(np.sum(per_setting))
     return per_setting, average
 
 
@@ -139,74 +153,13 @@ def h2nu_outcomes(
     which the outcome register K is conditioned on both B and the setting
     label: -log sum_theta w_theta sum_k Tr[rho_B^(theta,k) M1 rho_B^(theta,k) M2].
     """
-    ensemble = measure_family(rho, family)
-    avg = float(
-        np.dot(
-            ensemble.weights,
-            [cq_collision(c, nu, rank_tol) for c in ensemble.conditionals],
-        )
-    )
-    return -np.log2(avg)
-
-
-def cq_state(conds) -> DensityMatrix:
-    """Block-diagonal classical-quantum state sum_k |k><k| (x) rho_B^k."""
-    m = len(conds)
-    d_b = conds[0].shape[0]
-    out = np.zeros((m * d_b, m * d_b), dtype=complex)
-    for k, c in enumerate(conds):
-        out[k * d_b : (k + 1) * d_b, k * d_b : (k + 1) * d_b] = c
-    return DensityMatrix(out, (m, d_b))
-
-
-def cq_embedding(rho: DensityMatrix, family: MeasurementFamily) -> DensityMatrix:
-    """Explicit density matrix of the outcome/side-information/setting state.
-
-    Returns sum_theta w_theta sum_k |k><k|_K (x) rho_B^(theta,k) (x)
-    |theta><theta| as a bipartite state with dims (outcomes, d_B * settings),
-    so generic h2nu on it evaluates H_{2,nu}(K|B,Theta) directly.
-    """
-    ensemble = measure_family(rho, family)
-    n_th = family.n_settings
-    m = len(ensemble.conditionals[0])
-    d_b = rho.d_b
-    cond_dim = d_b * n_th
-    out = np.zeros((m * cond_dim, m * cond_dim), dtype=complex)
-    for th, conds in enumerate(ensemble.conditionals):
-        w = ensemble.weights[th]
-        for k, c in enumerate(conds):
-            rows = k * cond_dim + np.arange(d_b) * n_th + th
-            out[np.ix_(rows, rows)] += w * c
-    return DensityMatrix(out, (m, cond_dim))
+    terms = _measured_collisions(rho, family, nu, rank_tol)
+    return -np.log2(family.setting_weight * float(terms.sum()))
 
 
 def pg_recovery_fidelity(rho: DensityMatrix, rank_tol: float = RANK_TOL) -> float:
     """Pretty good recovery fidelity F^pg(A|B) = 2^(-H_2(A|B)) / d_A."""
     return float(2.0 ** (-h2nu(rho, 0.0, rank_tol)) / rho.d_a)
-
-
-def pg_recovery_fidelity_explicit(
-    rho: DensityMatrix, rank_tol: float = RANK_TOL
-) -> float:
-    """F^pg(A|B) by explicitly applying the pretty good recovery channel.
-
-    The channel maps B to a copy A' of A via
-    Lambda(Y) = Tr_B[rho_AB (1 (x) S Y S)]^T with S = rho_B^(-1/2) on the
-    support; the fidelity of (id (x) Lambda)(rho_AB) with the maximally
-    entangled vector is returned.  Exists as an independent cross-check of
-    the closed form above, which is the route used everywhere else.
-    """
-    d_a, d_b = rho.d_a, rho.d_b
-    inv_sqrt = func_on_support(rho.marginal("B"), -0.5, rank_tol)
-    m4 = rho.matrix.reshape(d_a, d_b, d_a, d_b)
-    # Lambda(Y)[i, j] = sum_{m,x} rho4[j, m, i, x] (S Y S)[x, m], so applying
-    # id (x) Lambda to rho itself gives
-    # out[(a,i),(c,j)] = sum_{p,q,m,x} rho4[a,p,c,q] rho4[j,m,i,x] S[x,p] S[q,m].
-    out = np.einsum("apcq,jmix,xp,qm->aicj", m4, m4, inv_sqrt, inv_sqrt)
-    out = out.reshape(d_a * d_a, d_a * d_a)
-    phi = np.zeros(d_a * d_a, dtype=complex)
-    phi[:: d_a + 1] = 1.0 / np.sqrt(d_a)
-    return float(np.real(np.vdot(phi, out @ phi)))
 
 
 def classical_h2_cond(table: np.ndarray) -> float:
@@ -255,9 +208,9 @@ class JointDistribution:
                     f"settings[{i}].table has shape {t.shape}, "
                     f"expected ({self.d_a}, {self.d_b})"
                 )
-            if t.min() < -1e-12:
+            if t.min() < -TABLE_NEG_TOL:
                 raise FormatError(f"settings[{i}].table has negative entries")
-            if abs(t.sum() - 1.0) > 1e-9:
+            if abs(t.sum() - 1.0) > TABLE_SUM_TOL:
                 raise FormatError(f"settings[{i}].table sums to {t.sum()}, not 1")
 
     def to_json_dict(self) -> dict:
@@ -294,15 +247,14 @@ def joint_from_state(
     and the corresponding Bob basis (columns), the table is
     p(k, l) = <K_k (x) L_l| rho |K_k (x) L_l>.
     """
-    d_a, d_b = rho.d_a, rho.d_b
     if len(thetas) != len(bob_bases):
         raise ParameterError("need one Bob basis per Alice setting")
-    m4 = rho.matrix.reshape(d_a, d_b, d_a, d_b)
+    conds = measure_family(rho, alice_family)
+    starts = _setting_starts(alice_family)
     settings = []
     for theta, bob in zip(thetas, bob_bases):
-        ka = alice_family.settings[theta].vectors
-        table = np.einsum(
-            "ak,bl,abcd,ck,dl->kl", ka.conj(), np.asarray(bob).conj(), m4, ka, bob
-        ).real
+        block = conds[starts[theta] : starts[theta + 1]]
+        bob = np.asarray(bob)
+        table = np.einsum("bl,kbd,dl->kl", bob.conj(), block, bob).real
         settings.append((theta, np.maximum(table, 0.0)))
-    return JointDistribution(d_a=d_a, d_b=d_b, settings=tuple(settings))
+    return JointDistribution(d_a=rho.d_a, d_b=rho.d_b, settings=tuple(settings))

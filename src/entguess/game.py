@@ -12,10 +12,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .designs import MeasurementFamily
-from .entropies import measure_family, pgm_guess_prob
+from .entropies import measure_family
 from .errors import ParameterError
-from .linops import RANK_TOL, func_on_support
+from .linops import func_on_support
 from .states import DensityMatrix, SeedSpec
+from .tolerances import RANK_TOL
 
 
 @dataclass(frozen=True)
@@ -41,26 +42,25 @@ class GameResult:
 
 
 def _game_tables(rho: DensityMatrix, family: MeasurementFamily, rank_tol: float):
-    """Per setting: outcome probabilities and Bob's conditional guess matrix."""
-    ensemble = measure_family(rho, family)
-    outcome_probs, bob_conds, analytic = [], [], []
-    for conds in ensemble.conditionals:
-        rho_b = sum(conds)
-        inv_sqrt = func_on_support(rho_b, -0.5, rank_tol)
-        pgm_ops = [inv_sqrt @ c @ inv_sqrt for c in conds]
-        p = np.array([max(float(np.trace(c).real), 0.0) for c in conds])
-        cond = np.zeros((len(conds), len(conds)))
-        for k, c in enumerate(conds):
-            if p[k] <= 0.0:
-                continue
-            row = np.array([float(np.real(np.trace(op @ c))) for op in pgm_ops])
-            cond[k] = np.maximum(row, 0.0) / p[k]
-        analytic.append(pgm_guess_prob(conds, rank_tol))
-        outcome_probs.append(p / p.sum())
-        # rows of cond sum to Tr[Pi_supp rho_B^k]/p_k = 1 up to rounding
-        cond /= np.maximum(cond.sum(axis=1, keepdims=True), 1e-300)
-        bob_conds.append(cond)
-    return outcome_probs, bob_conds, analytic
+    """Per setting: outcome probabilities, Bob's conditional guess matrix, and
+    the analytic PGM success rate."""
+    n, d = family.n_settings, family.d
+    conds = measure_family(rho, family)
+    rho_b = family.setting_weight * conds.sum(axis=0)
+    (inv_sqrt,) = func_on_support(rho_b, (-0.5,), rank_tol)
+    conds = conds.reshape(n, d, *rho_b.shape)
+    pgm_ops = inv_sqrt @ conds @ inv_sqrt
+    # table[s, k, j] = Tr[Pi^j rho_B^k] in setting s; its trace is the PGM rate
+    table = np.real(np.einsum("skxy,sjyx->skj", conds, pgm_ops))
+    analytic = np.trace(table, axis1=1, axis2=2).tolist()
+    p = np.maximum(np.real(np.trace(conds, axis1=2, axis2=3)), 0.0)
+    seen = p > 0.0
+    cond = np.where(seen[..., None], np.maximum(table, 0.0), 0.0)
+    cond /= np.where(seen, p, 1.0)[..., None]
+    outcome_probs = p / p.sum(axis=1, keepdims=True)
+    # rows of cond sum to Tr[Pi_supp rho_B^k]/p_k = 1 up to rounding
+    cond /= np.maximum(cond.sum(axis=2, keepdims=True), 1e-300)
+    return outcome_probs, cond, analytic
 
 
 def _categorical(cdf_rows: np.ndarray, u: np.ndarray) -> np.ndarray:
@@ -96,8 +96,8 @@ def simulate_game(
     u_bob = gen.random(trials)
     thetas = np.minimum((u_setting * n_settings).astype(int), n_settings - 1)
 
-    alice_cdf = np.cumsum(np.stack(outcome_probs), axis=1)
-    bob_cdf = np.cumsum(np.stack(bob_conds), axis=2)
+    alice_cdf = np.cumsum(outcome_probs, axis=1)
+    bob_cdf = np.cumsum(bob_conds, axis=2)
     ks = np.minimum(_categorical(alice_cdf[thetas], u_alice), d - 1)
     js = np.minimum(_categorical(bob_cdf[thetas, ks], u_bob), d - 1)
     win_mask = ks == js

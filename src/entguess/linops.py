@@ -8,16 +8,10 @@ negative powers are taken on the support (pseudoinverse convention) with a
 relative rank cutoff.
 """
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .errors import DimensionError, NotPositiveError, ParameterError
-
-# Relative eigenvalue cutoff below which an operator is treated as singular.
-RANK_TOL = 1e-10
-
-_HERM_TOL = 1e-8
+from .tolerances import FUNC_HERM_TOL, RANK_TOL
 
 
 def tensor(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -50,59 +44,37 @@ def partial_trace(m: np.ndarray, dim_a: int, dim_b: int, keep: str) -> np.ndarra
     raise ParameterError(f"keep must be 'A' or 'B', got {keep!r}")
 
 
-@dataclass(frozen=True)
-class EigenDecomposition:
-    """Spectral decomposition of a Hermitian matrix.
+def func_on_support(m: np.ndarray, exponents, rank_tol: float = RANK_TOL) -> list:
+    """Apply ``lambda -> lambda**e`` on the support of a PSD matrix, per exponent.
 
-    eigenvalues are ascending; eigenvectors are the columns of a unitary,
-    so ``(eigenvectors * eigenvalues) @ eigenvectors.conj().T`` rebuilds
-    the input.
-    """
-
-    eigenvalues: np.ndarray
-    eigenvectors: np.ndarray
-
-
-def eigh_decomp(m: np.ndarray) -> EigenDecomposition:
-    """Eigendecomposition of a Hermitian matrix, symmetrized first."""
-    m = np.asarray(m)
-    _require_hermitian(m)
-    w, u = np.linalg.eigh((m + m.conj().T) / 2)
-    return EigenDecomposition(eigenvalues=w, eigenvectors=u)
-
-
-def _require_hermitian(m: np.ndarray) -> None:
-    scale = max(np.abs(m).max(), 1.0)
-    if np.abs(m - m.conj().T).max() > _HERM_TOL * scale:
-        raise NotPositiveError("matrix is not Hermitian")
-
-
-def func_on_support(
-    m: np.ndarray, exponent: float, rank_tol: float = RANK_TOL
-) -> np.ndarray:
-    """Apply ``lambda -> lambda**exponent`` on the support of a PSD matrix.
-
-    Eigenvalues above ``rank_tol * max_eigenvalue`` are raised to the power;
-    the rest map to zero, so negative exponents give the pseudoinverse-style
-    power.  Raises NotPositiveError if an eigenvalue sits below
+    One eigendecomposition serves every exponent in ``exponents``; the
+    result is the list of powered matrices in the same order.  Eigenvalues
+    above ``rank_tol * max_eigenvalue`` are raised to the power; the rest
+    map to zero, so negative exponents give the pseudoinverse-style power.
+    Raises NotPositiveError if an eigenvalue sits below
     ``-rank_tol * max_eigenvalue``.
     """
-    dec = eigh_decomp(m)
-    w, u = dec.eigenvalues, dec.eigenvectors
+    m = np.asarray(m)
+    if np.abs(m - m.conj().T).max() > FUNC_HERM_TOL * max(np.abs(m).max(), 1.0):
+        raise NotPositiveError("matrix is not Hermitian")
+    w, u = np.linalg.eigh((m + m.conj().T) / 2)
     lam_max = np.abs(w).max() if w.size else 0.0
     cutoff = rank_tol * lam_max
     if w.size and w[0] < -cutoff:
         raise NotPositiveError(f"negative eigenvalue {w[0]:.3e} below -{cutoff:.3e}")
     on = w > cutoff
-    powered = np.zeros_like(w)
-    powered[on] = w[on] ** exponent
-    out = (u * powered) @ u.conj().T
-    return (out + out.conj().T) / 2
+    out = []
+    for exponent in exponents:
+        powered = np.zeros_like(w)
+        powered[on] = w[on] ** exponent
+        f = (u * powered) @ u.conj().T
+        out.append((f + f.conj().T) / 2)
+    return out
 
 
 def support_projector(m: np.ndarray, rank_tol: float = RANK_TOL) -> np.ndarray:
     """Projector onto the eigenspaces of a PSD matrix with lambda > cutoff."""
-    return func_on_support(m, 0.0, rank_tol)
+    return func_on_support(m, (0.0,), rank_tol)[0]
 
 
 def swap_operator(d: int) -> np.ndarray:
@@ -114,15 +86,6 @@ def swap_operator(d: int) -> np.ndarray:
         for j in range(d):
             f[j * d + i, i * d + j] = 1.0
     return f
-
-
-def pure_target_fidelity(psi: np.ndarray, sigma: np.ndarray) -> float:
-    """Fidelity <psi|sigma|psi> of a PSD operator against a pure target."""
-    psi = np.asarray(psi)
-    norm = np.linalg.norm(psi)
-    if abs(norm - 1.0) > 1e-10:
-        raise ParameterError(f"target vector norm {norm} differs from 1")
-    return float(np.real(np.vdot(psi, np.asarray(sigma) @ psi)))
 
 
 def max_entangled(d: int) -> np.ndarray:

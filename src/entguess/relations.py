@@ -38,12 +38,16 @@ from .entropies import (
     pg_recovery_fidelity,
 )
 from .errors import DesignDefectError, FormatError, ParameterError
-from .linops import RANK_TOL, tensor
+from .linops import tensor
 from .states import DensityMatrix
-
-EQUALITY_TOL = 1e-9
-MONOGAMY_TOL = 1e-8
-CERTIFICATION_TOL = 1e-9
+from .tolerances import (
+    CERTIFICATION_TOL,
+    EQUALITY_TOL,
+    MONOGAMY_TOL,
+    PROB_RANGE_TOL,
+    RANK_TOL,
+    UNIT_NORM_TOL,
+)
 
 HEISENBERG = "Heisenberg"
 EPR = "EPR"
@@ -232,21 +236,13 @@ def achiever_state(
         # pure state with Schmidt basis `basis`; spectrum from product to
         # maximally entangled sweeps F^pg over [1/d, 1].
         lam = (1.0 - mix) * point + mix * uniform
-        psi = np.zeros(d * d, dtype=complex)
-        for i in range(d):
-            psi += np.sqrt(lam[i]) * np.kron(basis[:, i], _unit(d, i))
+        psi = (basis * np.sqrt(lam)).ravel()
         return DensityMatrix.from_pure(psi, (d, d))
     # product state with A diagonal in `basis`; spectrum from maximally
     # mixed to pure sweeps F^pg over [1/d^2, 1/d].
     q = (1.0 - mix) * uniform + mix * point
     rho_a = (basis * q) @ basis.conj().T
     return DensityMatrix(tensor(rho_a, np.eye(d) / d), (d, d))
-
-
-def _unit(d: int, k: int) -> np.ndarray:
-    v = np.zeros(d, dtype=complex)
-    v[k] = 1.0
-    return v
 
 
 def two_to_full_bound(p2: float, d: int) -> float:
@@ -257,7 +253,7 @@ def two_to_full_bound(p2: float, d: int) -> float:
     """
     if d < 2:
         raise ParameterError(f"d must be >= 2, got {d}")
-    if not 1.0 / d - 1e-12 <= p2 <= 1.0 + 1e-12:
+    if not 1.0 / d - PROB_RANGE_TOL <= p2 <= 1.0 + PROB_RANGE_TOL:
         raise ParameterError(f"p2 {p2} outside [1/{d}, 1]")
     return (d * (2.0 * p2 - 1.0) + 1.0) / (d + 1.0)
 
@@ -299,7 +295,7 @@ def _amplitude_tensor(psi_abe: np.ndarray, dims) -> np.ndarray:
     psi = np.asarray(psi_abe, dtype=complex)
     if psi.shape != (d_a * d_b * d_e,):
         raise ParameterError(f"vector length {psi.shape} does not match dims {dims}")
-    if abs(np.linalg.norm(psi) - 1.0) > 1e-10:
+    if abs(np.linalg.norm(psi) - 1.0) > UNIT_NORM_TOL:
         raise ParameterError("tripartite vector is not normalized")
     return psi.reshape(d_a, d_b, d_e)
 

@@ -11,11 +11,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DimensionError, ParameterError
-from .linops import RANK_TOL, eigh_decomp, partial_trace, tensor
-
-_TRACE_TOL = 1e-11
-_HERM_TOL = 1e-11
-_EIG_TOL = 1e-10
+from .linops import partial_trace, tensor
+from .tolerances import EIG_TOL, RANK_TOL, STATE_HERM_TOL, TRACE_TOL, UNIT_NORM_TOL
 
 
 @dataclass(frozen=True)
@@ -60,16 +57,18 @@ class DensityMatrix:
         object.__setattr__(self, "matrix", m)
         dims = tuple(int(d) for d in self.dims) or (m.shape[0],)
         object.__setattr__(self, "dims", dims)
+        if min(dims) < 1:
+            raise DimensionError(f"subsystem dimensions must be >= 1, got {dims}")
         n = int(np.prod(dims))
         if m.ndim != 2 or m.shape != (n, n):
             raise DimensionError(f"matrix shape {m.shape} does not match dims {dims}")
         herm_gap = np.abs(m - m.conj().T).max()
-        if herm_gap > _HERM_TOL:
+        if herm_gap > STATE_HERM_TOL:
             raise ParameterError(f"matrix deviates from Hermitian by {herm_gap:.3e}")
-        if abs(np.trace(m).real - 1.0) > _TRACE_TOL or abs(np.trace(m).imag) > _TRACE_TOL:
+        if abs(np.trace(m).real - 1.0) > TRACE_TOL or abs(np.trace(m).imag) > TRACE_TOL:
             raise ParameterError(f"trace {np.trace(m)} differs from 1")
         w = np.linalg.eigvalsh((m + m.conj().T) / 2)
-        if w[0] < -_EIG_TOL:
+        if w[0] < -EIG_TOL:
             raise ParameterError(f"negative eigenvalue {w[0]:.3e}")
 
     @classmethod
@@ -95,10 +94,6 @@ class DensityMatrix:
         """Reduced matrix on subsystem "A" or "B" of a bipartite state."""
         self._require_bipartite()
         return partial_trace(self.matrix, self.dims[0], self.dims[1], keep)
-
-    def reshaped(self, dims) -> "DensityMatrix":
-        """Same matrix, re-declared subsystem split."""
-        return DensityMatrix(self.matrix, tuple(dims))
 
 
 def random_pure(d: int, seed: SeedSpec) -> np.ndarray:
@@ -145,21 +140,11 @@ def purify(rho: DensityMatrix, rank_tol: float = RANK_TOL) -> np.ndarray:
     The purifying system is appended as the minor index and has dimension
     equal to the numerical rank, the smallest possible.
     """
-    dec = eigh_decomp(rho.matrix)
-    w, u = dec.eigenvalues, dec.eigenvectors
+    m = rho.matrix
+    w, u = np.linalg.eigh((m + m.conj().T) / 2)
     on = np.flatnonzero(w > rank_tol * w.max())[::-1]  # descending eigenvalues
-    r = len(on)
-    n = rho.matrix.shape[0]
-    psi = np.zeros(n * r, dtype=complex)
-    for e, idx in enumerate(on):
-        psi += np.sqrt(w[idx]) * np.kron(u[:, idx], _basis_vec(r, e))
+    psi = (u[:, on] * np.sqrt(w[on])).ravel()
     return psi / np.linalg.norm(psi)
-
-
-def _basis_vec(d: int, k: int) -> np.ndarray:
-    v = np.zeros(d, dtype=complex)
-    v[k] = 1.0
-    return v
 
 
 def schmidt_values(psi: np.ndarray, d_a: int, d_b: int) -> np.ndarray:
@@ -167,7 +152,7 @@ def schmidt_values(psi: np.ndarray, d_a: int, d_b: int) -> np.ndarray:
     psi = np.asarray(psi)
     if psi.shape != (d_a * d_b,):
         raise DimensionError(f"vector length {psi.shape} does not match {d_a}x{d_b}")
-    if abs(np.linalg.norm(psi) - 1.0) > 1e-10:
+    if abs(np.linalg.norm(psi) - 1.0) > UNIT_NORM_TOL:
         raise ParameterError("vector is not normalized")
     s = np.linalg.svd(psi.reshape(d_a, d_b), compute_uv=False)
     return s**2
@@ -188,6 +173,8 @@ def mixed_rank_states(d_a: int, d_b: int, count: int, seed: int):
     The i-th state is drawn from stream i of `seed`, so any prefix of the
     sequence is reproducible independently of the rest.
     """
+    if d_a < 1 or d_b < 1:
+        raise ParameterError(f"dimensions must be >= 1, got ({d_a}, {d_b})")
     n = d_a * d_b
     for i in range(count):
         rank = (i % n) + 1

@@ -1,0 +1,44 @@
+"""Every numerical tolerance of the package, each with what it guards.
+
+Relative tolerances are scaled by the size of the operand named in their
+comment; all others are absolute.
+"""
+
+# Relative eigenvalue cutoff below which an operator is treated as singular.
+RANK_TOL = 1e-10
+
+# Hermiticity of a func_on_support input, relative to its largest entry.
+FUNC_HERM_TOL = 1e-8
+# Hermiticity of a DensityMatrix.
+STATE_HERM_TOL = 1e-11
+# Distance of a DensityMatrix's trace from 1.
+TRACE_TOL = 1e-11
+# Most negative eigenvalue a DensityMatrix may have.
+EIG_TOL = 1e-10
+
+# Norm of each effect vector of a MeasurementFamily setting.
+NORM_TOL = 1e-11
+# Largest entry of sum_k scale_k |v_k><v_k| - 1 for a MeasurementFamily setting.
+COMPLETENESS_TOL = 1e-10
+# Absolute part (np.allclose adds a relative 1e-5) of the check that every
+# effect scale of a basis setting is 1.
+BASIS_SCALE_TOL = 1e-12
+# Largest entry of U^dag U - 1 for a basis passed to measure_in_basis.
+ORTHONORMAL_TOL = 1e-10
+# Norm of a pure vector passed to schmidt_values or monogamy_report.
+UNIT_NORM_TOL = 1e-10
+
+# Most negative entry of a JointDistribution table.
+TABLE_NEG_TOL = 1e-12
+# Distance of a JointDistribution table's sum from 1.
+TABLE_SUM_TOL = 1e-9
+
+# Slack on the range [1/d, 1] of a two-basis guessing probability.
+PROB_RANGE_TOL = 1e-12
+
+# Default verdict tolerance of the main equality, the n-basis bounds and the witness.
+EQUALITY_TOL = 1e-9
+# Default verdict tolerance of the monogamy equation.
+MONOGAMY_TOL = 1e-8
+# Largest design defect a family may have and still be used for the equality.
+CERTIFICATION_TOL = 1e-9

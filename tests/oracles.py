@@ -1,0 +1,105 @@
+"""Independent reference implementations that the tests compare the package against.
+
+Each oracle takes a different route to a quantity the package computes: an
+explicit classical-quantum density matrix, an explicitly applied recovery
+channel, or the per-setting measure-then-sum loop with its own contraction
+and its own decomposition of rho_B for every setting.
+"""
+
+import numpy as np
+
+from entguess import (
+    DensityMatrix,
+    MeasurementFamily,
+    func_on_support,
+    max_entangled,
+    measure_family,
+)
+
+
+def cq_state(conds) -> DensityMatrix:
+    """Block-diagonal classical-quantum state sum_k |k><k| (x) rho_B^k."""
+    m = len(conds)
+    d_b = conds[0].shape[0]
+    out = np.zeros((m * d_b, m * d_b), dtype=complex)
+    for k, c in enumerate(conds):
+        out[k * d_b : (k + 1) * d_b, k * d_b : (k + 1) * d_b] = c
+    return DensityMatrix(out, (m, d_b))
+
+
+def cq_embedding(rho: DensityMatrix, family: MeasurementFamily) -> DensityMatrix:
+    """Explicit density matrix of the outcome/side-information/setting state.
+
+    Returns sum_theta w_theta sum_k |k><k|_K (x) rho_B^(theta,k) (x)
+    |theta><theta| as a bipartite state with dims (outcomes, d_B * settings),
+    so generic h2nu on it evaluates H_{2,nu}(K|B,Theta) directly.  Every
+    setting must have the same number of outcomes.
+    """
+    n_th = family.n_settings
+    m = family.settings[0].n_outcomes
+    d_b = rho.d_b
+    conds = measure_family(rho, family).reshape(n_th, m, d_b, d_b)
+    cond_dim = d_b * n_th
+    out = np.zeros((m * cond_dim, m * cond_dim), dtype=complex)
+    for th in range(n_th):
+        for k in range(m):
+            rows = k * cond_dim + np.arange(d_b) * n_th + th
+            out[np.ix_(rows, rows)] += family.setting_weight * conds[th, k]
+    return DensityMatrix(out, (m, cond_dim))
+
+
+def pg_recovery_fidelity_explicit(rho: DensityMatrix) -> float:
+    """F^pg(A|B) by explicitly applying the pretty good recovery channel.
+
+    The channel maps B to a copy A' of A via
+    Lambda(Y) = Tr_B[rho_AB (1 (x) S Y S)]^T with S = rho_B^(-1/2) on the
+    support; the fidelity of (id (x) Lambda)(rho_AB) with the maximally
+    entangled vector is returned.
+    """
+    d_a, d_b = rho.d_a, rho.d_b
+    (inv_sqrt,) = func_on_support(rho.marginal("B"), (-0.5,))
+    m4 = rho.matrix.reshape(d_a, d_b, d_a, d_b)
+    # Lambda(Y)[i, j] = sum_{m,x} rho4[j, m, i, x] (S Y S)[x, m], so applying
+    # id (x) Lambda to rho itself gives
+    # out[(a,i),(c,j)] = sum_{p,q,m,x} rho4[a,p,c,q] rho4[j,m,i,x] S[x,p] S[q,m].
+    out = np.einsum("apcq,jmix,xp,qm->aicj", m4, m4, inv_sqrt, inv_sqrt)
+    out = out.reshape(d_a * d_a, d_a * d_a)
+    phi = max_entangled(d_a)
+    return float(np.real(np.vdot(phi, out @ phi)))
+
+
+def pgm_guess_prob(conds) -> float:
+    """PGM success probability sum_k Tr[Pi^k rho_B^k], one operator at a time.
+
+    Pi^k = rho_B^(-1/2) rho_B^k rho_B^(-1/2) with rho_B = sum_k rho_B^k.
+    """
+    (inv_sqrt,) = func_on_support(sum(conds), (-0.5,))
+    total = 0.0
+    for c in conds:
+        pgm_op = inv_sqrt @ c @ inv_sqrt
+        total += float(np.real(np.trace(pgm_op @ c)))
+    return total
+
+
+def setting_conditionals(rho: DensityMatrix, setting) -> list:
+    """scale_k <v_k| rho |v_k>_A for each effect of one setting, by index summation."""
+    d_a, d_b = rho.d_a, rho.d_b
+    m4 = rho.matrix.reshape(d_a, d_b, d_a, d_b)
+    conds = np.einsum("ak,abcd,ck->kbd", setting.vectors.conj(), m4, setting.vectors)
+    return [setting.scales[k] * conds[k] for k in range(setting.n_outcomes)]
+
+
+def h2nu_outcomes_per_setting(
+    rho: DensityMatrix, family: MeasurementFamily, nu: float
+) -> float:
+    """H_{2,nu}(K|B,Theta) with rho_B rebuilt and decomposed for every setting."""
+    total = 0.0
+    for setting in family.settings:
+        conds = setting_conditionals(rho, setting)
+        rho_b = sum(conds)
+        (m1,) = func_on_support(rho_b, (-(1.0 - nu) / 2.0,))
+        (m2,) = func_on_support(rho_b, (-(1.0 + nu) / 2.0,))
+        total += family.setting_weight * sum(
+            float(np.real(np.trace(c @ m1 @ c @ m2))) for c in conds
+        )
+    return -np.log2(total)

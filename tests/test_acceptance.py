@@ -25,7 +25,6 @@ from entguess import (
     mixed_rank_states,
     monogamy_report,
     pg_recovery_fidelity,
-    pgm_guess_prob,
     measure_in_basis,
     classical_h2_cond,
     random_pure,
@@ -36,6 +35,7 @@ from entguess import (
     witness,
 )
 from entguess.cli import main as cli_main
+from entguess.entropies import cq_collision
 from entguess.relations import EPR, HEISENBERG
 
 DIM_PAIRS = [(d_a, d_b) for d_a in (2, 3, 5, 7) for d_b in (1, 2, 3, 4)]
@@ -246,7 +246,7 @@ def test_criterion_11_data_processing():
         rho = list(mixed_rank_states(d_a, 3, 1, seed=11_000 + i))[0]
         theta = i % (d_a + 1)
         conds = measure_in_basis(rho, fam.settings[theta].vectors)
-        quantum = pgm_guess_prob(conds)
+        quantum = cq_collision(conds, 0.0)
         bob = haar_unitary(3, SeedSpec(11_500, stream=i))
         joints = joint_from_state(rho, fam, [theta], [bob])
         classical = 2.0 ** (-classical_h2_cond(joints.settings[0][1]))

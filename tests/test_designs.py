@@ -1,3 +1,4 @@
+import dataclasses
 import json
 
 import numpy as np
@@ -161,6 +162,14 @@ class TestDesignDefect:
         assert abs(design_defect(fam) - np.linalg.norm(moment_oracle(pooled) - target)) < 1e-14
 
 
+    def test_family_is_frozen_and_defect_memoized(self):
+        fam = mub_family(3)
+        first = design_defect(fam)
+        assert design_defect(fam) is first
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            fam.settings = fam.settings[:2]
+
+
 class TestUnbiasednessDefect:
     def test_duplicate_basis_worst_case(self):
         eye = Setting(vectors=np.eye(3, dtype=complex), scales=np.ones(3))
@@ -191,6 +200,9 @@ class TestFamilyStructure:
         sub = cached_mubs(3).subset(2)
         assert sub.n_settings == 2
         assert sub.equality_constant is None
+        assert sub.kind == "MUB-complete-subset(2)"
+        assert sic_povm(2).subset(1).kind == "SIC-subset(1)"
+        assert clifford_orbit_family().subset(3).kind == "CliffordOrbit-subset(3)"
 
     def test_json_roundtrip(self):
         for fam in (cached_mubs(3), sic_povm(2), clifford_orbit_family()):

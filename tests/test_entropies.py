@@ -1,6 +1,13 @@
 import numpy as np
 import pytest
 from conftest import cached_mubs, max_entangled_state, random_bipartite
+from oracles import (
+    cq_embedding,
+    cq_state,
+    h2nu_outcomes_per_setting,
+    pg_recovery_fidelity_explicit,
+    pgm_guess_prob,
+)
 
 from entguess import (
     DensityMatrix,
@@ -11,9 +18,9 @@ from entguess import (
     ParameterError,
     SeedSpec,
     classical_h2_cond,
-    cq_embedding,
-    cq_state,
+    clifford_orbit_family,
     d0_relative,
+    equality_report,
     family_guess_prob,
     h2nu,
     h2nu_outcomes,
@@ -21,13 +28,14 @@ from entguess import (
     joint_from_state,
     measure_family,
     measure_in_basis,
+    mixed_rank_states,
     pg_recovery_fidelity,
-    pg_recovery_fidelity_explicit,
-    pgm_guess_prob,
     random_pure,
     random_separable,
+    sic_povm,
     tensor,
 )
+from entguess.entropies import cq_collision
 
 
 class TestH2nu:
@@ -130,26 +138,26 @@ class TestPgmGuessProb:
         rho = max_entangled_state(3)
         for setting in cached_mubs(3).settings:
             conds = measure_in_basis(rho, setting.vectors)
-            assert abs(pgm_guess_prob(conds) - 1.0) < 1e-10
+            assert abs(cq_collision(conds, 0.0) - 1.0) < 1e-10
 
     def test_trivial_side_information_uniform(self):
         d = 4
         conds = [np.array([[1.0 / d]]) for _ in range(d)]
-        assert abs(pgm_guess_prob(conds) - 1.0 / d) < 1e-12
+        assert abs(cq_collision(conds, 0.0) - 1.0 / d) < 1e-12
 
     def test_matches_embedded_cq_entropy(self):
         for i in range(10):
             rho = random_bipartite(3, 2, rank=(i % 6) + 1, seed=38, stream=i)
             basis = haar_unitary(3, SeedSpec(39, stream=i))
             conds = measure_in_basis(rho, basis)
-            p = pgm_guess_prob(conds)
+            p = cq_collision(conds, 0.0)
             assert abs(2.0 ** (-h2nu(cq_state(conds), 0.0)) - p) < 1e-10
 
     def test_floor(self):
         for i in range(20):
             rho = random_bipartite(2, 4, rank=(i % 8) + 1, seed=40, stream=i)
             basis = haar_unitary(2, SeedSpec(41, stream=i))
-            assert pgm_guess_prob(measure_in_basis(rho, basis)) >= 0.5 - 1e-9
+            assert cq_collision(measure_in_basis(rho, basis), 0.0) >= 0.5 - 1e-9
 
 
 class TestFamilyGuessProb:
@@ -229,12 +237,59 @@ class TestCqConsistency:
         assert abs(h2nu(cq_embedding(rho, fam), nu) - h2nu_outcomes(rho, fam, nu)) < 1e-10
 
     def test_ensemble_invariants(self):
-        ens = measure_family(random_bipartite(3, 2, 4, seed=49), cached_mubs(3))
-        assert abs(sum(ens.weights) - 1.0) < 1e-12
-        for conds in ens.conditionals:
-            assert abs(sum(np.trace(c).real for c in conds) - 1.0) < 1e-11
-            for c in conds:
+        rho = random_bipartite(3, 2, 4, seed=49)
+        conds = measure_family(rho, cached_mubs(3))
+        assert conds.shape == (4 * 3, 2, 2)
+        for setting in conds.reshape(4, 3, 2, 2):
+            assert abs(sum(np.trace(c).real for c in setting) - 1.0) < 1e-11
+            assert np.abs(setting.sum(axis=0) - rho.marginal("B")).max() < 1e-12
+            for c in setting:
                 assert np.linalg.eigvalsh((c + c.conj().T) / 2).min() > -1e-10
+
+
+FAMILIES = (
+    [
+        pytest.param(cached_mubs(d), d_b, id=f"mub{d}x{d_b}")
+        for d in (2, 3, 5, 7)
+        for d_b in (1, 2, 3, 4)
+    ]
+    + [pytest.param(sic_povm(d), 2, id=f"sic{d}x2") for d in (2, 3)]
+    + [pytest.param(clifford_orbit_family(), 2, id="clifford2x2")]
+)
+
+
+class TestOneMeasuredPath:
+    """The single measured path against the per-setting route it replaced."""
+
+    @pytest.mark.parametrize("nu", [0.0, 0.5, 1.0])
+    @pytest.mark.parametrize("family,d_b", FAMILIES)
+    def test_matches_per_setting_route(self, family, d_b, nu):
+        for rho in mixed_rank_states(family.d, d_b, 4, seed=55):
+            ref = h2nu_outcomes_per_setting(rho, family, nu)
+            assert abs(h2nu_outcomes(rho, family, nu) - ref) < 1e-12
+
+    def test_cq_collision_is_pgm_guess_prob(self):
+        for i in range(20):
+            d_a, d_b = (2, 3, 5, 7)[i % 4], (i % 4) + 1
+            rho = random_bipartite(d_a, d_b, rank=(i % (d_a * d_b)) + 1, seed=56, stream=i)
+            conds = measure_in_basis(rho, haar_unitary(d_a, SeedSpec(57, stream=i)))
+            assert abs(cq_collision(conds, 0.0) - pgm_guess_prob(list(conds))) < 1e-12
+
+    def test_one_decomposition_per_side(self, monkeypatch):
+        calls = []
+        eigh = np.linalg.eigh
+
+        def counting_eigh(*args, **kwargs):
+            calls.append(1)
+            return eigh(*args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "eigh", counting_eigh)
+        rho = random_bipartite(5, 3, rank=7, seed=58)
+        h2nu_outcomes(rho, cached_mubs(5), 0.5)
+        assert len(calls) == 1
+        calls.clear()
+        equality_report(rho, cached_mubs(5), 0.5)
+        assert len(calls) == 2
 
 
 class TestClassicalH2:
@@ -259,7 +314,7 @@ class TestClassicalH2:
             rho = random_bipartite(3, 3, rank=(i % 9) + 1, seed=50, stream=i)
             basis = fam.settings[i % 4].vectors
             conds = measure_in_basis(rho, basis)
-            quantum = pgm_guess_prob(conds)
+            quantum = cq_collision(conds, 0.0)
             bob = haar_unitary(3, SeedSpec(51, stream=i))
             joints = joint_from_state(rho, fam, [i % 4], [bob])
             classical = 2.0 ** (-classical_h2_cond(joints.settings[0][1]))
