@@ -12,7 +12,6 @@ tripartite pure states.
 
 from .designs import (
     MeasurementFamily,
-    Setting,
     clifford_orbit_family,
     design_defect,
     mub_family,
@@ -28,7 +27,6 @@ from .entropies import (
     h2nu_outcomes,
     joint_from_state,
     measure_family,
-    measure_in_basis,
     pg_recovery_fidelity,
 )
 from .errors import (
@@ -49,7 +47,6 @@ from .linops import (
     max_entangled,
     partial_trace,
     support_projector,
-    swap_operator,
     tensor,
 )
 from .relations import (

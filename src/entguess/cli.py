@@ -100,6 +100,14 @@ def _reports_csv(reports) -> str:
     return buf.getvalue()
 
 
+def _load_json(path: str, what: str):
+    with open(path) as fh:
+        try:
+            return json.load(fh)
+        except json.JSONDecodeError as exc:
+            raise FormatError(f"malformed {what} document: {exc}") from exc
+
+
 def _family_for(name: str, d: int) -> designs.MeasurementFamily:
     if name == "mub":
         return designs.mub_family(d)
@@ -110,11 +118,7 @@ def _family_for(name: str, d: int) -> designs.MeasurementFamily:
             raise EntguessError("the Clifford-orbit family is qubit-only (d = 2)")
         return designs.clifford_orbit_family()
     if name.startswith("file:"):
-        with open(name[5:]) as fh:
-            try:
-                fam = designs.MeasurementFamily.from_json_dict(json.load(fh))
-            except (json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
-                raise FormatError(f"malformed family document: {exc}") from exc
+        fam = designs.MeasurementFamily.from_json_dict(_load_json(name[5:], "family"))
         if fam.d != d:
             raise EntguessError(f"family file is for d = {fam.d}, run asked for d = {d}")
         return fam
@@ -175,12 +179,7 @@ def cmd_sweep(cfg: RunConfig) -> int:
 
 
 def cmd_witness(cfg: RunConfig) -> int:
-    with open(cfg.input_path) as fh:
-        try:
-            doc = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise FormatError(f"not valid JSON: {exc}") from exc
-    joints = JointDistribution.from_json_dict(doc)
+    joints = JointDistribution.from_json_dict(_load_json(cfg.input_path, "joint-distribution"))
     tol = cfg.tolerance if cfg.tolerance is not None else relations.EQUALITY_TOL
     report = relations.witness(joints, joints.d_a, tol)
     if report.metadata["entangled"]:
@@ -208,14 +207,15 @@ def _load_state(cfg: RunConfig) -> DensityMatrix:
     if cfg.state == "separable":
         return random_separable(d, d_b, terms=4, seed=spec)
     if cfg.state and cfg.state.startswith("file:"):
-        with open(cfg.state[5:]) as fh:
-            try:
-                doc = json.load(fh)
-                m = np.array(doc["re"], dtype=float) + 1j * np.array(doc["im"], dtype=float)
-                dims = tuple(doc["dims"])
-            except (json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
-                raise FormatError(f"malformed density-matrix document: {exc}") from exc
-        return DensityMatrix(m, dims)
+        doc = _load_json(cfg.state[5:], "density-matrix")
+        try:
+            m = np.array(doc["re"], dtype=float) + 1j * np.array(doc["im"], dtype=float)
+            rho = DensityMatrix(m, tuple(doc["dims"]))
+        except (KeyError, TypeError, ValueError) as exc:
+            raise FormatError(f"malformed density-matrix document: {exc}") from exc
+        if rho.d_a != d:
+            raise EntguessError(f"state file is for d_A = {rho.d_a}, run asked for d = {d}")
+        return rho
     raise EntguessError(f"unknown state specifier {cfg.state!r}")
 
 

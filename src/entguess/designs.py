@@ -7,10 +7,12 @@ constructions is trusted: every family can be checked after the fact with
 `design_defect` (distance of the pooled second moment from (1+F)/(d(d+1)))
 and, for basis families, `unbiasedness_defect`.
 
-A family is a list of measurement settings of equal sampling weight.  Each
-setting holds rank-1 effects ``scale * |v><v|``; for an orthonormal-basis
-setting the scales are all 1, for a SIC they are 1/d.  Effect vectors are
-stored as the COLUMNS of the setting's `vectors` matrix.
+A family is an array of measurement settings of equal sampling weight,
+all with the same number of outcomes.  ``vectors[t, :, k]`` is the k-th
+effect vector of setting t (a column of the setting's d x n_outcomes
+matrix ``vectors[t]``) and ``scales[t, k]`` its weight, so the effects are
+``scales[t, k] * |v><v|``; for an orthonormal-basis setting the scales are
+all 1, for a SIC they are 1/d.
 """
 
 from dataclasses import dataclass
@@ -20,11 +22,11 @@ import numpy as np
 
 from .errors import (
     DimensionError,
+    FormatError,
     ParameterError,
     UnsupportedDimensionError,
     UnsupportedFamilyError,
 )
-from .linops import swap_operator
 from .tolerances import BASIS_SCALE_TOL, COMPLETENESS_TOL, NORM_TOL
 
 MUB_COMPLETE = "MUB-complete"
@@ -33,34 +35,20 @@ CLIFFORD_ORBIT = "CliffordOrbit"
 
 
 @dataclass(frozen=True, eq=False)
-class Setting:
-    """One measurement setting: effects ``scales[k] * |vectors[:, k]><...|``."""
-
-    vectors: np.ndarray
-    scales: np.ndarray
-
-    @property
-    def n_outcomes(self) -> int:
-        return self.vectors.shape[1]
-
-    def is_basis(self) -> bool:
-        d, m = self.vectors.shape
-        return m == d and np.allclose(self.scales, 1.0, atol=BASIS_SCALE_TOL)
-
-
-@dataclass(frozen=True, eq=False)
 class MeasurementFamily:
     """A weighted collection of rank-1 measurement settings on a d-dim system.
 
-    Settings share a uniform sampling weight 1/len(settings).  Families for
-    which the guessing-probability equality holds carry its constant:
-    d+1 for complete-MUB and Clifford-orbit families, d(d+1) for SICs,
-    None otherwise.
+    ``vectors`` has shape (n_settings, d, n_outcomes) and ``scales`` shape
+    (n_settings, n_outcomes).  Settings share a uniform sampling weight
+    1/n_settings.  Families for which the guessing-probability equality
+    holds carry its constant: d+1 for complete-MUB and Clifford-orbit
+    families, d(d+1) for SICs, None otherwise.
     """
 
     d: int
     kind: str
-    settings: tuple
+    vectors: np.ndarray
+    scales: np.ndarray
     equality_constant: float | None = None
 
     def __post_init__(self):
@@ -74,54 +62,60 @@ class MeasurementFamily:
             raise ParameterError(
                 f"kind {self.kind!r} requires equality_constant {expected}"
             )
-        for s in self.settings:
-            self._check_setting(s)
-
-    def _check_setting(self, s: Setting):
-        d, m = s.vectors.shape
-        if d != self.d:
-            raise DimensionError(f"setting vectors live in dim {d}, family is {self.d}")
-        norms = np.linalg.norm(s.vectors, axis=0)
-        if np.abs(norms - 1.0).max() > NORM_TOL:
+        v, scales = self.vectors, self.scales
+        if (
+            v.ndim != 3
+            or v.shape[1] != self.d
+            or scales.shape != (v.shape[0], v.shape[2])
+            or scales.size == 0
+        ):
+            raise DimensionError(
+                f"vectors {v.shape} and scales {scales.shape} do not form "
+                f"(n_settings, {self.d}, n_outcomes) and (n_settings, n_outcomes) "
+                "with at least one of each"
+            )
+        # written as `not <=` so that a NaN entry fails the check
+        if not np.abs(np.linalg.norm(v, axis=1) - 1.0).max() <= NORM_TOL:
             raise ParameterError("effect vectors must be normalized")
-        gram = (s.vectors * s.scales) @ s.vectors.conj().T
-        if np.abs(gram - np.eye(self.d)).max() > COMPLETENESS_TOL:
+        sums = (v * scales[:, None, :]) @ v.conj().transpose(0, 2, 1)
+        if not np.abs(sums - np.eye(self.d)).max() <= COMPLETENESS_TOL:
             raise ParameterError("setting effects do not sum to the identity")
 
     @property
     def n_settings(self) -> int:
-        return len(self.settings)
+        return self.vectors.shape[0]
 
     @property
     def setting_weight(self) -> float:
-        return 1.0 / len(self.settings)
+        return 1.0 / self.vectors.shape[0]
 
     def is_basis_family(self) -> bool:
-        return all(s.is_basis() for s in self.settings)
-
-    def pooled_vectors(self) -> np.ndarray:
-        """All effect vectors of all settings, as columns."""
-        return np.concatenate([s.vectors for s in self.settings], axis=1)
+        return self.vectors.shape[2] == self.d and np.allclose(self.scales, 1, atol=BASIS_SCALE_TOL)
 
     def subset(self, n: int) -> "MeasurementFamily":
         """First n settings, as an uncertified partial family."""
         if not 1 <= n <= self.n_settings:
             raise ParameterError(f"n {n} out of range [1, {self.n_settings}]")
         return MeasurementFamily(
-            d=self.d, kind=f"{self.kind}-subset({n})", settings=self.settings[:n]
+            self.d, f"{self.kind}-subset({n})", self.vectors[:n], self.scales[:n]
         )
 
     @cached_property
     def _design_defect(self) -> float:
+        # The moment (1/N) sum |vv><vv| and the target (1+F)/(d(d+1)) =
+        # 2 P_sym/(d(d+1)) both live in the symmetric subspace.  Row (i, j),
+        # i <= j, of w is the coordinate of |v>|v> on its orthonormal basis
+        # vector |ii> or (|ij> + |ji>)/sqrt(2), so the Gram matrix of w over N
+        # is the moment there and the target is a multiple of the identity.
         d = self.d
-        pooled = self.pooled_vectors()
-        moment = np.zeros((d * d, d * d), dtype=complex)
-        for k in range(pooled.shape[1]):
-            proj = np.outer(pooled[:, k], pooled[:, k].conj())
-            moment += np.kron(proj, proj)
-        moment /= pooled.shape[1]
-        target = (np.eye(d * d) + swap_operator(d)) / (d * (d + 1))
-        return float(np.linalg.norm(moment - target))
+        pooled = self.vectors.transpose(1, 0, 2).reshape(d, -1)
+        i, j = np.triu_indices(d)
+        w = pooled[i]
+        w *= pooled[j]
+        w *= np.where(i == j, 1.0, np.sqrt(2.0))[:, None]
+        gap = (w @ w.conj().T) / pooled.shape[1]
+        gap[np.diag_indices_from(gap)] -= 2.0 / (d * (d + 1))
+        return float(np.linalg.norm(gap))
 
     def to_json_dict(self) -> dict:
         return {
@@ -130,43 +124,37 @@ class MeasurementFamily:
             "equality_constant": self.equality_constant,
             "settings": [
                 [
-                    {
-                        "weight": float(s.scales[k]),
-                        "re": s.vectors[:, k].real.tolist(),
-                        "im": s.vectors[:, k].imag.tolist(),
-                    }
-                    for k in range(s.n_outcomes)
+                    {"weight": float(scale), "re": v.real.tolist(), "im": v.imag.tolist()}
+                    for v, scale in zip(vectors.T, scales)
                 ]
-                for s in self.settings
+                for vectors, scales in zip(self.vectors, self.scales)
             ],
         }
 
     @classmethod
     def from_json_dict(cls, doc: dict) -> "MeasurementFamily":
-        settings = []
-        for eff_list in doc["settings"]:
-            vecs = np.array(
-                [np.array(e["re"]) + 1j * np.array(e["im"]) for e in eff_list]
-            ).T
-            scales = np.array([e["weight"] for e in eff_list], dtype=float)
-            settings.append(Setting(vectors=vecs, scales=scales))
-        return cls(
-            d=int(doc["d"]),
-            kind=doc["kind"],
-            settings=tuple(settings),
-            equality_constant=doc.get("equality_constant"),
-        )
+        """Family from `to_json_dict`'s document; FormatError if it is malformed."""
+        try:
+            settings = doc["settings"]
+            scales = np.array([[e["weight"] for e in s] for s in settings], dtype=float)
+            vectors = np.array([
+                [np.array(e["re"], float) + 1j * np.array(e["im"], float) for e in s]
+                for s in settings
+            ])
+            if vectors.ndim != 3:
+                raise ValueError("settings must be non-empty lists of equal length")
+            d = int(doc["d"])
+            kind = doc["kind"]
+            constant = doc.get("equality_constant")
+        except (KeyError, TypeError, ValueError) as exc:
+            raise FormatError(f"malformed family document: {exc}") from exc
+        return cls(d, kind, vectors.transpose(0, 2, 1), scales, constant)
 
 
 def _is_prime(n: int) -> bool:
     if n < 2:
         return False
     return all(n % k for k in range(2, int(n**0.5) + 1))
-
-
-def _basis_setting(matrix: np.ndarray) -> Setting:
-    d = matrix.shape[0]
-    return Setting(vectors=np.asarray(matrix, dtype=complex), scales=np.ones(d))
 
 
 def mub_family(d: int) -> MeasurementFamily:
@@ -196,10 +184,7 @@ def mub_family(d: int) -> MeasurementFamily:
             cols = [omega ** ((a * j * j + k * j) % d) / np.sqrt(d) for k in range(d)]
             bases.append(np.array(cols).T)
     return MeasurementFamily(
-        d=d,
-        kind=MUB_COMPLETE,
-        settings=tuple(_basis_setting(b) for b in bases),
-        equality_constant=float(d + 1),
+        d, MUB_COMPLETE, np.array(bases, dtype=complex), np.ones((d + 1, d)), float(d + 1)
     )
 
 
@@ -230,10 +215,8 @@ def sic_povm(d: int) -> MeasurementFamily:
         fid = np.array([0.0, 1.0, -1.0], dtype=complex) / np.sqrt(2)
     else:
         raise UnsupportedDimensionError(f"SIC fiducials available for d in (2, 3), got {d}")
-    vectors = _weyl_orbit(fid)
-    setting = Setting(vectors=vectors, scales=np.full(d * d, 1.0 / d))
     return MeasurementFamily(
-        d=d, kind=SIC, settings=(setting,), equality_constant=float(d * (d + 1))
+        d, SIC, _weyl_orbit(fid)[None], np.full((1, d * d), 1.0 / d), float(d * (d + 1))
     )
 
 
@@ -273,13 +256,8 @@ def single_qubit_cliffords() -> list:
 
 def clifford_orbit_family() -> MeasurementFamily:
     """Qubit bases {U|0>, U|1>} over the 24 Clifford unitaries, weight 1/24 each."""
-    cliffords = single_qubit_cliffords()
-    return MeasurementFamily(
-        d=2,
-        kind=CLIFFORD_ORBIT,
-        settings=tuple(_basis_setting(u) for u in cliffords),
-        equality_constant=3.0,
-    )
+    cliffords = np.array(single_qubit_cliffords())
+    return MeasurementFamily(2, CLIFFORD_ORBIT, cliffords, np.ones((len(cliffords), 2)), 3.0)
 
 
 def design_defect(family: MeasurementFamily) -> float:
@@ -302,8 +280,8 @@ def unbiasedness_defect(family: MeasurementFamily) -> float:
         raise UnsupportedFamilyError("unbiasedness is defined for basis families only")
     worst = 0.0
     target = 1.0 / family.d
-    for i, si in enumerate(family.settings):
-        for sj in family.settings[i + 1 :]:
-            overlaps = np.abs(si.vectors.conj().T @ sj.vectors) ** 2
+    for i, vi in enumerate(family.vectors):
+        for vj in family.vectors[i + 1 :]:
+            overlaps = np.abs(vi.conj().T @ vj) ** 2
             worst = max(worst, float(np.abs(overlaps - target).max()))
     return worst

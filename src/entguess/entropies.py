@@ -30,11 +30,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .designs import MeasurementFamily, Setting
+from .designs import MeasurementFamily
 from .errors import DimensionError, FormatError, InfiniteDivergence, ParameterError
 from .linops import func_on_support, support_projector
 from .states import DensityMatrix
-from .tolerances import ORTHONORMAL_TOL, RANK_TOL, TABLE_NEG_TOL, TABLE_SUM_TOL
+from .tolerances import RANK_TOL, TABLE_NEG_TOL, TABLE_SUM_TOL
 
 
 def _require_nu(nu: float) -> None:
@@ -54,50 +54,30 @@ def h2nu(rho: DensityMatrix, nu: float, rank_tol: float = RANK_TOL) -> float:
     return -np.log2(float(np.real(np.sum(np.abs(rho_nu) ** 2))))
 
 
-def _measure(rho: DensityMatrix, settings) -> np.ndarray:
+def _measure(rho: DensityMatrix, vectors: np.ndarray, scales: np.ndarray) -> np.ndarray:
     d_a, d_b = rho.d_a, rho.d_b
+    n_settings, _, n_outcomes = vectors.shape
     # rows (a, c), columns (b, d): rho[(a, b), (c, d)]
     m = rho.matrix.reshape(d_a, d_b, d_a, d_b).transpose(0, 2, 1, 3).reshape(d_a * d_a, -1)
-    blocks = []
-    for s in settings:
+    out = np.empty((n_settings, n_outcomes, d_b * d_b), dtype=complex)
+    for t in range(n_settings):
         # per effect, scale_k conj(v_k[a]) v_k[c] flattened over (a, c); one
         # setting at a time keeps the temporaries at the size of rho
-        effects = np.einsum("ak,ck->kac", s.vectors.conj(), s.vectors * s.scales)
-        blocks.append(effects.reshape(s.n_outcomes, -1) @ m)
-    return np.concatenate(blocks).reshape(-1, d_b, d_b)
+        effects = np.einsum("ak,ck->kac", vectors[t].conj(), vectors[t] * scales[t])
+        np.matmul(effects.reshape(n_outcomes, -1), m, out=out[t])
+    return out
 
 
 def measure_family(rho: DensityMatrix, family: MeasurementFamily) -> np.ndarray:
     """Conditional operators rho_B^k = scale_k <v_k| rho |v_k>_A of every effect.
 
-    Returns an array of shape (n_effects, d_B, d_B) whose rows follow the
-    columns of ``family.pooled_vectors()``.  The rows of each setting sum to
-    rho_B, and their traces are the setting's outcome probabilities.
+    Returns an array of shape (n_settings * n_outcomes, d_B, d_B), setting
+    major.  The rows of each setting sum to rho_B, and their traces are the
+    setting's outcome probabilities.
     """
     if family.d != rho.d_a:
         raise DimensionError(f"family acts on dim {family.d}, state has d_A = {rho.d_a}")
-    return _measure(rho, family.settings)
-
-
-def measure_in_basis(rho: DensityMatrix, basis: np.ndarray) -> np.ndarray:
-    """Conditional operators rho_B^k from measuring A in an orthonormal basis.
-
-    `basis` holds the basis vectors as columns.  Returns the array of
-    rho_B^k = <k| rho |k>_A (partial inner product on A), whose traces are
-    the outcome probabilities and whose sum is rho_B.
-    """
-    d_a = rho.d_a
-    basis = np.asarray(basis)
-    if basis.shape != (d_a, d_a):
-        raise DimensionError(f"basis shape {basis.shape}, expected ({d_a}, {d_a})")
-    if np.abs(basis.conj().T @ basis - np.eye(d_a)).max() > ORTHONORMAL_TOL:
-        raise ParameterError("basis columns are not orthonormal")
-    return _measure(rho, (Setting(vectors=basis, scales=np.ones(d_a)),))
-
-
-def _setting_starts(family: MeasurementFamily) -> np.ndarray:
-    """Row offsets of each setting in measure_family's array, then its length."""
-    return np.cumsum([0] + [s.n_outcomes for s in family.settings])
+    return _measure(rho, family.vectors, family.scales).reshape(-1, rho.d_b, rho.d_b)
 
 
 def _collision_terms(conds: np.ndarray, rho_b: np.ndarray, nu: float, rank_tol: float):
@@ -139,7 +119,7 @@ def family_guess_prob(
 ):
     """Per-setting PGM guessing probabilities and their weighted average."""
     terms = _measured_collisions(rho, family, 0.0, rank_tol)
-    per_setting = np.add.reduceat(terms, _setting_starts(family)[:-1]).tolist()
+    per_setting = terms.reshape(family.n_settings, -1).sum(axis=1).tolist()
     average = family.setting_weight * float(np.sum(per_setting))
     return per_setting, average
 
@@ -249,11 +229,13 @@ def joint_from_state(
     """
     if len(thetas) != len(bob_bases):
         raise ParameterError("need one Bob basis per Alice setting")
+    if not all(0 <= theta < alice_family.n_settings for theta in thetas):
+        raise ParameterError(f"setting indices {list(thetas)} outside the family")
     conds = measure_family(rho, alice_family)
-    starts = _setting_starts(alice_family)
+    conds = conds.reshape(alice_family.n_settings, -1, rho.d_b, rho.d_b)
     settings = []
     for theta, bob in zip(thetas, bob_bases):
-        block = conds[starts[theta] : starts[theta + 1]]
+        block = conds[theta]
         bob = np.asarray(bob)
         table = np.einsum("bl,kbd,dl->kl", bob.conj(), block, bob).real
         settings.append((theta, np.maximum(table, 0.0)))

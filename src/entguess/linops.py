@@ -77,17 +77,6 @@ def support_projector(m: np.ndarray, rank_tol: float = RANK_TOL) -> np.ndarray:
     return func_on_support(m, (0.0,), rank_tol)[0]
 
 
-def swap_operator(d: int) -> np.ndarray:
-    """The operator F on a d*d bipartite space with F|i>|j> = |j>|i>."""
-    if d < 1:
-        raise ParameterError(f"d must be >= 1, got {d}")
-    f = np.zeros((d * d, d * d))
-    for i in range(d):
-        for j in range(d):
-            f[j * d + i, i * d + j] = 1.0
-    return f
-
-
 def max_entangled(d: int) -> np.ndarray:
     """The maximally entangled vector (1/sqrt(d)) sum_j |j>|j> on d x d."""
     if d < 2:

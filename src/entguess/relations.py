@@ -23,7 +23,7 @@ Certainty/uncertainty consequences at the smooth min-entropy level are
 documented inequalities only and have no computational surface here.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -65,8 +65,10 @@ class RelationReport:
     metadata: dict = field(default_factory=dict)
 
     @staticmethod
-    def equality(lhs, rhs, tolerance, metadata=None) -> "RelationReport":
-        defect = abs(lhs - rhs)
+    def _judge(lhs, rhs, defect, tolerance, metadata) -> "RelationReport":
+        # a negative or NaN tolerance would turn the verdict into noise
+        if not 0.0 <= tolerance < np.inf:
+            raise ParameterError(f"tolerance must be finite and >= 0, got {tolerance}")
         return RelationReport(
             lhs=float(lhs),
             rhs=float(rhs),
@@ -77,17 +79,14 @@ class RelationReport:
         )
 
     @staticmethod
+    def equality(lhs, rhs, tolerance, metadata=None) -> "RelationReport":
+        """Report for the claim lhs = rhs; defect is |lhs - rhs|."""
+        return RelationReport._judge(lhs, rhs, abs(lhs - rhs), tolerance, metadata)
+
+    @staticmethod
     def upper_bound(lhs, rhs, tolerance, metadata=None) -> "RelationReport":
         """Report for the claim lhs <= rhs; defect is max(0, lhs - rhs)."""
-        defect = max(0.0, lhs - rhs)
-        return RelationReport(
-            lhs=float(lhs),
-            rhs=float(rhs),
-            defect=float(defect),
-            tolerance=float(tolerance),
-            verdict="holds" if defect <= tolerance else "violated",
-            metadata=metadata or {},
-        )
+        return RelationReport._judge(lhs, rhs, max(0.0, lhs - rhs), tolerance, metadata)
 
     @property
     def holds(self) -> bool:
@@ -221,13 +220,13 @@ def achiever_state(
     if which == "upper":
         if not 1 <= n <= d + 1:
             raise ParameterError(f"n {n} out of range [1, {d + 1}]")
-        basis = mubs.settings[0].vectors
+        basis = mubs.vectors[0]
     else:
         if not 1 <= n <= d:
             raise ParameterError(
                 f"lower-bound achievers need an excluded basis: n {n} must be <= {d}"
             )
-        basis = mubs.settings[d].vectors
+        basis = mubs.vectors[d]
 
     uniform = np.full(d, 1.0 / d)
     point = np.zeros(d)
@@ -280,14 +279,10 @@ def witness(
         sum(2.0 ** (-classical_h2_cond(table)) for _, table in joints.settings)
     )
     rhs = 1.0 + (n - 1) / d_a
+    meta = {"n": n, "d_a": d_a, "thetas": labels}
+    report = RelationReport.upper_bound(lhs, rhs, tolerance, meta)
     # violating the separable bound is the certificate
-    entangled = lhs - rhs > tolerance
-    return RelationReport.upper_bound(
-        lhs,
-        rhs,
-        tolerance,
-        metadata={"n": n, "d_a": d_a, "thetas": labels, "entangled": entangled},
-    )
+    return replace(report, metadata={**meta, "entangled": not report.holds})
 
 
 def _amplitude_tensor(psi_abe: np.ndarray, dims) -> np.ndarray:

@@ -16,15 +16,13 @@ TRACE_TOL = 1e-11
 # Most negative eigenvalue a DensityMatrix may have.
 EIG_TOL = 1e-10
 
-# Norm of each effect vector of a MeasurementFamily setting.
+# Norm of each effect vector of a MeasurementFamily.
 NORM_TOL = 1e-11
 # Largest entry of sum_k scale_k |v_k><v_k| - 1 for a MeasurementFamily setting.
 COMPLETENESS_TOL = 1e-10
 # Absolute part (np.allclose adds a relative 1e-5) of the check that every
 # effect scale of a basis setting is 1.
 BASIS_SCALE_TOL = 1e-12
-# Largest entry of U^dag U - 1 for a basis passed to measure_in_basis.
-ORTHONORMAL_TOL = 1e-10
 # Norm of a pure vector passed to schmidt_values or monogamy_report.
 UNIT_NORM_TOL = 1e-10
 

@@ -3,7 +3,15 @@ from functools import lru_cache
 import numpy as np
 import pytest
 
-from entguess import DensityMatrix, SeedSpec, max_entangled, mub_family, random_density
+from entguess import (
+    DensityMatrix,
+    MeasurementFamily,
+    SeedSpec,
+    max_entangled,
+    measure_family,
+    mub_family,
+    random_density,
+)
 
 
 @lru_cache(maxsize=None)
@@ -18,6 +26,13 @@ def mubs():
 
 def max_entangled_state(d) -> DensityMatrix:
     return DensityMatrix.from_pure(max_entangled(d), (d, d))
+
+
+def measure_in_basis(rho: DensityMatrix, basis) -> np.ndarray:
+    """Conditional operators of measuring A in one basis (columns), as a one-setting family."""
+    basis = np.asarray(basis)
+    family = MeasurementFamily(len(basis), "Custom", basis[None], np.ones((1, len(basis))))
+    return measure_family(rho, family)
 
 
 def random_bipartite(d_a, d_b, rank, seed, stream=0) -> DensityMatrix:

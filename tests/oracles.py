@@ -2,8 +2,9 @@
 
 Each oracle takes a different route to a quantity the package computes: an
 explicit classical-quantum density matrix, an explicitly applied recovery
-channel, or the per-setting measure-then-sum loop with its own contraction
-and its own decomposition of rho_B for every setting.
+channel, the per-setting measure-then-sum loop with its own contraction
+and its own decomposition of rho_B for every setting, or the second tensor
+moment written out as a sum of d^2 x d^2 Kronecker products.
 """
 
 import numpy as np
@@ -32,11 +33,9 @@ def cq_embedding(rho: DensityMatrix, family: MeasurementFamily) -> DensityMatrix
 
     Returns sum_theta w_theta sum_k |k><k|_K (x) rho_B^(theta,k) (x)
     |theta><theta| as a bipartite state with dims (outcomes, d_B * settings),
-    so generic h2nu on it evaluates H_{2,nu}(K|B,Theta) directly.  Every
-    setting must have the same number of outcomes.
+    so generic h2nu on it evaluates H_{2,nu}(K|B,Theta) directly.
     """
-    n_th = family.n_settings
-    m = family.settings[0].n_outcomes
+    n_th, _, m = family.vectors.shape
     d_b = rho.d_b
     conds = measure_family(rho, family).reshape(n_th, m, d_b, d_b)
     cond_dim = d_b * n_th
@@ -81,12 +80,12 @@ def pgm_guess_prob(conds) -> float:
     return total
 
 
-def setting_conditionals(rho: DensityMatrix, setting) -> list:
+def setting_conditionals(rho: DensityMatrix, vectors, scales) -> list:
     """scale_k <v_k| rho |v_k>_A for each effect of one setting, by index summation."""
     d_a, d_b = rho.d_a, rho.d_b
     m4 = rho.matrix.reshape(d_a, d_b, d_a, d_b)
-    conds = np.einsum("ak,abcd,ck->kbd", setting.vectors.conj(), m4, setting.vectors)
-    return [setting.scales[k] * conds[k] for k in range(setting.n_outcomes)]
+    conds = np.einsum("ak,abcd,ck->kbd", vectors.conj(), m4, vectors)
+    return [scale * c for scale, c in zip(scales, conds)]
 
 
 def h2nu_outcomes_per_setting(
@@ -94,8 +93,8 @@ def h2nu_outcomes_per_setting(
 ) -> float:
     """H_{2,nu}(K|B,Theta) with rho_B rebuilt and decomposed for every setting."""
     total = 0.0
-    for setting in family.settings:
-        conds = setting_conditionals(rho, setting)
+    for vectors, scales in zip(family.vectors, family.scales):
+        conds = setting_conditionals(rho, vectors, scales)
         rho_b = sum(conds)
         (m1,) = func_on_support(rho_b, (-(1.0 - nu) / 2.0,))
         (m2,) = func_on_support(rho_b, (-(1.0 + nu) / 2.0,))
@@ -103,3 +102,30 @@ def h2nu_outcomes_per_setting(
             float(np.real(np.trace(c @ m1 @ c @ m2))) for c in conds
         )
     return -np.log2(total)
+
+
+def swap_operator(d: int) -> np.ndarray:
+    """The operator F on a d*d bipartite space with F|i>|j> = |j>|i>."""
+    f = np.zeros((d * d, d * d))
+    for i in range(d):
+        for j in range(d):
+            f[j * d + i, i * d + j] = 1.0
+    return f
+
+
+def moment_oracle(vectors) -> np.ndarray:
+    """Uniform second tensor moment of a column-vector set, written out."""
+    d, n = vectors.shape
+    acc = np.zeros((d * d, d * d), dtype=complex)
+    for k in range(n):
+        proj = np.outer(vectors[:, k], vectors[:, k].conj())
+        acc += np.kron(proj, proj)
+    return acc / n
+
+
+def design_defect_oracle(family: MeasurementFamily) -> float:
+    """Frobenius distance of the pooled moment from (1 + F)/(d(d+1)) on the full space."""
+    d = family.d
+    pooled = np.concatenate(list(family.vectors), axis=1)
+    target = (np.eye(d * d) + swap_operator(d)) / (d * (d + 1))
+    return float(np.linalg.norm(moment_oracle(pooled) - target))

@@ -9,7 +9,7 @@ import json
 from functools import lru_cache
 
 import numpy as np
-from conftest import cached_mubs, max_entangled_state
+from conftest import cached_mubs, max_entangled_state, measure_in_basis
 
 from entguess import (
     SeedSpec,
@@ -25,7 +25,6 @@ from entguess import (
     mixed_rank_states,
     monogamy_report,
     pg_recovery_fidelity,
-    measure_in_basis,
     classical_h2_cond,
     random_pure,
     random_separable,
@@ -191,7 +190,7 @@ def test_criterion_08_witness_soundness_and_power():
         rho = max_entangled_state(d_a)
         for n in range(2, d_a + 2):
             thetas = list(range(n))
-            bob = [fam.settings[t].vectors.conj() for t in thetas]
+            bob = [fam.vectors[t].conj() for t in thetas]
             rep = witness(joint_from_state(rho, fam, thetas, bob), d_a)
             fires &= rep.metadata["entangled"]
     verdict(8, "witness: sound on separable, fires on maximally entangled",
@@ -245,7 +244,7 @@ def test_criterion_11_data_processing():
         fam = cached_mubs(d_a)
         rho = list(mixed_rank_states(d_a, 3, 1, seed=11_000 + i))[0]
         theta = i % (d_a + 1)
-        conds = measure_in_basis(rho, fam.settings[theta].vectors)
+        conds = measure_in_basis(rho, fam.vectors[theta])
         quantum = cq_collision(conds, 0.0)
         bob = haar_unitary(3, SeedSpec(11_500, stream=i))
         joints = joint_from_state(rho, fam, [theta], [bob])

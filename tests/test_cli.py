@@ -15,11 +15,15 @@ def run_cli(args, capsys):
     return code, out.out, out.err
 
 
+def mub_family_doc(d):
+    return json.loads(json.dumps(cached_mubs(d).to_json_dict()))
+
+
 def write_ideal_witness_file(path, d=2, n=2):
     fam = cached_mubs(d)
     rho = max_entangled_state(d)
     thetas = list(range(n))
-    bob = [fam.settings[t].vectors.conj() for t in thetas]
+    bob = [fam.vectors[t].conj() for t in thetas]
     joints = joint_from_state(rho, fam, thetas, bob)
     path.write_text(json.dumps(joints.to_json_dict()))
 
@@ -141,6 +145,52 @@ class TestVerify:
         assert code == 2
 
 
+    @pytest.mark.parametrize("tolerance", ["-1", "nan", "inf"])
+    def test_bad_tolerance_is_usage_error(self, capsys, tolerance):
+        code, out, err = run_cli(
+            ["verify", "--relation", "main", "--d", "2", "--samples", "2",
+             "--tolerance", tolerance],
+            capsys,
+        )
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error:") and "tolerance" in err
+
+    @pytest.mark.parametrize("command", ["verify", "game"])
+    @pytest.mark.parametrize(
+        "settings",
+        [[], [[{"weight": 1.0, "re": [1.0, 0.0], "im": [0.0, 0.0]}]]],
+        ids=["no-setting", "short-setting"],
+    )
+    def test_family_file_without_full_settings(self, capsys, tmp_path, command, settings):
+        doc = mub_family_doc(2)
+        doc["settings"] = settings if not settings else [doc["settings"][0], *settings]
+        fam_file = tmp_path / "fam.json"
+        fam_file.write_text(json.dumps(doc))
+        args = ["--relation", "main", "--samples", "2"] if command == "verify" else []
+        code, out, err = run_cli(
+            [command, *args, "--d", "2", "--family", f"file:{fam_file}"], capsys
+        )
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: malformed family document")
+
+
+    def test_family_file_with_nan_is_usage_error(self, capsys, tmp_path):
+        doc = mub_family_doc(2)
+        doc["settings"][0][0]["re"][0] = float("nan")
+        fam_file = tmp_path / "fam.json"
+        fam_file.write_text(json.dumps(doc))
+        code, out, err = run_cli(
+            ["verify", "--relation", "main", "--d", "2", "--samples", "2",
+             "--family", f"file:{fam_file}"],
+            capsys,
+        )
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error:")
+
+
 class TestSweep:
     def test_known_rows(self, capsys):
         code, out, _ = run_cli(["sweep", "--d", "5", "--grid", "6", "--format", "json"], capsys)
@@ -211,6 +261,18 @@ class TestWitnessCommand:
         f.write_text("{nope")
         code, _, err = run_cli(["witness", "--input", str(f)], capsys)
         assert code == 2
+
+
+    @pytest.mark.parametrize("tolerance", ["-0.5", "nan"])
+    def test_bad_tolerance_is_usage_error(self, capsys, tmp_path, tolerance):
+        # one Z-basis table of the product state |0>|0>: lhs = rhs = 1
+        f = tmp_path / "product.json"
+        doc = {"d_a": 2, "d_b": 2, "settings": [{"theta": 0, "table": [[1.0, 0.0], [0.0, 0.0]]}]}
+        f.write_text(json.dumps(doc))
+        code, out, err = run_cli(["witness", "--input", str(f), "--tolerance", tolerance], capsys)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error:") and "tolerance" in err
 
 
 class TestGameCommand:
@@ -286,6 +348,36 @@ class TestGameCommand:
             ["game", "--state", f"file:{f}", "--d", "2", "--trials", "10"], capsys
         )
         assert code == 2
+
+
+    def test_non_integer_dims_is_usage_error(self, capsys, tmp_path):
+        rho = max_entangled_state(2)
+        f = tmp_path / "state.json"
+        f.write_text(json.dumps({
+            "dims": ["a", 2],
+            "re": rho.matrix.real.tolist(),
+            "im": rho.matrix.imag.tolist(),
+        }))
+        code, _, err = run_cli(
+            ["game", "--state", f"file:{f}", "--d", "2", "--trials", "10"], capsys
+        )
+        assert code == 2
+        assert err.startswith("error: malformed density-matrix document")
+
+    def test_state_file_dimension_mismatch(self, capsys, tmp_path):
+        rho = max_entangled_state(2)
+        f = tmp_path / "state.json"
+        f.write_text(json.dumps({
+            "dims": [2, 2],
+            "re": rho.matrix.real.tolist(),
+            "im": rho.matrix.imag.tolist(),
+        }))
+        code, out, err = run_cli(
+            ["game", "--state", f"file:{f}", "--d", "3", "--trials", "10"], capsys
+        )
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: state file is for d_A = 2")
 
 
 class TestDeterminismAndConfig:

@@ -4,30 +4,32 @@ import json
 import numpy as np
 import pytest
 from conftest import cached_mubs
+from oracles import design_defect_oracle, moment_oracle, swap_operator
 
 from entguess import (
+    DimensionError,
+    FormatError,
     MeasurementFamily,
     ParameterError,
-    Setting,
     UnsupportedDimensionError,
     UnsupportedFamilyError,
     clifford_orbit_family,
     design_defect,
     mub_family,
     sic_povm,
-    swap_operator,
     unbiasedness_defect,
 )
 
 
-def moment_oracle(vectors):
-    """Uniform second tensor moment of a column-vector set, written out."""
-    d, n = vectors.shape
-    acc = np.zeros((d * d, d * d), dtype=complex)
-    for k in range(n):
-        proj = np.outer(vectors[:, k], vectors[:, k].conj())
-        acc += np.kron(proj, proj)
-    return acc / n
+# certified designs plus two partial MUB sets, which are not designs
+ORACLE_FAMILIES = {
+    **{f"mub-{d}": (lambda d=d: cached_mubs(d)) for d in (2, 3, 5, 7, 11)},
+    "sic-2": lambda: sic_povm(2),
+    "sic-3": lambda: sic_povm(3),
+    "clifford": clifford_orbit_family,
+    "mub-5-subset-3": lambda: cached_mubs(5).subset(3),
+    "mub-7-subset-7": lambda: cached_mubs(7).subset(7),
+}
 
 
 def same_up_to_phase(u, v, tol=1e-9):
@@ -39,7 +41,7 @@ class TestMubFamily:
     def test_qubit_pauli_bases(self):
         fam = mub_family(2)
         assert fam.n_settings == 3
-        z, x, y = (s.vectors for s in fam.settings)
+        z, x, y = fam.vectors
         assert np.abs(z - np.eye(2)).max() < 1e-15
         s = 1 / np.sqrt(2)
         assert np.abs(np.abs(x) - s).max() < 1e-15
@@ -64,6 +66,12 @@ class TestMubFamily:
     def test_pooled_two_design(self, d):
         assert design_defect(cached_mubs(d)) < 1e-11
 
+    @pytest.mark.parametrize("d", [13, 17, 19, 23, 29, 31, 37])
+    def test_large_prime_certified(self, d):
+        fam = mub_family(d)
+        assert design_defect(fam) < 1e-11
+        assert unbiasedness_defect(fam) < 1e-11
+
     def test_equality_constant(self):
         assert cached_mubs(3).equality_constant == 4.0
 
@@ -71,29 +79,28 @@ class TestMubFamily:
 class TestSicPovm:
     def test_qubit_tetrahedron(self):
         fam = sic_povm(2)
-        (setting,) = fam.settings
-        assert setting.n_outcomes == 4
-        v = setting.vectors
+        assert fam.vectors.shape == (1, 2, 4)
+        (v,) = fam.vectors
         for j in range(4):
             for k in range(j + 1, 4):
                 assert abs(abs(np.vdot(v[:, j], v[:, k])) ** 2 - 1 / 3) < 1e-10
 
     def test_qubit_completeness(self):
-        (setting,) = sic_povm(2).settings
-        total = (setting.vectors * setting.scales) @ setting.vectors.conj().T
+        fam = sic_povm(2)
+        (v,), (scales,) = fam.vectors, fam.scales
+        total = (v * scales) @ v.conj().T
         assert np.abs(total - np.eye(2)).max() < 1e-11
 
     def test_qutrit_overlaps(self):
-        (setting,) = sic_povm(3).settings
-        v = setting.vectors
+        (v,) = sic_povm(3).vectors
         for j in range(9):
             for k in range(j + 1, 9):
                 assert abs(abs(np.vdot(v[:, j], v[:, k])) ** 2 - 1 / 4) < 1e-10
 
     def test_qutrit_two_design_identity(self):
         d = 3
-        (setting,) = sic_povm(d).settings
-        moment = moment_oracle(setting.vectors)
+        (v,) = sic_povm(d).vectors
+        moment = moment_oracle(v)
         target = (np.eye(d * d) + swap_operator(d)) / (d * (d + 1))
         assert np.abs(moment - target).max() < 1e-10
 
@@ -121,7 +128,7 @@ class TestCliffordOrbit:
 
     def test_orbit_of_zero_is_octahedron(self):
         fam = clifford_orbit_family()
-        zero_images = [s.vectors[:, 0] for s in fam.settings]
+        zero_images = fam.vectors[:, :, 0]
         # dedupe up to phase via the rank-1 projectors
         buckets = []
         for v in zero_images:
@@ -147,7 +154,8 @@ class TestDesignDefect:
         fam = MeasurementFamily(
             d=2,
             kind="Custom",
-            settings=(Setting(vectors=np.eye(2, dtype=complex), scales=np.ones(2)),),
+            vectors=np.eye(2, dtype=complex)[None],
+            scales=np.ones((1, 2)),
         )
         # exact distance of one basis's moment from the 2-design target
         assert abs(design_defect(fam) - np.sqrt(1 / 6)) < 1e-12
@@ -155,25 +163,23 @@ class TestDesignDefect:
     def test_sic2(self):
         assert design_defect(sic_povm(2)) < 1e-11
 
-    def test_matches_moment_oracle(self):
-        fam = cached_mubs(3)
-        pooled = fam.pooled_vectors()
-        target = (np.eye(9) + swap_operator(3)) / 12
-        assert abs(design_defect(fam) - np.linalg.norm(moment_oracle(pooled) - target)) < 1e-14
-
+    @pytest.mark.parametrize("name", ORACLE_FAMILIES)
+    def test_matches_moment_oracle(self, name):
+        fam = ORACLE_FAMILIES[name]()
+        assert abs(design_defect(fam) - design_defect_oracle(fam)) < 1e-14
 
     def test_family_is_frozen_and_defect_memoized(self):
         fam = mub_family(3)
         first = design_defect(fam)
         assert design_defect(fam) is first
         with pytest.raises(dataclasses.FrozenInstanceError):
-            fam.settings = fam.settings[:2]
+            fam.vectors = fam.vectors[:2]
 
 
 class TestUnbiasednessDefect:
     def test_duplicate_basis_worst_case(self):
-        eye = Setting(vectors=np.eye(3, dtype=complex), scales=np.ones(3))
-        fam = MeasurementFamily(d=3, kind="Custom", settings=(eye, eye))
+        twice = np.array([np.eye(3), np.eye(3)], dtype=complex)
+        fam = MeasurementFamily(d=3, kind="Custom", vectors=twice, scales=np.ones((2, 3)))
         assert abs(unbiasedness_defect(fam) - (1 - 1 / 3)) < 1e-12
 
     def test_rejects_sic(self):
@@ -187,14 +193,34 @@ class TestFamilyStructure:
             MeasurementFamily(
                 d=2,
                 kind="MUB-complete",
-                settings=mub_family(2).settings,
+                vectors=mub_family(2).vectors,
+                scales=mub_family(2).scales,
                 equality_constant=7.0,
             )
 
     def test_incomplete_setting_rejected(self):
-        half = Setting(vectors=np.eye(2, dtype=complex)[:, :1], scales=np.ones(1))
+        half = np.eye(2, dtype=complex)[None, :, :1]
         with pytest.raises(ParameterError):
-            MeasurementFamily(d=2, kind="Custom", settings=(half,))
+            MeasurementFamily(d=2, kind="Custom", vectors=half, scales=np.ones((1, 1)))
+
+    def test_unnormalized_vector_rejected(self):
+        with pytest.raises(ParameterError):
+            MeasurementFamily(2, "Custom", 2 * np.eye(2)[None], np.full((1, 2), 0.25))
+
+    @pytest.mark.parametrize(
+        "vectors,scales",
+        [
+            (np.zeros((0, 2, 2)), np.zeros((0, 2))),  # no setting
+            (np.zeros((1, 2, 0)), np.zeros((1, 0))),  # no outcome
+            (np.eye(3)[None], np.ones((1, 3))),  # wrong d
+            (np.eye(2)[None], np.ones((2, 2))),  # scales for two settings
+            (np.eye(2), np.ones(2)),  # one setting without its axis
+        ],
+        ids=["no-setting", "no-outcome", "wrong-d", "scales-shape", "2d-vectors"],
+    )
+    def test_bad_shapes_rejected(self, vectors, scales):
+        with pytest.raises(DimensionError):
+            MeasurementFamily(d=2, kind="Custom", vectors=vectors, scales=scales)
 
     def test_subset_has_no_constant(self):
         sub = cached_mubs(3).subset(2)
@@ -211,6 +237,22 @@ class TestFamilyStructure:
             assert back.kind == fam.kind
             assert back.d == fam.d
             assert back.equality_constant == fam.equality_constant
-            for s0, s1 in zip(fam.settings, back.settings):
-                assert np.abs(s0.vectors - s1.vectors).max() < 1e-15
-                assert np.abs(s0.scales - s1.scales).max() < 1e-15
+            assert np.array_equal(back.vectors, fam.vectors)
+            assert np.array_equal(back.scales, fam.scales)
+            assert back.to_json_dict() == fam.to_json_dict()
+
+    @pytest.mark.parametrize(
+        "settings",
+        [[], [[]], "not a list"],
+        ids=["no-setting", "empty-setting", "not-a-list"],
+    )
+    def test_json_without_effects_rejected(self, settings):
+        doc = {"d": 2, "kind": "Custom", "equality_constant": None, "settings": settings}
+        with pytest.raises(FormatError):
+            MeasurementFamily.from_json_dict(doc)
+
+    def test_json_unequal_settings_rejected(self):
+        doc = mub_family(2).to_json_dict()
+        doc["settings"][1] = doc["settings"][1][:1]
+        with pytest.raises(FormatError):
+            MeasurementFamily.from_json_dict(doc)

@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from conftest import cached_mubs, max_entangled_state, random_bipartite
+from conftest import cached_mubs, max_entangled_state, measure_in_basis, random_bipartite
 from oracles import (
     cq_embedding,
     cq_state,
@@ -27,7 +27,6 @@ from entguess import (
     haar_unitary,
     joint_from_state,
     measure_family,
-    measure_in_basis,
     mixed_rank_states,
     pg_recovery_fidelity,
     random_pure,
@@ -132,12 +131,16 @@ class TestMeasureInBasis:
         with pytest.raises(DimensionError):
             measure_in_basis(max_entangled_state(2), np.eye(3))
 
+    def test_rejects_non_orthonormal(self):
+        with pytest.raises(ParameterError):
+            measure_in_basis(max_entangled_state(2), np.array([[1.0, 1.0], [0.0, 1.0]]))
+
 
 class TestPgmGuessProb:
     def test_max_entangled_any_basis(self):
         rho = max_entangled_state(3)
-        for setting in cached_mubs(3).settings:
-            conds = measure_in_basis(rho, setting.vectors)
+        for basis in cached_mubs(3).vectors:
+            conds = measure_in_basis(rho, basis)
             assert abs(cq_collision(conds, 0.0) - 1.0) < 1e-10
 
     def test_trivial_side_information_uniform(self):
@@ -312,7 +315,7 @@ class TestClassicalH2:
         fam = cached_mubs(3)
         for i in range(25):
             rho = random_bipartite(3, 3, rank=(i % 9) + 1, seed=50, stream=i)
-            basis = fam.settings[i % 4].vectors
+            basis = fam.vectors[i % 4]
             conds = measure_in_basis(rho, basis)
             quantum = cq_collision(conds, 0.0)
             bob = haar_unitary(3, SeedSpec(51, stream=i))
@@ -367,7 +370,12 @@ class TestJointDistribution:
     def test_ideal_max_entangled_tables(self):
         fam = cached_mubs(2)
         rho = max_entangled_state(2)
-        bob_bases = [fam.settings[t].vectors.conj() for t in (0, 1)]
+        bob_bases = [fam.vectors[t].conj() for t in (0, 1)]
         joints = joint_from_state(rho, fam, [0, 1], bob_bases)
         for _, table in joints.settings:
             assert np.abs(table - np.diag([0.5, 0.5])).max() < 1e-12
+
+    @pytest.mark.parametrize("theta", [-1, 3])
+    def test_rejects_setting_outside_family(self, theta):
+        with pytest.raises(ParameterError):
+            joint_from_state(max_entangled_state(2), cached_mubs(2), [theta], [np.eye(2)])

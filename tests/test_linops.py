@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 from conftest import hermitian, psd
+from oracles import swap_operator
 
 from entguess import (
     DimensionError,
@@ -9,7 +10,6 @@ from entguess import (
     max_entangled,
     partial_trace,
     support_projector,
-    swap_operator,
     tensor,
 )
 

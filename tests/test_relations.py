@@ -200,7 +200,7 @@ def ideal_max_entangled_joints(d, n):
     fam = cached_mubs(d)
     rho = max_entangled_state(d)
     thetas = list(range(n))
-    bob = [fam.settings[t].vectors.conj() for t in thetas]
+    bob = [fam.vectors[t].conj() for t in thetas]
     return joint_from_state(rho, fam, thetas, bob)
 
 
