@@ -82,8 +82,16 @@ def _emit(text: str, path):
         sys.stdout.write(text)
 
 
+def _json_text(doc) -> str:
+    """Output document as JSON; a NaN or infinity is an error, never bare text."""
+    try:
+        return json.dumps(round12(doc), sort_keys=True, indent=2, allow_nan=False) + "\n"
+    except ValueError as exc:
+        raise EntguessError(f"output holds a non-finite value: {exc}") from exc
+
+
 def _reports_json(reports) -> str:
-    return json.dumps([round12(r.to_dict()) for r in reports], sort_keys=True, indent=2) + "\n"
+    return _json_text([r.to_dict() for r in reports])
 
 
 def _reports_csv(reports) -> str:
@@ -173,7 +181,7 @@ def cmd_sweep(cfg: RunConfig) -> int:
             writer.writerow([_fmt(r["fpg"]), r["n"], _fmt(r["lower"]), _fmt(r["upper"])])
         text = buf.getvalue()
     else:
-        text = json.dumps([round12(r) for r in rows], sort_keys=True, indent=2) + "\n"
+        text = _json_text(rows)
     _emit(text, cfg.output_path)
     return 0
 
@@ -223,7 +231,7 @@ def cmd_game(cfg: RunConfig) -> int:
     rho = _load_state(cfg)
     family = _family_for(cfg.family, rho.d_a)
     result = game.simulate_game(rho, family, cfg.trials, SeedSpec(cfg.seed, stream=1))
-    _emit(json.dumps(round12(result.to_dict()), sort_keys=True, indent=2) + "\n", cfg.output_path)
+    _emit(_json_text(result.to_dict()), cfg.output_path)
     gap = abs(result.empirical_rate - result.analytic_rate)
     return 0 if gap <= 4.0 * result.std_error else 1
 

@@ -49,9 +49,10 @@ def h2nu(rho: DensityMatrix, nu: float, rank_tol: float = RANK_TOL) -> float:
     left, right = func_on_support(
         rho.marginal("B"), (-(1.0 - nu) / 4.0, -(1.0 + nu) / 4.0), rank_tol
     )
-    m4 = rho.matrix.reshape(d_a, d_b, d_a, d_b)
-    rho_nu = np.einsum("pb,abcd,dq->apcq", left, m4, right).reshape(rho.matrix.shape)
-    return -np.log2(float(np.real(np.sum(np.abs(rho_nu) ** 2))))
+    n = d_a * d_b
+    # left acts on the row index b of rho[(a, b), (c, d)], right on the column index d
+    rho_nu = (left @ rho.matrix.reshape(d_a, d_b, n)).reshape(n, d_a, d_b) @ right
+    return -np.log2(float(np.real(np.vdot(rho_nu, rho_nu))))
 
 
 def _measure(rho: DensityMatrix, vectors: np.ndarray, scales: np.ndarray) -> np.ndarray:
@@ -63,7 +64,7 @@ def _measure(rho: DensityMatrix, vectors: np.ndarray, scales: np.ndarray) -> np.
     for t in range(n_settings):
         # per effect, scale_k conj(v_k[a]) v_k[c] flattened over (a, c); one
         # setting at a time keeps the temporaries at the size of rho
-        effects = np.einsum("ak,ck->kac", vectors[t].conj(), vectors[t] * scales[t])
+        effects = vectors[t].conj().T[:, :, None] * (vectors[t] * scales[t]).T[:, None, :]
         np.matmul(effects.reshape(n_outcomes, -1), m, out=out[t])
     return out
 
@@ -237,6 +238,7 @@ def joint_from_state(
     for theta, bob in zip(thetas, bob_bases):
         block = conds[theta]
         bob = np.asarray(bob)
-        table = np.einsum("bl,kbd,dl->kl", bob.conj(), block, bob).real
+        # table[k, l] = <L_l| rho_B^k |L_l>
+        table = np.real((bob.conj() * (block @ bob)).sum(axis=1))
         settings.append((theta, np.maximum(table, 0.0)))
     return JointDistribution(d_a=rho.d_a, d_b=rho.d_b, settings=tuple(settings))

@@ -5,6 +5,11 @@ is drawn by the Born rule, and Bob's guess is drawn from the pretty good
 measurement's outcome distribution conditioned on Alice's outcome.  Bob
 really samples his guess, so the analytic win probability is exactly
 the PGM guessing probability the rest of the package computes.
+
+Sampling inverts the CDFs: a draw is the number of entries of the
+nondecreasing CDF row that are <= its uniform, found by a binary search run
+on a fixed-size chunk of trials at a time, so memory does not grow with the
+number of trials.
 """
 
 from dataclasses import dataclass
@@ -17,6 +22,10 @@ from .errors import ParameterError
 from .linops import func_on_support
 from .states import DensityMatrix, SeedSpec
 from .tolerances import RANK_TOL
+
+# Trials drawn per pass of the sampling loop; bounds the per-trial
+# temporaries (indices, gathered CDF entries, masks) to a fixed size.
+_CHUNK = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -63,10 +72,24 @@ def _game_tables(rho: DensityMatrix, family: MeasurementFamily, rank_tol: float)
     return outcome_probs, cond, analytic
 
 
-def _categorical(cdf_rows: np.ndarray, u: np.ndarray) -> np.ndarray:
-    """Vectorized inverse-CDF draw: row i of cdf_rows sampled at u[i]."""
-    # searchsorted per row via the summed-comparison trick
-    return (u[:, None] >= cdf_rows).sum(axis=1)
+def _count_at_most(cdf: np.ndarray, rows: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """Per trial i, the number of entries of cdf[rows[i]] that are <= u[i].
+
+    A binary search run on all trials at once, building the count from its
+    highest bit down: a step is taken when the entry it would count is still
+    <= u[i].  Every row is nondecreasing, so the count is the inverse-CDF
+    draw at u[i] and equals (u[i] >= cdf[rows[i]]).sum() exactly.
+    """
+    width = cdf.shape[1]
+    flat = cdf.ravel()
+    last = rows * width - 1  # flat index of the entry before each row
+    count = np.zeros(len(u), dtype=np.intp)
+    step = 1 << (width.bit_length() - 1)
+    while step:
+        probe = count + step
+        count += step * ((probe <= width) & (flat[last + np.minimum(probe, width)] <= u))
+        step >>= 1
+    return count
 
 
 def simulate_game(
@@ -94,29 +117,35 @@ def simulate_game(
     u_setting = gen.random(trials)
     u_alice = gen.random(trials)
     u_bob = gen.random(trials)
-    thetas = np.minimum((u_setting * n_settings).astype(int), n_settings - 1)
 
     alice_cdf = np.cumsum(outcome_probs, axis=1)
-    bob_cdf = np.cumsum(bob_conds, axis=2)
-    ks = np.minimum(_categorical(alice_cdf[thetas], u_alice), d - 1)
-    js = np.minimum(_categorical(bob_cdf[thetas, ks], u_bob), d - 1)
-    win_mask = ks == js
+    # row theta * d + k holds Bob's guess CDF in setting theta given outcome k
+    bob_cdf = np.cumsum(bob_conds, axis=2).reshape(n_settings * d, d)
+    setting_trials = np.zeros(n_settings, dtype=np.int64)
+    setting_wins = np.zeros(n_settings, dtype=np.int64)
+    for start in range(0, trials, _CHUNK):
+        stop = start + _CHUNK
+        thetas = np.minimum((u_setting[start:stop] * n_settings).astype(np.intp), n_settings - 1)
+        ks = np.minimum(_count_at_most(alice_cdf, thetas, u_alice[start:stop]), d - 1)
+        js = np.minimum(_count_at_most(bob_cdf, thetas * d + ks, u_bob[start:stop]), d - 1)
+        setting_trials += np.bincount(thetas, minlength=n_settings)
+        setting_wins += np.bincount(thetas[ks == js], minlength=n_settings)
 
-    wins = int(win_mask.sum())
+    wins = int(setting_wins.sum())
     per_setting = []
     for th in range(n_settings):
-        sel = thetas == th
-        t = int(sel.sum())
-        w = int(win_mask[sel].sum())
+        t = int(setting_trials[th])
+        w = int(setting_wins[th])
         p = analytic[th]
+        # a setting no trial drew has no empirical rate; null in JSON, not NaN
         per_setting.append(
             {
                 "setting": th,
                 "trials": t,
                 "wins": w,
-                "empirical_rate": w / t if t else float("nan"),
+                "empirical_rate": w / t if t else None,
                 "analytic_rate": p,
-                "std_error": _binomial_sigma(p, t) if t else float("nan"),
+                "std_error": _binomial_sigma(p, t) if t else None,
             }
         )
     p_avg = float(np.mean(analytic))

@@ -3,8 +3,10 @@
 Each oracle takes a different route to a quantity the package computes: an
 explicit classical-quantum density matrix, an explicitly applied recovery
 channel, the per-setting measure-then-sum loop with its own contraction
-and its own decomposition of rho_B for every setting, or the second tensor
-moment written out as a sum of d^2 x d^2 Kronecker products.
+and its own decomposition of rho_B for every setting, the second tensor
+moment written out as a sum of d^2 x d^2 Kronecker products, index
+summations (`np.einsum`) in place of the package's matrix products, or an
+inverse-CDF draw by comparing against every CDF entry.
 """
 
 import numpy as np
@@ -65,6 +67,29 @@ def pg_recovery_fidelity_explicit(rho: DensityMatrix) -> float:
     out = out.reshape(d_a * d_a, d_a * d_a)
     phi = max_entangled(d_a)
     return float(np.real(np.vdot(phi, out @ phi)))
+
+
+def h2nu_einsum_oracle(rho: DensityMatrix, nu: float) -> float:
+    """H_{2,nu}(A|B) with rho_nu contracted in one index summation."""
+    d_a, d_b = rho.d_a, rho.d_b
+    left, right = func_on_support(rho.marginal("B"), (-(1.0 - nu) / 4.0, -(1.0 + nu) / 4.0))
+    m4 = rho.matrix.reshape(d_a, d_b, d_a, d_b)
+    rho_nu = np.einsum("pb,abcd,dq->apcq", left, m4, right)
+    return -np.log2(float(np.real(np.sum(np.abs(rho_nu) ** 2))))
+
+
+def joint_tables_oracle(rho: DensityMatrix, family: MeasurementFamily, thetas, bob_bases):
+    """Tables p(k, l) = <L_l| rho_B^(theta,k) |L_l> by index summation, unclipped."""
+    conds = measure_family(rho, family).reshape(family.n_settings, -1, rho.d_b, rho.d_b)
+    return [
+        np.einsum("bl,kbd,dl->kl", np.conj(bob), conds[theta], bob).real
+        for theta, bob in zip(thetas, bob_bases)
+    ]
+
+
+def categorical_oracle(cdf_rows, u) -> np.ndarray:
+    """Inverse-CDF draw: how many entries of row i of cdf_rows are <= u[i]."""
+    return (np.asarray(u)[:, None] >= cdf_rows).sum(axis=1)
 
 
 def pgm_guess_prob(conds) -> float:

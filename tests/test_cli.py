@@ -5,8 +5,8 @@ import json
 import pytest
 from conftest import cached_mubs, max_entangled_state
 
-from entguess import joint_from_state
-from entguess.cli import RunConfig, main, round12
+from entguess import EntguessError, joint_from_state
+from entguess.cli import RunConfig, _json_text, main, round12
 
 
 def run_cli(args, capsys):
@@ -378,6 +378,21 @@ class TestGameCommand:
         assert code == 2
         assert out == ""
         assert err.startswith("error: state file is for d_A = 2")
+
+    def test_setting_without_trials_is_valid_json(self, capsys):
+        def reject(token):
+            raise ValueError(f"{token} is not JSON")
+
+        code, out, _ = run_cli(["game", "--d", "3", "--db", "2", "--trials", "1"], capsys)
+        assert code == 0
+        doc = json.loads(out, parse_constant=reject)
+        empty = [e for e in doc["per_setting"] if e["trials"] == 0]
+        assert len(empty) == 3
+        assert all(e["empirical_rate"] is None and e["std_error"] is None for e in empty)
+
+    def test_non_finite_output_is_an_error(self):
+        with pytest.raises(EntguessError, match="non-finite"):
+            _json_text({"lhs": float("nan")})
 
 
 class TestDeterminismAndConfig:

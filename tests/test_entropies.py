@@ -4,7 +4,9 @@ from conftest import cached_mubs, max_entangled_state, measure_in_basis, random_
 from oracles import (
     cq_embedding,
     cq_state,
+    h2nu_einsum_oracle,
     h2nu_outcomes_per_setting,
+    joint_tables_oracle,
     pg_recovery_fidelity_explicit,
     pgm_guess_prob,
 )
@@ -86,6 +88,19 @@ class TestH2nu:
         rho = random_bipartite(3, 3, rank=2, seed=34)
         pert = DensityMatrix((1 - 1e-8) * rho.matrix + 1e-8 * np.eye(9) / 9, (3, 3))
         assert abs(h2nu(rho, 0.0) - h2nu(pert, 0.0)) < 1e-5
+
+    @pytest.mark.parametrize("nu", [0.0, 0.5, 1.0])
+    @pytest.mark.parametrize("rank", ["one", "third", "full"])
+    @pytest.mark.parametrize("d_b", [1, 2, 4, 8, 13])
+    @pytest.mark.parametrize("d_a", [2, 3, 5, 7, 13, 31])
+    def test_matches_einsum_oracle(self, d_a, d_b, rank, nu):
+        # compared as Tr[rho_nu^dag rho_nu] = 2^-H: H itself is 0 on pure
+        # states, where a relative difference means nothing
+        n = d_a * d_b
+        r = {"one": 1, "third": max(n // 3, 1), "full": n}[rank]
+        rho = random_bipartite(d_a, d_b, r, seed=59, stream=n + r)
+        got, ref = 2.0 ** -h2nu(rho, nu), 2.0 ** -h2nu_einsum_oracle(rho, nu)
+        assert abs(got - ref) <= 1e-12 * ref
 
     def test_rejects_bad_nu(self):
         with pytest.raises(ParameterError):
@@ -374,6 +389,18 @@ class TestJointDistribution:
         joints = joint_from_state(rho, fam, [0, 1], bob_bases)
         for _, table in joints.settings:
             assert np.abs(table - np.diag([0.5, 0.5])).max() < 1e-12
+
+    @pytest.mark.parametrize("d_b", [1, 2, 3])
+    @pytest.mark.parametrize("d", [2, 3, 5])
+    def test_tables_match_einsum_oracle(self, d, d_b):
+        fam = cached_mubs(d)
+        thetas = list(range(fam.n_settings))
+        bob_bases = [haar_unitary(d_b, SeedSpec(60, stream=t)) for t in thetas]
+        for rho in mixed_rank_states(d, d_b, 3, seed=61):
+            joints = joint_from_state(rho, fam, thetas, bob_bases)
+            refs = joint_tables_oracle(rho, fam, thetas, bob_bases)
+            for (_, table), ref in zip(joints.settings, refs):
+                assert np.abs(table - np.maximum(ref, 0.0)).max() < 1e-14
 
     @pytest.mark.parametrize("theta", [-1, 3])
     def test_rejects_setting_outside_family(self, theta):
