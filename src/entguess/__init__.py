@@ -64,13 +64,10 @@ from .relations import (
 from .states import (
     DensityMatrix,
     SeedSpec,
-    haar_unitary,
     mixed_rank_states,
-    purify,
     random_density,
     random_pure,
     random_separable,
-    schmidt_values,
 )
 
 __version__ = "0.1.0"

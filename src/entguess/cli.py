@@ -26,7 +26,11 @@ from .states import DensityMatrix, SeedSpec, mixed_rank_states, random_density, 
 
 @dataclass
 class RunConfig:
-    """Parsed invocation, serializable for reproducibility records."""
+    """Parsed invocation, serializable for reproducibility records.
+
+    Its field defaults are the CLI's defaults; only `game --state` and
+    `sweep --format` set their own in the parser.
+    """
 
     command: str
     relation: str | None = None
@@ -242,63 +246,59 @@ def build_parser() -> argparse.ArgumentParser:
         description="verify entanglement/guessing-probability relations numerically",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    # an option left out stays out of the namespace, so RunConfig supplies its default
+    suppress = {"argument_default": argparse.SUPPRESS}
 
-    p = sub.add_parser("verify", help="run seeded relation checks over random states")
+    p = sub.add_parser("verify", help="run seeded relation checks over random states", **suppress)
     p.add_argument("--relation", choices=["main", "monogamy"], required=True)
     p.add_argument("--d", type=int, required=True, help="Alice dimension (prime for MUBs)")
-    p.add_argument("--db", type=int, default=None, help="Bob dimension (default: d)")
-    p.add_argument("--de", type=int, default=None, help="Eve dimension, monogamy only (default: d)")
-    p.add_argument("--family", default="mub", help="mub | sic | clifford | file:<path>")
-    p.add_argument("--nu", type=float, default=0.0)
-    p.add_argument("--samples", type=int, default=50)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--tolerance", type=float, default=None)
-    p.add_argument("--format", choices=["json", "csv"], default="json")
-    p.add_argument("--output", default=None)
+    p.add_argument("--db", type=int, help="Bob dimension (default: d)")
+    p.add_argument("--de", type=int, help="Eve dimension, monogamy only (default: d)")
+    p.add_argument("--family", help="mub | sic | clifford | file:<path>")
+    p.add_argument("--nu", type=float)
+    p.add_argument("--samples", type=int)
+    p.add_argument("--seed", type=int)
+    p.add_argument("--tolerance", type=float)
+    p.add_argument("--format", choices=["json", "csv"])
+    p.add_argument("--output")
 
-    p = sub.add_parser("sweep", help="emit the tight bound curves over an F^pg grid")
+    p = sub.add_parser("sweep", help="emit the tight bound curves over an F^pg grid", **suppress)
     p.add_argument("--d", type=int, required=True)
-    p.add_argument("--grid", type=int, default=101)
+    p.add_argument("--grid", type=int)
     p.add_argument("--format", choices=["json", "csv"], default="csv")
-    p.add_argument("--output", default=None)
+    p.add_argument("--output")
 
-    p = sub.add_parser("witness", help="evaluate the entanglement witness on a statistics file")
+    p = sub.add_parser(
+        "witness", help="evaluate the entanglement witness on a statistics file", **suppress
+    )
     p.add_argument("--input", required=True)
-    p.add_argument("--tolerance", type=float, default=None)
-    p.add_argument("--output", default=None)
+    p.add_argument("--tolerance", type=float)
+    p.add_argument("--output")
 
-    p = sub.add_parser("game", help="simulate the guessing game against the PGM")
+    p = sub.add_parser("game", help="simulate the guessing game against the PGM", **suppress)
     p.add_argument("--state", default="random",
                    help="max-entangled | maximally-mixed | random | separable | file:<path>")
     p.add_argument("--d", type=int, required=True)
-    p.add_argument("--db", type=int, default=None)
-    p.add_argument("--rank", type=int, default=None)
-    p.add_argument("--family", default="mub", help="mub | clifford | file:<path> (basis families only)")
-    p.add_argument("--trials", type=int, default=100000)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--output", default=None)
+    p.add_argument("--db", type=int)
+    p.add_argument("--rank", type=int)
+    p.add_argument("--family", help="mub | clifford | file:<path> (basis families only)")
+    p.add_argument("--trials", type=int)
+    p.add_argument("--seed", type=int)
+    p.add_argument("--output")
     return parser
 
 
+# option names whose RunConfig field is spelled differently
+_FIELD_OF_OPTION = {"db": "d_b", "de": "d_e", "input": "input_path", "output": "output_path", "format": "fmt"}
+
+
 def config_from_args(args: argparse.Namespace) -> RunConfig:
-    cfg = RunConfig(command=args.command)
-    cfg.relation = getattr(args, "relation", None)
-    cfg.d = getattr(args, "d", None)
-    db, de = getattr(args, "db", None), getattr(args, "de", None)
-    cfg.d_b = cfg.d if db is None else db
-    cfg.d_e = cfg.d if de is None else de
-    cfg.family = getattr(args, "family", "mub")
-    cfg.nu = getattr(args, "nu", 0.0)
-    cfg.samples = getattr(args, "samples", 50)
-    cfg.trials = getattr(args, "trials", 100000)
-    cfg.seed = getattr(args, "seed", 0)
-    cfg.grid = getattr(args, "grid", 101)
-    cfg.tolerance = getattr(args, "tolerance", None)
-    cfg.state = getattr(args, "state", None)
-    cfg.rank = getattr(args, "rank", None)
-    cfg.input_path = getattr(args, "input", None)
-    cfg.output_path = getattr(args, "output", None)
-    cfg.fmt = getattr(args, "format", "json")
+    cfg = RunConfig(**{_FIELD_OF_OPTION.get(k, k): v for k, v in vars(args).items()})
+    # Bob's and Eve's dimensions default to Alice's
+    if cfg.d_b is None:
+        cfg.d_b = cfg.d
+    if cfg.d_e is None:
+        cfg.d_e = cfg.d
     return cfg
 
 

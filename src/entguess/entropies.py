@@ -42,13 +42,11 @@ def _require_nu(nu: float) -> None:
         raise ParameterError(f"nu must lie in [0, 1], got {nu}")
 
 
-def h2nu(rho: DensityMatrix, nu: float, rank_tol: float = RANK_TOL) -> float:
+def h2nu(rho: DensityMatrix, nu: float) -> float:
     """Conditional collision entropy H_{2,nu}(A|B) of a bipartite state."""
     _require_nu(nu)
     d_a, d_b = rho.d_a, rho.d_b
-    left, right = func_on_support(
-        rho.marginal("B"), (-(1.0 - nu) / 4.0, -(1.0 + nu) / 4.0), rank_tol
-    )
+    left, right = func_on_support(rho.marginal("B"), (-(1.0 - nu) / 4.0, -(1.0 + nu) / 4.0))
     n = d_a * d_b
     # left acts on the row index b of rho[(a, b), (c, d)], right on the column index d
     rho_nu = (left @ rho.matrix.reshape(d_a, d_b, n)).reshape(n, d_a, d_b) @ right
@@ -81,18 +79,18 @@ def measure_family(rho: DensityMatrix, family: MeasurementFamily) -> np.ndarray:
     return _measure(rho, family.vectors, family.scales).reshape(-1, rho.d_b, rho.d_b)
 
 
-def _collision_terms(conds: np.ndarray, rho_b: np.ndarray, nu: float, rank_tol: float):
+def _collision_terms(conds: np.ndarray, rho_b: np.ndarray, nu: float):
     """Tr[c M1 c M2] for every conditional operator c.
 
     M1 = rho_B^(-(1-nu)/2) and M2 = rho_B^(-(1+nu)/2) come from one
     decomposition of rho_B.
     """
     _require_nu(nu)
-    m1, m2 = func_on_support(rho_b, (-(1.0 - nu) / 2.0, -(1.0 + nu) / 2.0), rank_tol)
+    m1, m2 = func_on_support(rho_b, (-(1.0 - nu) / 2.0, -(1.0 + nu) / 2.0))
     return np.real(np.einsum("kij,kji->k", conds @ m1, conds @ m2))
 
 
-def cq_collision(conds, nu: float, rank_tol: float = RANK_TOL) -> float:
+def cq_collision(conds, nu: float) -> float:
     """The nu-family collision sum sum_k Tr[rho_B^k M1 rho_B^k M2] of an ensemble.
 
     M1 = rho_B^(-(1-nu)/2) and M2 = rho_B^(-(1+nu)/2) with rho_B = sum_k
@@ -100,47 +98,41 @@ def cq_collision(conds, nu: float, rank_tol: float = RANK_TOL) -> float:
     pretty good measurement Pi^k = rho_B^(-1/2) rho_B^k rho_B^(-1/2).
     """
     conds = np.asarray(conds)
-    return float(_collision_terms(conds, conds.sum(axis=0), nu, rank_tol).sum())
+    return float(_collision_terms(conds, conds.sum(axis=0), nu).sum())
 
 
-def _measured_collisions(
-    rho: DensityMatrix, family: MeasurementFamily, nu: float, rank_tol: float
-) -> np.ndarray:
+def _measured_collisions(rho: DensityMatrix, family: MeasurementFamily, nu: float) -> np.ndarray:
     """Collision term of every effect of the family measured on A.
 
     rho_B is the setting-weighted sum of the measured operators, not the
     partial trace the bipartite side uses; every complete setting sums to it.
     """
     conds = measure_family(rho, family)
-    return _collision_terms(conds, family.setting_weight * conds.sum(axis=0), nu, rank_tol)
+    return _collision_terms(conds, family.setting_weight * conds.sum(axis=0), nu)
 
 
-def family_guess_prob(
-    rho: DensityMatrix, family: MeasurementFamily, rank_tol: float = RANK_TOL
-):
+def family_guess_prob(rho: DensityMatrix, family: MeasurementFamily):
     """Per-setting PGM guessing probabilities and their weighted average."""
-    terms = _measured_collisions(rho, family, 0.0, rank_tol)
+    terms = _measured_collisions(rho, family, 0.0)
     per_setting = terms.reshape(family.n_settings, -1).sum(axis=1).tolist()
     average = family.setting_weight * float(np.sum(per_setting))
     return per_setting, average
 
 
-def h2nu_outcomes(
-    rho: DensityMatrix, family: MeasurementFamily, nu: float, rank_tol: float = RANK_TOL
-) -> float:
+def h2nu_outcomes(rho: DensityMatrix, family: MeasurementFamily, nu: float) -> float:
     """H_{2,nu} of the measurement outcome given side information and setting.
 
     This is the entropy of the classical-quantum post-measurement state in
     which the outcome register K is conditioned on both B and the setting
     label: -log sum_theta w_theta sum_k Tr[rho_B^(theta,k) M1 rho_B^(theta,k) M2].
     """
-    terms = _measured_collisions(rho, family, nu, rank_tol)
+    terms = _measured_collisions(rho, family, nu)
     return -np.log2(family.setting_weight * float(terms.sum()))
 
 
-def pg_recovery_fidelity(rho: DensityMatrix, rank_tol: float = RANK_TOL) -> float:
+def pg_recovery_fidelity(rho: DensityMatrix) -> float:
     """Pretty good recovery fidelity F^pg(A|B) = 2^(-H_2(A|B)) / d_A."""
-    return float(2.0 ** (-h2nu(rho, 0.0, rank_tol)) / rho.d_a)
+    return float(2.0 ** (-h2nu(rho, 0.0)) / rho.d_a)
 
 
 def classical_h2_cond(table: np.ndarray) -> float:
@@ -156,15 +148,19 @@ def classical_h2_cond(table: np.ndarray) -> float:
     return -np.log2(coll)
 
 
-def d0_relative(
-    rho: np.ndarray, sigma: np.ndarray, rank_tol: float = RANK_TOL
-) -> float:
-    """Renyi-0 relative entropy D_0(rho || sigma) = -log Tr[Pi_rho sigma]."""
-    proj = support_projector(rho, rank_tol)
+def d0_relative(rho: np.ndarray, sigma: np.ndarray):
+    """Renyi-0 relative entropy D_0(rho || sigma) = -log Tr[Pi_rho sigma].
+
+    Returns (value, near_cutoff), where near_cutoff is the support
+    projector's flag for an eigenvalue of rho within a factor 10 of the
+    rank cutoff.  An overlap at or below RANK_TOL counts as orthogonal
+    supports and raises InfiniteDivergence.
+    """
+    proj, near_cutoff = support_projector(rho)
     overlap = float(np.real(np.trace(proj @ sigma)))
-    if overlap <= rank_tol:
+    if overlap <= RANK_TOL:
         raise InfiniteDivergence(f"supports nearly orthogonal: Tr = {overlap:.3e}")
-    return -np.log2(overlap)
+    return -np.log2(overlap), near_cutoff
 
 
 @dataclass(frozen=True, eq=False)
@@ -189,9 +185,10 @@ class JointDistribution:
                     f"settings[{i}].table has shape {t.shape}, "
                     f"expected ({self.d_a}, {self.d_b})"
                 )
-            if t.min() < -TABLE_NEG_TOL:
-                raise FormatError(f"settings[{i}].table has negative entries")
-            if abs(t.sum() - 1.0) > TABLE_SUM_TOL:
+            # written so that a NaN or infinite entry fails a check
+            if not t.min() >= -TABLE_NEG_TOL:
+                raise FormatError(f"settings[{i}].table has negative or NaN entries")
+            if not abs(t.sum() - 1.0) <= TABLE_SUM_TOL:
                 raise FormatError(f"settings[{i}].table sums to {t.sum()}, not 1")
 
     def to_json_dict(self) -> dict:

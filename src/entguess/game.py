@@ -21,7 +21,6 @@ from .entropies import measure_family
 from .errors import ParameterError
 from .linops import func_on_support
 from .states import DensityMatrix, SeedSpec
-from .tolerances import RANK_TOL
 
 # Trials drawn per pass of the sampling loop; bounds the per-trial
 # temporaries (indices, gathered CDF entries, masks) to a fixed size.
@@ -50,13 +49,13 @@ class GameResult:
         }
 
 
-def _game_tables(rho: DensityMatrix, family: MeasurementFamily, rank_tol: float):
+def _game_tables(rho: DensityMatrix, family: MeasurementFamily):
     """Per setting: outcome probabilities, Bob's conditional guess matrix, and
     the analytic PGM success rate."""
     n, d = family.n_settings, family.d
     conds = measure_family(rho, family)
     rho_b = family.setting_weight * conds.sum(axis=0)
-    (inv_sqrt,) = func_on_support(rho_b, (-0.5,), rank_tol)
+    (inv_sqrt,) = func_on_support(rho_b, (-0.5,))
     conds = conds.reshape(n, d, *rho_b.shape)
     pgm_ops = inv_sqrt @ conds @ inv_sqrt
     # table[s, k, j] = Tr[Pi^j rho_B^k] in setting s; its trace is the PGM rate
@@ -93,11 +92,7 @@ def _count_at_most(cdf: np.ndarray, rows: np.ndarray, u: np.ndarray) -> np.ndarr
 
 
 def simulate_game(
-    rho: DensityMatrix,
-    family: MeasurementFamily,
-    trials: int,
-    seed: SeedSpec,
-    rank_tol: float = RANK_TOL,
+    rho: DensityMatrix, family: MeasurementFamily, trials: int, seed: SeedSpec
 ) -> GameResult:
     """Play `trials` rounds of the guessing game, deterministically in `seed`.
 
@@ -109,7 +104,7 @@ def simulate_game(
         raise ParameterError(f"trials must be >= 1, got {trials}")
     if not family.is_basis_family():
         raise ParameterError("the game is defined for basis-type families")
-    outcome_probs, bob_conds, analytic = _game_tables(rho, family, rank_tol)
+    outcome_probs, bob_conds, analytic = _game_tables(rho, family)
     n_settings = family.n_settings
     d = family.d
 

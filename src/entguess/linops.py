@@ -44,24 +44,34 @@ def partial_trace(m: np.ndarray, dim_a: int, dim_b: int, keep: str) -> np.ndarra
     raise ParameterError(f"keep must be 'A' or 'B', got {keep!r}")
 
 
-def func_on_support(m: np.ndarray, exponents, rank_tol: float = RANK_TOL) -> list:
-    """Apply ``lambda -> lambda**e`` on the support of a PSD matrix, per exponent.
+def _spectrum(m: np.ndarray):
+    """Eigendecomposition of a PSD matrix and its rank cutoff.
 
-    One eigendecomposition serves every exponent in ``exponents``; the
-    result is the list of powered matrices in the same order.  Eigenvalues
-    above ``rank_tol * max_eigenvalue`` are raised to the power; the rest
-    map to zero, so negative exponents give the pseudoinverse-style power.
-    Raises NotPositiveError if an eigenvalue sits below
-    ``-rank_tol * max_eigenvalue``.
+    Returns (w, u, cutoff) with cutoff = RANK_TOL * max |eigenvalue|.
+    Raises NotPositiveError if m is not Hermitian or has an eigenvalue
+    below -cutoff.
     """
     m = np.asarray(m)
     if np.abs(m - m.conj().T).max() > FUNC_HERM_TOL * max(np.abs(m).max(), 1.0):
         raise NotPositiveError("matrix is not Hermitian")
     w, u = np.linalg.eigh((m + m.conj().T) / 2)
-    lam_max = np.abs(w).max() if w.size else 0.0
-    cutoff = rank_tol * lam_max
+    cutoff = RANK_TOL * (np.abs(w).max() if w.size else 0.0)
     if w.size and w[0] < -cutoff:
         raise NotPositiveError(f"negative eigenvalue {w[0]:.3e} below -{cutoff:.3e}")
+    return w, u, cutoff
+
+
+def func_on_support(m: np.ndarray, exponents) -> list:
+    """Apply ``lambda -> lambda**e`` on the support of a PSD matrix, per exponent.
+
+    One eigendecomposition serves every exponent in ``exponents``; the
+    result is the list of powered matrices in the same order.  Eigenvalues
+    above ``RANK_TOL * max_eigenvalue`` are raised to the power; the rest
+    map to zero, so negative exponents give the pseudoinverse-style power.
+    Raises NotPositiveError if an eigenvalue sits below
+    ``-RANK_TOL * max_eigenvalue``.
+    """
+    w, u, cutoff = _spectrum(m)
     on = w > cutoff
     out = []
     for exponent in exponents:
@@ -72,9 +82,17 @@ def func_on_support(m: np.ndarray, exponents, rank_tol: float = RANK_TOL) -> lis
     return out
 
 
-def support_projector(m: np.ndarray, rank_tol: float = RANK_TOL) -> np.ndarray:
-    """Projector onto the eigenspaces of a PSD matrix with lambda > cutoff."""
-    return func_on_support(m, (0.0,), rank_tol)[0]
+def support_projector(m: np.ndarray):
+    """Projector onto the eigenspaces of a PSD matrix with lambda > cutoff.
+
+    Returns (projector, near_cutoff).  near_cutoff is True when some
+    eigenvalue lies within a factor 10 of the cutoff, on either side, where
+    rounding noise can flip whether it counts as support.
+    """
+    w, u, cutoff = _spectrum(m)
+    f = (u * (w > cutoff)) @ u.conj().T
+    near = bool(np.any((w > cutoff / 10) & (w < cutoff * 10)))
+    return (f + f.conj().T) / 2, near
 
 
 def max_entangled(d: int) -> np.ndarray:

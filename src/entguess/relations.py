@@ -45,7 +45,6 @@ from .tolerances import (
     EQUALITY_TOL,
     MONOGAMY_TOL,
     PROB_RANGE_TOL,
-    RANK_TOL,
     UNIT_NORM_TOL,
 )
 
@@ -118,7 +117,6 @@ def equality_report(
     family: MeasurementFamily,
     nu: float,
     tolerance: float = EQUALITY_TOL,
-    rank_tol: float = RANK_TOL,
 ) -> RelationReport:
     """Check H_{2,nu}(K|B,Theta) = log c - log(2^(-H_{2,nu}(A|B)) + 1).
 
@@ -128,10 +126,8 @@ def equality_report(
     collision terms, the right evaluates the bipartite entropy directly.
     """
     _require_certified(family)
-    lhs = h2nu_outcomes(rho, family, nu, rank_tol)
-    rhs = np.log2(family.equality_constant) - np.log2(
-        2.0 ** (-h2nu(rho, nu, rank_tol)) + 1.0
-    )
+    lhs = h2nu_outcomes(rho, family, nu)
+    rhs = np.log2(family.equality_constant) - np.log2(2.0 ** (-h2nu(rho, nu)) + 1.0)
     return RelationReport.equality(
         lhs,
         rhs,
@@ -162,11 +158,7 @@ def guessing_bounds(fpg: float, d: int, n: int):
 
 
 def nbasis_bounds(
-    rho: DensityMatrix,
-    mubs: MeasurementFamily,
-    n: int,
-    tolerance: float = EQUALITY_TOL,
-    rank_tol: float = RANK_TOL,
+    rho: DensityMatrix, mubs: MeasurementFamily, n: int, tolerance: float = EQUALITY_TOL
 ):
     """Check both tight bounds on the average over the first n MUB settings.
 
@@ -179,9 +171,9 @@ def nbasis_bounds(
     d = mubs.d
     if not 1 <= n <= d + 1:
         raise ParameterError(f"n {n} out of range [1, {d + 1}]")
-    per_setting, _ = family_guess_prob(rho, mubs, rank_tol)
+    per_setting, _ = family_guess_prob(rho, mubs)
     p_n = float(np.mean(per_setting[:n]))
-    fpg = pg_recovery_fidelity(rho, rank_tol)
+    fpg = pg_recovery_fidelity(rho)
     regime = HEISENBERG if fpg <= 1.0 / d else EPR
     lower, upper = guessing_bounds(fpg, d, n)
     meta = {"regime": regime, "n": n, "d": d, "fpg": fpg, "p_n": p_n}
@@ -300,7 +292,6 @@ def monogamy_report(
     dims,
     mubs: MeasurementFamily,
     tolerance: float = MONOGAMY_TOL,
-    rank_tol: float = RANK_TOL,
 ) -> RelationReport:
     """Check the monogamy equation on a tripartite pure state.
 
@@ -319,13 +310,9 @@ def monogamy_report(
     rho_ae = np.einsum("abe,cbf->aecf", t, t.conj()).reshape(d_a * d_e, d_a * d_e)
     rho_e = np.einsum("abe,abf->ef", t, t.conj())
 
-    lhs = d0_relative(rho_ae, tensor(np.eye(d_a) / d_a, rho_e), rank_tol)
-    h2p = h2nu_outcomes(DensityMatrix(rho_ab, (d_a, d_b)), mubs, 1.0, rank_tol)
+    lhs, sensitive = d0_relative(rho_ae, tensor(np.eye(d_a) / d_a, rho_e))
+    h2p = h2nu_outcomes(DensityMatrix(rho_ab, (d_a, d_b)), mubs, 1.0)
     rhs = float(np.log2(d_a) - np.log2((d_a + 1) * 2.0 ** (-h2p) - 1.0))
-
-    eigs = np.linalg.eigvalsh((rho_ae + rho_ae.conj().T) / 2)
-    cutoff = rank_tol * eigs.max()
-    sensitive = bool(np.any((eigs > cutoff / 10) & (eigs < cutoff * 10)))
     return RelationReport.equality(
         lhs,
         rhs,

@@ -12,7 +12,7 @@ import numpy as np
 
 from .errors import DimensionError, ParameterError
 from .linops import partial_trace, tensor
-from .tolerances import EIG_TOL, RANK_TOL, STATE_HERM_TOL, TRACE_TOL, UNIT_NORM_TOL
+from .tolerances import EIG_TOL, STATE_HERM_TOL, TRACE_TOL
 
 
 @dataclass(frozen=True)
@@ -62,11 +62,15 @@ class DensityMatrix:
         n = int(np.prod(dims))
         if m.ndim != 2 or m.shape != (n, n):
             raise DimensionError(f"matrix shape {m.shape} does not match dims {dims}")
-        herm_gap = np.abs(m - m.conj().T).max()
-        if herm_gap > STATE_HERM_TOL:
+        # m - m^dag is NaN or infinite wherever m is, so a non-finite entry
+        # fails the first check before it can reach eigvalsh
+        with np.errstate(invalid="ignore"):
+            herm_gap = np.abs(m - m.conj().T).max()
+        if not herm_gap <= STATE_HERM_TOL:
             raise ParameterError(f"matrix deviates from Hermitian by {herm_gap:.3e}")
-        if abs(np.trace(m).real - 1.0) > TRACE_TOL or abs(np.trace(m).imag) > TRACE_TOL:
-            raise ParameterError(f"trace {np.trace(m)} differs from 1")
+        trace = np.trace(m)
+        if not (abs(trace.real - 1.0) <= TRACE_TOL and abs(trace.imag) <= TRACE_TOL):
+            raise ParameterError(f"trace {trace} differs from 1")
         w = np.linalg.eigvalsh((m + m.conj().T) / 2)
         if w[0] < -EIG_TOL:
             raise ParameterError(f"negative eigenvalue {w[0]:.3e}")
@@ -132,39 +136,6 @@ def random_separable(d_a: int, d_b: int, terms: int, seed: SeedSpec) -> DensityM
         rho_b = gb @ gb.conj().T
         out += p * tensor(rho_a / np.trace(rho_a).real, rho_b / np.trace(rho_b).real)
     return DensityMatrix(out, (d_a, d_b))
-
-
-def purify(rho: DensityMatrix, rank_tol: float = RANK_TOL) -> np.ndarray:
-    """Pure vector on (dim rho) x (numerical rank) whose new-system trace is rho.
-
-    The purifying system is appended as the minor index and has dimension
-    equal to the numerical rank, the smallest possible.
-    """
-    m = rho.matrix
-    w, u = np.linalg.eigh((m + m.conj().T) / 2)
-    on = np.flatnonzero(w > rank_tol * w.max())[::-1]  # descending eigenvalues
-    psi = (u[:, on] * np.sqrt(w[on])).ravel()
-    return psi / np.linalg.norm(psi)
-
-
-def schmidt_values(psi: np.ndarray, d_a: int, d_b: int) -> np.ndarray:
-    """Squared Schmidt coefficients of a bipartite vector, descending."""
-    psi = np.asarray(psi)
-    if psi.shape != (d_a * d_b,):
-        raise DimensionError(f"vector length {psi.shape} does not match {d_a}x{d_b}")
-    if abs(np.linalg.norm(psi) - 1.0) > UNIT_NORM_TOL:
-        raise ParameterError("vector is not normalized")
-    s = np.linalg.svd(psi.reshape(d_a, d_b), compute_uv=False)
-    return s**2
-
-
-def haar_unitary(d: int, seed: SeedSpec) -> np.ndarray:
-    """Haar-random unitary via phase-fixed QR of a complex Gaussian matrix."""
-    g = _complex_gaussian(seed.generator(), (d, d))
-    q, r = np.linalg.qr(g)
-    ph = np.diagonal(r).copy()
-    ph /= np.abs(ph)
-    return q * ph
 
 
 def mixed_rank_states(d_a: int, d_b: int, count: int, seed: int):

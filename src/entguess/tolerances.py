@@ -4,7 +4,10 @@ Relative tolerances are scaled by the size of the operand named in their
 comment; all others are absolute.
 """
 
-# Relative eigenvalue cutoff below which an operator is treated as singular.
+# The one rank cutoff.  linops.func_on_support and support_projector drop
+# eigenvalues at or below RANK_TOL * max |eigenvalue|, so every negative power
+# of rho_B is taken on its support; entropies.d0_relative treats a support
+# overlap at or below RANK_TOL (absolute) as orthogonal supports.
 RANK_TOL = 1e-10
 
 # Hermiticity of a func_on_support input, relative to its largest entry.
@@ -23,7 +26,7 @@ COMPLETENESS_TOL = 1e-10
 # Absolute part (np.allclose adds a relative 1e-5) of the check that every
 # effect scale of a basis setting is 1.
 BASIS_SCALE_TOL = 1e-12
-# Norm of a pure vector passed to schmidt_values or monogamy_report.
+# Norm of a tripartite pure vector passed to monogamy_report.
 UNIT_NORM_TOL = 1e-10
 
 # Most negative entry of a JointDistribution table.

@@ -5,19 +5,26 @@ explicit classical-quantum density matrix, an explicitly applied recovery
 channel, the per-setting measure-then-sum loop with its own contraction
 and its own decomposition of rho_B for every setting, the second tensor
 moment written out as a sum of d^2 x d^2 Kronecker products, index
-summations (`np.einsum`) in place of the package's matrix products, or an
-inverse-CDF draw by comparing against every CDF entry.
+summations (`np.einsum`) or Kronecker products in place of the package's
+matrix products, or an inverse-CDF draw by comparing against every CDF
+entry.  The state helpers at the end (`purify`, `schmidt_values`,
+`haar_unitary`) are used only by tests.
 """
 
 import numpy as np
 
 from entguess import (
     DensityMatrix,
+    DimensionError,
     MeasurementFamily,
+    ParameterError,
+    SeedSpec,
     func_on_support,
     max_entangled,
     measure_family,
 )
+from entguess.states import _complex_gaussian
+from entguess.tolerances import RANK_TOL, UNIT_NORM_TOL
 
 
 def cq_state(conds) -> DensityMatrix:
@@ -76,6 +83,14 @@ def h2nu_einsum_oracle(rho: DensityMatrix, nu: float) -> float:
     m4 = rho.matrix.reshape(d_a, d_b, d_a, d_b)
     rho_nu = np.einsum("pb,abcd,dq->apcq", left, m4, right)
     return -np.log2(float(np.real(np.sum(np.abs(rho_nu) ** 2))))
+
+
+def h2nu_kron_oracle(rho: DensityMatrix, nu: float) -> float:
+    """H_{2,nu}(A|B) = -log Tr X^dag X with X = (1 (x) L) rho (1 (x) R) built by np.kron."""
+    left, right = func_on_support(rho.marginal("B"), (-(1.0 - nu) / 4.0, -(1.0 + nu) / 4.0))
+    eye_a = np.eye(rho.d_a)
+    x = np.kron(eye_a, left) @ rho.matrix @ np.kron(eye_a, right)
+    return -np.log2(float(np.real(np.trace(x.conj().T @ x))))
 
 
 def joint_tables_oracle(rho: DensityMatrix, family: MeasurementFamily, thetas, bob_bases):
@@ -154,3 +169,36 @@ def design_defect_oracle(family: MeasurementFamily) -> float:
     pooled = np.concatenate(list(family.vectors), axis=1)
     target = (np.eye(d * d) + swap_operator(d)) / (d * (d + 1))
     return float(np.linalg.norm(moment_oracle(pooled) - target))
+
+
+def purify(rho: DensityMatrix) -> np.ndarray:
+    """Pure vector on (dim rho) x (numerical rank) whose new-system trace is rho.
+
+    The purifying system is appended as the minor index and has dimension
+    equal to the numerical rank, the smallest possible.
+    """
+    m = rho.matrix
+    w, u = np.linalg.eigh((m + m.conj().T) / 2)
+    on = np.flatnonzero(w > RANK_TOL * w.max())[::-1]  # descending eigenvalues
+    psi = (u[:, on] * np.sqrt(w[on])).ravel()
+    return psi / np.linalg.norm(psi)
+
+
+def schmidt_values(psi: np.ndarray, d_a: int, d_b: int) -> np.ndarray:
+    """Squared Schmidt coefficients of a bipartite vector, descending."""
+    psi = np.asarray(psi)
+    if psi.shape != (d_a * d_b,):
+        raise DimensionError(f"vector length {psi.shape} does not match {d_a}x{d_b}")
+    if abs(np.linalg.norm(psi) - 1.0) > UNIT_NORM_TOL:
+        raise ParameterError("vector is not normalized")
+    s = np.linalg.svd(psi.reshape(d_a, d_b), compute_uv=False)
+    return s**2
+
+
+def haar_unitary(d: int, seed: SeedSpec) -> np.ndarray:
+    """Haar-random unitary via phase-fixed QR of a complex Gaussian matrix."""
+    g = _complex_gaussian(seed.generator(), (d, d))
+    q, r = np.linalg.qr(g)
+    ph = np.diagonal(r).copy()
+    ph /= np.abs(ph)
+    return q * ph

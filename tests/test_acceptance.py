@@ -10,6 +10,7 @@ from functools import lru_cache
 
 import numpy as np
 from conftest import cached_mubs, max_entangled_state, measure_in_basis
+from oracles import haar_unitary
 
 from entguess import (
     SeedSpec,
@@ -19,7 +20,6 @@ from entguess import (
     equality_report,
     family_guess_prob,
     guessing_bounds,
-    haar_unitary,
     joint_from_state,
     max_entangled,
     mixed_rank_states,

@@ -2,11 +2,12 @@ import csv
 import io
 import json
 
+import numpy as np
 import pytest
 from conftest import cached_mubs, max_entangled_state
 
 from entguess import EntguessError, joint_from_state
-from entguess.cli import RunConfig, _json_text, main, round12
+from entguess.cli import RunConfig, _json_text, build_parser, config_from_args, main, round12
 
 
 def run_cli(args, capsys):
@@ -262,6 +263,19 @@ class TestWitnessCommand:
         code, _, err = run_cli(["witness", "--input", str(f)], capsys)
         assert code == 2
 
+    def test_nan_table_is_schema_error(self, capsys, tmp_path):
+        # Python's json reads NaN; the NaN column must not be skipped into a verdict
+        f = tmp_path / "nan.json"
+        f.write_text(
+            '{"d_a": 2, "d_b": 2, "settings": ['
+            '{"theta": 0, "table": [[0.5, 0.0], [0.0, 0.5]]}, '
+            '{"theta": 1, "table": [[NaN, 0.0], [0.0, 0.5]]}]}'
+        )
+        code, out, err = run_cli(["witness", "--input", str(f)], capsys)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: settings[1]")
+
 
     @pytest.mark.parametrize("tolerance", ["-0.5", "nan"])
     def test_bad_tolerance_is_usage_error(self, capsys, tmp_path, tolerance):
@@ -318,6 +332,20 @@ class TestGameCommand:
         )
         assert code == 0
         assert json.loads(out)["empirical_rate"] == 1.0
+
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    @pytest.mark.parametrize("index", [0, 1, 3])
+    def test_non_finite_state_file_is_usage_error(self, capsys, tmp_path, index, value):
+        m = np.eye(4) / 4
+        m[index, index] = float(value)
+        f = tmp_path / "state.json"
+        f.write_text(json.dumps({"dims": [2, 2], "re": m.tolist(), "im": np.zeros((4, 4)).tolist()}))
+        code, out, err = run_cli(
+            ["game", "--state", f"file:{f}", "--d", "2", "--trials", "10"], capsys
+        )
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: matrix deviates from Hermitian by nan")
 
     def test_malformed_state_json_is_usage_error(self, capsys, tmp_path):
         f = tmp_path / "garbage.json"
@@ -402,6 +430,44 @@ class TestDeterminismAndConfig:
         run_cli(args + ["--output", str(f1)], capsys)
         run_cli(args + ["--output", str(f2)], capsys)
         assert f1.read_bytes() == f2.read_bytes()
+
+    @pytest.mark.parametrize(
+        "argv, expected",
+        [
+            (
+                ["verify", "--relation", "main", "--d", "3"],
+                '{"command": "verify", "d": 3, "d_b": 3, "d_e": 3, "family": "mub", "fmt": "json", '
+                '"grid": 101, "input_path": null, "n": null, "nu": 0.0, "output_path": null, '
+                '"rank": null, "relation": "main", "samples": 50, "seed": 0, "state": null, '
+                '"tolerance": null, "trials": 100000}',
+            ),
+            (
+                ["sweep", "--d", "5"],
+                '{"command": "sweep", "d": 5, "d_b": 5, "d_e": 5, "family": "mub", "fmt": "csv", '
+                '"grid": 101, "input_path": null, "n": null, "nu": 0.0, "output_path": null, '
+                '"rank": null, "relation": null, "samples": 50, "seed": 0, "state": null, '
+                '"tolerance": null, "trials": 100000}',
+            ),
+            (
+                ["witness", "--input", "w.json", "--tolerance", "0.1", "--output", "r.json"],
+                '{"command": "witness", "d": null, "d_b": null, "d_e": null, "family": "mub", '
+                '"fmt": "json", "grid": 101, "input_path": "w.json", "n": null, "nu": 0.0, '
+                '"output_path": "r.json", "rank": null, "relation": null, "samples": 50, '
+                '"seed": 0, "state": null, "tolerance": 0.1, "trials": 100000}',
+            ),
+            (
+                ["game", "--d", "3", "--db", "0", "--rank", "2", "--trials", "5"],
+                '{"command": "game", "d": 3, "d_b": 0, "d_e": 3, "family": "mub", "fmt": "json", '
+                '"grid": 101, "input_path": null, "n": null, "nu": 0.0, "output_path": null, '
+                '"rank": 2, "relation": null, "samples": 50, "seed": 0, "state": "random", '
+                '"tolerance": null, "trials": 5}',
+            ),
+        ],
+        ids=["verify", "sweep", "witness", "game"],
+    )
+    def test_runconfig_json_per_command(self, argv, expected):
+        # defaults, renamed options and the d_b/d_e-default-to-d rule, pinned
+        assert config_from_args(build_parser().parse_args(argv)).to_json() == expected
 
     def test_runconfig_roundtrip(self):
         cfg = RunConfig(command="verify", relation="main", d=3, d_b=2, samples=10, seed=4)

@@ -1,9 +1,13 @@
+import inspect
+
 import numpy as np
 import pytest
 from conftest import hermitian, psd
 from oracles import swap_operator
 
+import entguess
 from entguess import (
+    RANK_TOL,
     DimensionError,
     NotPositiveError,
     func_on_support,
@@ -131,7 +135,7 @@ class TestFuncOnSupport:
     def test_exponent_zero_is_support_projector(self):
         gen = np.random.default_rng(19)
         m = psd(gen, 4, rank=2)
-        assert np.abs(func_on_support(m, [0.0])[0] - support_projector(m)).max() < 1e-11
+        assert np.abs(func_on_support(m, [0.0])[0] - support_projector(m)[0]).max() < 1e-11
 
     def test_rejects_negative_matrix(self):
         with pytest.raises(NotPositiveError):
@@ -146,18 +150,45 @@ class TestSupportProjector:
     def test_full_rank(self):
         gen = np.random.default_rng(20)
         m = psd(gen, 3)
-        assert np.abs(support_projector(m) - np.eye(3)).max() < 1e-11
+        assert np.abs(support_projector(m)[0] - np.eye(3)).max() < 1e-11
 
     def test_rank_two_diag(self):
-        out = support_projector(np.diag([0.7, 0.3, 0.0]))
+        out, _ = support_projector(np.diag([0.7, 0.3, 0.0]))
         assert np.abs(out - np.diag([1.0, 1.0, 0.0])).max() < 1e-12
 
     def test_projects_onto_support(self):
         gen = np.random.default_rng(21)
         m = psd(gen, 5, rank=3)
-        proj = support_projector(m)
+        proj, _ = support_projector(m)
         assert np.abs(proj @ proj - proj).max() < 1e-12
         assert np.abs(proj @ m @ proj - m).max() < 1e-11
+
+    @pytest.mark.parametrize(
+        "small, near",
+        [(0.0, False), (1e-12, False), (2e-11, True), (5e-11, True), (3e-10, True),
+         (9e-10, True), (2e-9, False), (0.3, False)],
+    )
+    def test_flags_eigenvalues_near_cutoff(self, small, near):
+        # the cutoff is RANK_TOL * 1 here; the window is a factor 10 either side
+        u = np.linalg.qr(hermitian(np.random.default_rng(22), 3))[0]
+        m = (u * [1.0, small, 0.0]) @ u.conj().T
+        proj, flagged = support_projector(m)
+        assert flagged is near
+        kept = 2 if small > RANK_TOL else 1
+        assert abs(np.trace(proj).real - kept) < 1e-9
+
+
+class TestRankCutoff:
+    def test_no_public_callable_takes_a_rank_tolerance(self):
+        # the cutoff is tolerances.RANK_TOL, with no per-call override
+        public = [getattr(entguess, name) for name in dir(entguess) if not name.startswith("_")]
+        callables = [
+            obj for obj in public
+            if callable(obj) and not (isinstance(obj, type) and issubclass(obj, Exception))
+        ]
+        assert len(callables) > 25
+        for obj in callables:
+            assert "rank_tol" not in inspect.signature(obj).parameters, obj.__name__
 
 
 class TestSwapOperator:

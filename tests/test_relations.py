@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 from conftest import cached_mubs, max_entangled_state, random_bipartite
+from oracles import haar_unitary
 
 from entguess import (
     DesignDefectError,
@@ -15,7 +16,6 @@ from entguess import (
     family_guess_prob,
     guessing_bounds,
     h2nu,
-    haar_unitary,
     joint_from_state,
     max_entangled,
     monogamy_report,
@@ -290,6 +290,21 @@ class TestMonogamy:
         psi[7] = np.sqrt(lam2)
         rep = monogamy_report(psi, (2, 2, 2), cached_mubs(2))
         assert rep.metadata["rank_tol_sensitive"]
+
+    def test_one_decomposition_of_rho_ae(self, monkeypatch):
+        # validation eigvalsh of rho_AB, eigh of rho_B, eigh of rho_AE
+        calls = []
+        for name in ("eigh", "eigvalsh"):
+            original = getattr(np.linalg, name)
+
+            def counting(*args, _name=name, _original=original, **kwargs):
+                calls.append(_name)
+                return _original(*args, **kwargs)
+
+            monkeypatch.setattr(np.linalg, name, counting)
+        psi = random_pure(60, SeedSpec(75))
+        monogamy_report(psi, (5, 3, 4), cached_mubs(5))
+        assert sorted(calls) == ["eigh", "eigh", "eigvalsh"]
 
     def test_clean_spectrum_not_flagged(self):
         psi = random_pure(8, SeedSpec(74))

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 from conftest import random_bipartite
+from oracles import purify, schmidt_values
 
 from entguess import (
     DensityMatrix,
@@ -9,11 +10,9 @@ from entguess import (
     SeedSpec,
     h2nu,
     partial_trace,
-    purify,
     random_density,
     random_pure,
     random_separable,
-    schmidt_values,
 )
 
 
@@ -174,6 +173,15 @@ class TestDensityMatrixInvariants:
     def test_rejects_negative(self):
         with pytest.raises(ParameterError):
             DensityMatrix(np.diag([1.5, -0.5]), (2,))
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf, complex(0, np.inf)], ids=str)
+    @pytest.mark.parametrize("index", [(0, 0), (1, 1), (3, 3), (0, 2)], ids=["00", "11", "33", "02"])
+    def test_rejects_non_finite_entry(self, index, value):
+        # ParameterError, not numpy's LinAlgError from eigvalsh
+        m = np.eye(4, dtype=complex) / 4
+        m[index] = value
+        with pytest.raises(ParameterError):
+            DensityMatrix(m, (2, 2))
 
     def test_rejects_dimension_mismatch(self):
         with pytest.raises(DimensionError):
