@@ -117,6 +117,30 @@ class MeasurementFamily:
         gap[np.diag_indices_from(gap)] -= 2.0 / (d * (d + 1))
         return float(np.linalg.norm(gap))
 
+    @cached_property
+    def _gauss_sum_dft(self):
+        """Tables of the DFT route if this family is exactly `mub_family(d)`, odd prime d.
+
+        The family is recognised by its content, not its kind, so a family
+        document that claims MUB-complete with other vectors, a subset or
+        rephased copy of the bases, and every other family give None.  The
+        tables are the DFT matrix w^(a m), the chirp w^(a delta^2) indexed
+        [a, delta], and the block indices (rows, cols) of the gather that
+        `entropies` explains.
+        """
+        d = self.d
+        if d == 2 or not _is_prime(d) or self.vectors.shape != (d + 1, d, d):
+            return None
+        if not (np.array_equal(self.vectors, _gauss_sum_bases(d)) and np.all(self.scales == 1)):
+            return None
+        roots = np.exp(2j * np.pi * np.arange(d) / d)
+        i = np.arange(d)
+        # column delta != 0 puts block (j, j + delta) in row m = 2 j delta, so
+        # j = m (2 delta)^-1 mod d; column 0 holds the diagonal blocks (m, m)
+        inverse = np.array([pow(2 * x, -1, d) if x else 1 for x in range(d)])
+        rows = np.outer(i, inverse) % d
+        return roots[np.outer(i, i) % d], roots[np.outer(i, i * i) % d], rows, (rows + i) % d
+
     def to_json_dict(self) -> dict:
         return {
             "d": self.d,
@@ -171,21 +195,27 @@ def mub_family(d: int) -> MeasurementFamily:
         )
     if d == 2:
         s = 1.0 / np.sqrt(2)
-        bases = [
+        bases = np.array([
             np.eye(2, dtype=complex),
             np.array([[s, s], [s, -s]], dtype=complex),
             np.array([[s, s], [1j * s, -1j * s]]),
-        ]
+        ])
     else:
-        omega = np.exp(2j * np.pi / d)
-        j = np.arange(d)
-        bases = [np.eye(d, dtype=complex)]
-        for a in range(d):
-            cols = [omega ** ((a * j * j + k * j) % d) / np.sqrt(d) for k in range(d)]
-            bases.append(np.array(cols).T)
-    return MeasurementFamily(
-        d, MUB_COMPLETE, np.array(bases, dtype=complex), np.ones((d + 1, d)), float(d + 1)
-    )
+        bases = _gauss_sum_bases(d)
+    return MeasurementFamily(d, MUB_COMPLETE, bases, np.ones((d + 1, d)), float(d + 1))
+
+
+def _gauss_sum_bases(d: int) -> np.ndarray:
+    """The computational basis followed by the d Gauss-sum bases of odd prime d.
+
+    Basis a + 1 has k-th column (1/sqrt(d)) sum_j w^(a j^2 + k j) |j>.
+    """
+    omega = np.exp(2j * np.pi / d)
+    a, j, k = np.ogrid[:d, :d, :d]
+    bases = np.empty((d + 1, d, d), dtype=complex)
+    bases[0] = np.eye(d)
+    bases[1:] = omega ** ((a * j * j + k * j) % d) / np.sqrt(d)
+    return bases
 
 
 def _weyl_orbit(fiducial: np.ndarray) -> np.ndarray:

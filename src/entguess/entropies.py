@@ -11,13 +11,21 @@ Renyi 2-entropy; nu = 1 is the variant -log Tr[rho_AB^2 (1 (x) rho_B^-1)].
 
 Measuring A goes through one primitive, `measure_family`, which returns
 the conditional operators rho_B^k of every effect as one array of shape
-(n_effects, d_B, d_B).  Everything computed from the measured ensemble
-reads that array and decomposes rho_B once per state.  One collision
-kernel serves every ensemble; `cq_collision` applies it to a single one
-and returns sum_k Tr[rho_B^k M1 rho_B^k M2].  At nu = 0 that sum is
-2^(-H_2) of the classical-quantum state, i.e. the probability of guessing
-the outcome with the pretty good measurement
+(n_effects, d_B, d_B).  A family whose vectors are exactly the Gauss-sum
+bases `mub_family` builds for odd prime d (checked by content, not by its
+kind) is measured by two length-d DFT GEMMs over the blocks of rho, in
+O(d^3 d_B^2); every other family by one GEMM per setting, in O(d^4 d_B^2),
+which the tests keep as the reference.  Everything computed from the
+measured ensemble reads that array and decomposes rho_B once per state.
+One collision kernel serves every ensemble; `cq_collision` applies it to a
+single one and returns sum_k Tr[rho_B^k M1 rho_B^k M2].  At nu = 0 that
+sum is 2^(-H_2) of the classical-quantum state, i.e. the probability of
+guessing the outcome with the pretty good measurement
 Pi^k = rho_B^(-1/2) rho_B^k rho_B^(-1/2); there is no separate PGM routine.
+
+Every input state is a `DensityMatrix`, whose positivity was certified at
+construction by a Cholesky factorisation of rho + EIG_TOL 1, not by its
+spectrum (see `states`).
 
 Quantities that need semidefinite optimization are deliberately absent and
 only bound the ones computed here: the optimal guessing probability
@@ -67,16 +75,47 @@ def _measure(rho: DensityMatrix, vectors: np.ndarray, scales: np.ndarray) -> np.
     return out
 
 
+def _measure_gauss_sum(rho: DensityMatrix, dft, chirp, rows, cols) -> np.ndarray:
+    """`_measure` of `mub_family(d)`, odd prime d, as two DFT GEMMs.
+
+    With r[j, l] the (j, l) block of rho on B and l = j + delta, Gauss-sum
+    basis a gives outcome k the operator (1/d) sum_delta w^(k delta)
+    w^(a delta^2) T[a, delta], where T[a, delta] = sum_j w^(2 a j delta)
+    r[j, j + delta].  For delta != 0, m = 2 j delta runs once over Z_d, so
+    T[:, delta] is the DFT over m of the gathered blocks R[m, delta]; T[a, 0]
+    is rho_B for every a.  The computational basis reads the blocks r[k, k].
+    """
+    d, d_b = rho.d_a, rho.d_b
+    r = rho.matrix.reshape(d, d_b, d, d_b).transpose(0, 2, 1, 3)
+    g = r[rows, cols].reshape(d, d, d_b * d_b)
+    out = np.empty((d + 1, d, d_b * d_b), dtype=complex)
+    out[0] = g[:, 0]
+    g[0, 0] = g[:, 0].sum(axis=0)
+    g[1:, 0] = 0.0
+    t = (dft @ g.reshape(d, -1)).reshape(d, d, -1)
+    t *= chirp[:, :, None]
+    np.matmul(dft, t, out=out[1:])
+    out[1:] /= d
+    return out
+
+
 def measure_family(rho: DensityMatrix, family: MeasurementFamily) -> np.ndarray:
     """Conditional operators rho_B^k = scale_k <v_k| rho |v_k>_A of every effect.
 
     Returns an array of shape (n_settings * n_outcomes, d_B, d_B), setting
     major.  The rows of each setting sum to rho_B, and their traces are the
-    setting's outcome probabilities.
+    setting's outcome probabilities.  The bases `mub_family` builds for odd
+    prime d are measured by the DFT route, every other family by one GEMM
+    per setting.
     """
     if family.d != rho.d_a:
         raise DimensionError(f"family acts on dim {family.d}, state has d_A = {rho.d_a}")
-    return _measure(rho, family.vectors, family.scales).reshape(-1, rho.d_b, rho.d_b)
+    tables = family._gauss_sum_dft
+    if tables is None:
+        out = _measure(rho, family.vectors, family.scales)
+    else:
+        out = _measure_gauss_sum(rho, *tables)
+    return out.reshape(-1, rho.d_b, rho.d_b)
 
 
 def _collision_terms(conds: np.ndarray, rho_b: np.ndarray, nu: float):

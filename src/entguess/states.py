@@ -63,7 +63,7 @@ class DensityMatrix:
         if m.ndim != 2 or m.shape != (n, n):
             raise DimensionError(f"matrix shape {m.shape} does not match dims {dims}")
         # m - m^dag is NaN or infinite wherever m is, so a non-finite entry
-        # fails the first check before it can reach eigvalsh
+        # fails the first check before it can reach the factorisation
         with np.errstate(invalid="ignore"):
             herm_gap = np.abs(m - m.conj().T).max()
         if not herm_gap <= STATE_HERM_TOL:
@@ -71,9 +71,14 @@ class DensityMatrix:
         trace = np.trace(m)
         if not (abs(trace.real - 1.0) <= TRACE_TOL and abs(trace.imag) <= TRACE_TOL):
             raise ParameterError(f"trace {trace} differs from 1")
-        w = np.linalg.eigvalsh((m + m.conj().T) / 2)
-        if w[0] < -EIG_TOL:
-            raise ParameterError(f"negative eigenvalue {w[0]:.3e}")
+        # h + EIG_TOL 1 has a Cholesky factor iff h has no eigenvalue below
+        # -EIG_TOL, up to rounding of about n eps |h|, far inside EIG_TOL
+        h = (m + m.conj().T) / 2
+        try:
+            np.linalg.cholesky(h + EIG_TOL * np.eye(n))
+        except np.linalg.LinAlgError:
+            w = np.linalg.eigvalsh(h)
+            raise ParameterError(f"negative eigenvalue {w[0]:.3e}") from None
 
     @classmethod
     def from_pure(cls, psi: np.ndarray, dims) -> "DensityMatrix":

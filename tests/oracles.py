@@ -202,3 +202,14 @@ def haar_unitary(d: int, seed: SeedSpec) -> np.ndarray:
     ph = np.diagonal(r).copy()
     ph /= np.abs(ph)
     return q * ph
+
+
+def gauss_sum_bases_loop(d: int) -> np.ndarray:
+    """`mub_family(d)`'s vectors for odd prime d, built one vector at a time."""
+    omega = np.exp(2j * np.pi / d)
+    j = np.arange(d)
+    bases = [np.eye(d, dtype=complex)]
+    for a in range(d):
+        cols = [omega ** ((a * j * j + k * j) % d) / np.sqrt(d) for k in range(d)]
+        bases.append(np.array(cols).T)
+    return np.array(bases, dtype=complex)

@@ -347,6 +347,18 @@ class TestGameCommand:
         assert out == ""
         assert err.startswith("error: matrix deviates from Hermitian by nan")
 
+    def test_non_psd_state_file_is_usage_error(self, capsys, tmp_path):
+        # Hermitian and trace one, so only the positivity certificate rejects it
+        m = np.diag([0.6, 0.6, 0.1, -0.3])
+        f = tmp_path / "state.json"
+        f.write_text(json.dumps({"dims": [2, 2], "re": m.tolist(), "im": np.zeros((4, 4)).tolist()}))
+        code, out, err = run_cli(
+            ["game", "--state", f"file:{f}", "--d", "2", "--trials", "10"], capsys
+        )
+        assert code == 2
+        assert out == ""
+        assert err == "error: negative eigenvalue -3.000e-01\n"
+
     def test_malformed_state_json_is_usage_error(self, capsys, tmp_path):
         f = tmp_path / "garbage.json"
         f.write_text("{nope")

@@ -4,7 +4,7 @@ import json
 import numpy as np
 import pytest
 from conftest import cached_mubs
-from oracles import design_defect_oracle, moment_oracle, swap_operator
+from oracles import design_defect_oracle, gauss_sum_bases_loop, moment_oracle, swap_operator
 
 from entguess import (
     DimensionError,
@@ -74,6 +74,13 @@ class TestMubFamily:
 
     def test_equality_constant(self):
         assert cached_mubs(3).equality_constant == 4.0
+
+    @pytest.mark.parametrize("d", [3, 7, 31, 37])
+    def test_gauss_sum_bases_bit_identical_to_loop(self, d):
+        vectors = cached_mubs(d).vectors
+        reference = gauss_sum_bases_loop(d)
+        assert vectors.shape == reference.shape
+        assert vectors.tobytes() == reference.tobytes()
 
 
 class TestSicPovm:

@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 from conftest import cached_mubs, max_entangled_state, measure_in_basis, random_bipartite
@@ -19,11 +21,13 @@ from entguess import (
     FormatError,
     InfiniteDivergence,
     JointDistribution,
+    MeasurementFamily,
     ParameterError,
     SeedSpec,
     classical_h2_cond,
     clifford_orbit_family,
     d0_relative,
+    design_defect,
     equality_report,
     family_guess_prob,
     h2nu,
@@ -31,12 +35,15 @@ from entguess import (
     joint_from_state,
     measure_family,
     mixed_rank_states,
+    mub_family,
     pg_recovery_fidelity,
     random_pure,
     random_separable,
     sic_povm,
     tensor,
 )
+from entguess import entropies
+from entguess.designs import MUB_COMPLETE
 from entguess.entropies import cq_collision
 
 
@@ -313,6 +320,95 @@ class TestOneMeasuredPath:
         calls.clear()
         equality_report(rho, cached_mubs(5), 0.5)
         assert len(calls) == 2
+
+
+@pytest.fixture
+def routes(monkeypatch):
+    """Names of the measurement routes measure_family takes, in call order."""
+    taken = []
+    for name, label in (("_measure", "dense"), ("_measure_gauss_sum", "dft")):
+
+        def spy(*args, _label=label, _original=getattr(entropies, name)):
+            taken.append(_label)
+            return _original(*args)
+
+        monkeypatch.setattr(entropies, name, spy)
+    return taken
+
+
+def rephased(family: MeasurementFamily, phases) -> MeasurementFamily:
+    """The family with a diagonal phase unitary applied to every vector, same kind."""
+    vectors = phases[None, :, None] * family.vectors
+    return MeasurementFamily(family.d, family.kind, vectors, family.scales, family.equality_constant)
+
+
+def phase_edited(family: MeasurementFamily) -> MeasurementFamily:
+    """The family with one effect vector's global phase changed: same effects, other content."""
+    vectors = family.vectors.copy()
+    vectors[1, :, 0] *= np.exp(1e-3j)
+    return MeasurementFamily(family.d, family.kind, vectors, family.scales, family.equality_constant)
+
+
+class TestGaussSumRoute:
+    """The DFT route of mub_family's odd-prime bases against the dense GEMM route."""
+
+    @pytest.mark.parametrize("d", [3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37])
+    def test_matches_dense_route(self, d, routes):
+        fam = cached_mubs(d)
+        for d_b in (1, 2, 4, 8):
+            for rank in (1, d * d_b):
+                rho = random_bipartite(d, d_b, rank, seed=95, stream=rank)
+                dense = entropies._measure(rho, fam.vectors, fam.scales)
+                conds = measure_family(rho, fam)
+                assert np.abs(conds - dense.reshape(conds.shape)).max() < 1e-14
+        # the direct reference call, then measure_family's own route
+        assert routes == ["dense", "dft"] * 8
+
+    def test_rephased_complete_set_takes_dense_route(self, routes):
+        # still a certified complete MUB set of kind MUB-complete, but not
+        # the constructor's vectors, so the kind alone must not pick the route
+        d = 7
+        fam = rephased(cached_mubs(d), np.exp(2j * np.pi * np.arange(d) ** 2 / 11))
+        assert fam.kind == MUB_COMPLETE
+        assert design_defect(fam) < 1e-11
+        rho = random_bipartite(d, 3, rank=9, seed=96)
+        for nu in (0.0, 0.5, 1.0):
+            assert equality_report(rho, fam, nu).verdict == "holds"
+        assert routes == ["dense"] * 3
+        routes.clear()
+        equality_report(rho, cached_mubs(d), 0.5)
+        assert routes == ["dft"]
+
+    @pytest.mark.parametrize(
+        "make",
+        [
+            lambda: mub_family(2),
+            lambda: sic_povm(2),
+            lambda: sic_povm(3),
+            clifford_orbit_family,
+            lambda: cached_mubs(5).subset(5),
+            lambda: phase_edited(cached_mubs(5)),
+        ],
+        ids=["mub-2", "sic-2", "sic-3", "clifford", "mub-5-subset-5", "mub-5-edited"],
+    )
+    def test_other_families_take_dense_route(self, make, routes):
+        fam = make()
+        measure_family(random_bipartite(fam.d, 2, rank=3, seed=97), fam)
+        assert routes == ["dense"]
+
+    def test_phase_edited_family_measures_the_same(self, routes):
+        rho = random_bipartite(5, 2, rank=3, seed=97)
+        edited = measure_family(rho, phase_edited(cached_mubs(5)))
+        assert np.abs(edited - measure_family(rho, cached_mubs(5))).max() < 1e-14
+        assert routes == ["dense", "dft"]
+
+    @pytest.mark.parametrize("d", [3, 13])
+    def test_json_roundtrip_gives_same_operators(self, d, routes):
+        fam = cached_mubs(d)
+        back = MeasurementFamily.from_json_dict(json.loads(json.dumps(fam.to_json_dict())))
+        rho = random_bipartite(d, 3, rank=5, seed=98)
+        assert np.array_equal(measure_family(rho, back), measure_family(rho, fam))
+        assert routes == ["dft", "dft"]
 
 
 class TestClassicalH2:

@@ -292,9 +292,9 @@ class TestMonogamy:
         assert rep.metadata["rank_tol_sensitive"]
 
     def test_one_decomposition_of_rho_ae(self, monkeypatch):
-        # validation eigvalsh of rho_AB, eigh of rho_B, eigh of rho_AE
+        # validation Cholesky of rho_AB, eigh of rho_B, eigh of rho_AE
         calls = []
-        for name in ("eigh", "eigvalsh"):
+        for name in ("cholesky", "eigh", "eigvalsh"):
             original = getattr(np.linalg, name)
 
             def counting(*args, _name=name, _original=original, **kwargs):
@@ -304,7 +304,7 @@ class TestMonogamy:
             monkeypatch.setattr(np.linalg, name, counting)
         psi = random_pure(60, SeedSpec(75))
         monogamy_report(psi, (5, 3, 4), cached_mubs(5))
-        assert sorted(calls) == ["eigh", "eigh", "eigvalsh"]
+        assert sorted(calls) == ["cholesky", "eigh", "eigh"]
 
     def test_clean_spectrum_not_flagged(self):
         psi = random_pure(8, SeedSpec(74))

@@ -14,6 +14,7 @@ from entguess import (
     random_pure,
     random_separable,
 )
+from entguess.tolerances import EIG_TOL
 
 
 class TestSeedSpec:
@@ -177,11 +178,32 @@ class TestDensityMatrixInvariants:
     @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf, complex(0, np.inf)], ids=str)
     @pytest.mark.parametrize("index", [(0, 0), (1, 1), (3, 3), (0, 2)], ids=["00", "11", "33", "02"])
     def test_rejects_non_finite_entry(self, index, value):
-        # ParameterError, not numpy's LinAlgError from eigvalsh
+        # ParameterError, not numpy's LinAlgError from the factorisation
         m = np.eye(4, dtype=complex) / 4
         m[index] = value
         with pytest.raises(ParameterError):
             DensityMatrix(m, (2, 2))
+
+    @pytest.mark.parametrize("n", [4, 28, 248])
+    @pytest.mark.parametrize("offset", [-1e-2, 1e-2], ids=["inside", "outside"])
+    def test_edge_of_eig_tol_judged_as_by_eigvalsh(self, n, offset):
+        # lambda_min = -EIG_TOL (1 + offset): the Cholesky certificate must give
+        # eigvalsh's verdict (reject below -EIG_TOL) and report the eigenvalue
+        gen = np.random.default_rng(n)
+        q, _ = np.linalg.qr(gen.normal(size=(n, n)) + 1j * gen.normal(size=(n, n)))
+        lam_min = -EIG_TOL * (1 + offset)
+        w = np.linspace(1.0, 2.0, n)
+        w *= (1.0 - lam_min) / w[1:].sum()
+        w[0] = lam_min
+        m = (q * w) @ q.conj().T
+        m = (m + m.conj().T) / 2
+        rejected_by_eigvalsh = np.linalg.eigvalsh(m)[0] < -EIG_TOL
+        assert rejected_by_eigvalsh == (offset > 0)
+        if rejected_by_eigvalsh:
+            with pytest.raises(ParameterError, match=r"^negative eigenvalue -1\.010e-10$"):
+                DensityMatrix(m, (n,))
+        else:
+            DensityMatrix(m, (n,))
 
     def test_rejects_dimension_mismatch(self):
         with pytest.raises(DimensionError):
