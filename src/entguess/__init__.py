@@ -46,8 +46,6 @@ from .linops import (
     func_on_support,
     max_entangled,
     partial_trace,
-    support_projector,
-    tensor,
 )
 from .relations import (
     EPR,

@@ -39,7 +39,6 @@ class RunConfig:
     d_e: int | None = None
     family: str = "mub"
     nu: float = 0.0
-    n: int | None = None
     samples: int = 50
     trials: int = 100000
     seed: int = 0
@@ -113,10 +112,10 @@ def _reports_csv(reports) -> str:
 
 
 def _load_json(path: str, what: str):
-    with open(path) as fh:
+    with open(path, encoding="utf-8") as fh:
         try:
             return json.load(fh)
-        except json.JSONDecodeError as exc:
+        except ValueError as exc:  # invalid JSON or not UTF-8
             raise FormatError(f"malformed {what} document: {exc}") from exc
 
 
@@ -223,7 +222,7 @@ def _load_state(cfg: RunConfig) -> DensityMatrix:
         try:
             m = np.array(doc["re"], dtype=float) + 1j * np.array(doc["im"], dtype=float)
             rho = DensityMatrix(m, tuple(doc["dims"]))
-        except (KeyError, TypeError, ValueError) as exc:
+        except (KeyError, TypeError, ValueError, OverflowError) as exc:
             raise FormatError(f"malformed density-matrix document: {exc}") from exc
         if rho.d_a != d:
             raise EntguessError(f"state file is for d_A = {rho.d_a}, run asked for d = {d}")
@@ -315,6 +314,9 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     cfg = config_from_args(args)
     try:
+        for option, dim in (("--d", cfg.d), ("--db", cfg.d_b), ("--de", cfg.d_e)):
+            if dim is not None and dim < 1:
+                raise EntguessError(f"{option} must be >= 1, got {dim}")
         return _COMMANDS[cfg.command](cfg)
     except (EntguessError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

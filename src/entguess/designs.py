@@ -170,7 +170,7 @@ class MeasurementFamily:
             d = int(doc["d"])
             kind = doc["kind"]
             constant = doc.get("equality_constant")
-        except (KeyError, TypeError, ValueError) as exc:
+        except (KeyError, TypeError, ValueError, OverflowError) as exc:
             raise FormatError(f"malformed family document: {exc}") from exc
         return cls(d, kind, vectors.transpose(0, 2, 1), scales, constant)
 

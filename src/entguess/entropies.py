@@ -40,7 +40,7 @@ import numpy as np
 
 from .designs import MeasurementFamily
 from .errors import DimensionError, FormatError, InfiniteDivergence, ParameterError
-from .linops import func_on_support, support_projector
+from .linops import func_on_support
 from .states import DensityMatrix
 from .tolerances import RANK_TOL, TABLE_NEG_TOL, TABLE_SUM_TOL
 
@@ -54,7 +54,7 @@ def h2nu(rho: DensityMatrix, nu: float) -> float:
     """Conditional collision entropy H_{2,nu}(A|B) of a bipartite state."""
     _require_nu(nu)
     d_a, d_b = rho.d_a, rho.d_b
-    left, right = func_on_support(rho.marginal("B"), (-(1.0 - nu) / 4.0, -(1.0 + nu) / 4.0))
+    (left, right), _ = func_on_support(rho.marginal("B"), (-(1.0 - nu) / 4.0, -(1.0 + nu) / 4.0))
     n = d_a * d_b
     # left acts on the row index b of rho[(a, b), (c, d)], right on the column index d
     rho_nu = (left @ rho.matrix.reshape(d_a, d_b, n)).reshape(n, d_a, d_b) @ right
@@ -125,7 +125,7 @@ def _collision_terms(conds: np.ndarray, rho_b: np.ndarray, nu: float):
     decomposition of rho_B.
     """
     _require_nu(nu)
-    m1, m2 = func_on_support(rho_b, (-(1.0 - nu) / 2.0, -(1.0 + nu) / 2.0))
+    (m1, m2), _ = func_on_support(rho_b, (-(1.0 - nu) / 2.0, -(1.0 + nu) / 2.0))
     return np.real(np.einsum("kij,kji->k", conds @ m1, conds @ m2))
 
 
@@ -190,12 +190,12 @@ def classical_h2_cond(table: np.ndarray) -> float:
 def d0_relative(rho: np.ndarray, sigma: np.ndarray):
     """Renyi-0 relative entropy D_0(rho || sigma) = -log Tr[Pi_rho sigma].
 
-    Returns (value, near_cutoff), where near_cutoff is the support
-    projector's flag for an eigenvalue of rho within a factor 10 of the
-    rank cutoff.  An overlap at or below RANK_TOL counts as orthogonal
-    supports and raises InfiniteDivergence.
+    Pi_rho is the exponent-0 power of rho.  Returns (value, near_cutoff),
+    where near_cutoff is func_on_support's flag for an eigenvalue of rho
+    within a factor 10 of the rank cutoff.  An overlap at or below RANK_TOL
+    counts as orthogonal supports and raises InfiniteDivergence.
     """
-    proj, near_cutoff = support_projector(rho)
+    (proj,), near_cutoff = func_on_support(rho, (0.0,))
     overlap = float(np.real(np.trace(proj @ sigma)))
     if overlap <= RANK_TOL:
         raise InfiniteDivergence(f"supports nearly orthogonal: Tr = {overlap:.3e}")
@@ -248,7 +248,7 @@ class JointDistribution:
                 for s in doc["settings"]
             )
             return cls(d_a=int(doc["d_a"]), d_b=int(doc["d_b"]), settings=settings)
-        except (KeyError, TypeError, ValueError) as exc:
+        except (KeyError, TypeError, ValueError, OverflowError) as exc:
             raise FormatError(f"malformed joint-distribution document: {exc}") from exc
 
 

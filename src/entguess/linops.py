@@ -2,21 +2,21 @@
 
 Index convention, used everywhere in this package: a composite system AB is
 stored row-major with the A index major and the B index minor, i.e. the
-basis vector |i>_A |j>_B sits at flat index i*d_B + j.  All matrix functions
-of Hermitian operators go through a single eigendecomposition primitive;
-negative powers are taken on the support (pseudoinverse convention) with a
-relative rank cutoff.
+basis vector |i>_A |j>_B sits at flat index i*d_B + j, which is the order
+of np.kron.
+
+All matrix functions of Hermitian operators go through one function,
+`func_on_support`, which makes the package's only ``eigh``.  It applies the
+one relative rank cutoff, tolerances.RANK_TOL, so negative powers are taken
+on the support (pseudoinverse convention) and exponent 0 is the support
+projector.  It also holds the one near-cutoff rule: it flags an eigenvalue
+within a factor 10 of the cutoff, on either side.
 """
 
 import numpy as np
 
 from .errors import DimensionError, NotPositiveError, ParameterError
 from .tolerances import FUNC_HERM_TOL, RANK_TOL
-
-
-def tensor(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Kronecker product with the A-major index convention."""
-    return np.kron(np.asarray(a), np.asarray(b))
 
 
 def partial_trace(m: np.ndarray, dim_a: int, dim_b: int, keep: str) -> np.ndarray:
@@ -44,12 +44,20 @@ def partial_trace(m: np.ndarray, dim_a: int, dim_b: int, keep: str) -> np.ndarra
     raise ParameterError(f"keep must be 'A' or 'B', got {keep!r}")
 
 
-def _spectrum(m: np.ndarray):
-    """Eigendecomposition of a PSD matrix and its rank cutoff.
+def func_on_support(m: np.ndarray, exponents):
+    """Apply ``lambda -> lambda**e`` on the support of a PSD matrix, per exponent.
 
-    Returns (w, u, cutoff) with cutoff = RANK_TOL * max |eigenvalue|.
-    Raises NotPositiveError if m is not Hermitian or has an eigenvalue
-    below -cutoff.
+    The package's only eigendecomposition.  One ``eigh`` serves every
+    exponent in ``exponents``.  Eigenvalues above the cutoff ``RANK_TOL *
+    max |eigenvalue|`` are raised to the power; the rest map to zero, so a
+    negative exponent gives the pseudoinverse-style power and exponent 0 the
+    support projector.
+
+    Returns (powers, near_cutoff): the powered matrices in the order of
+    ``exponents``, and True when some eigenvalue lies within a factor 10 of
+    the cutoff, on either side, where rounding noise can flip whether it
+    counts as support.  Raises NotPositiveError if m is not Hermitian or has
+    an eigenvalue below -cutoff.
     """
     m = np.asarray(m)
     if np.abs(m - m.conj().T).max() > FUNC_HERM_TOL * max(np.abs(m).max(), 1.0):
@@ -58,41 +66,15 @@ def _spectrum(m: np.ndarray):
     cutoff = RANK_TOL * (np.abs(w).max() if w.size else 0.0)
     if w.size and w[0] < -cutoff:
         raise NotPositiveError(f"negative eigenvalue {w[0]:.3e} below -{cutoff:.3e}")
-    return w, u, cutoff
-
-
-def func_on_support(m: np.ndarray, exponents) -> list:
-    """Apply ``lambda -> lambda**e`` on the support of a PSD matrix, per exponent.
-
-    One eigendecomposition serves every exponent in ``exponents``; the
-    result is the list of powered matrices in the same order.  Eigenvalues
-    above ``RANK_TOL * max_eigenvalue`` are raised to the power; the rest
-    map to zero, so negative exponents give the pseudoinverse-style power.
-    Raises NotPositiveError if an eigenvalue sits below
-    ``-RANK_TOL * max_eigenvalue``.
-    """
-    w, u, cutoff = _spectrum(m)
     on = w > cutoff
-    out = []
+    near_cutoff = bool(((w > cutoff / 10) & (w < cutoff * 10)).any())
+    powers = []
     for exponent in exponents:
         powered = np.zeros_like(w)
         powered[on] = w[on] ** exponent
         f = (u * powered) @ u.conj().T
-        out.append((f + f.conj().T) / 2)
-    return out
-
-
-def support_projector(m: np.ndarray):
-    """Projector onto the eigenspaces of a PSD matrix with lambda > cutoff.
-
-    Returns (projector, near_cutoff).  near_cutoff is True when some
-    eigenvalue lies within a factor 10 of the cutoff, on either side, where
-    rounding noise can flip whether it counts as support.
-    """
-    w, u, cutoff = _spectrum(m)
-    f = (u * (w > cutoff)) @ u.conj().T
-    near = bool(np.any((w > cutoff / 10) & (w < cutoff * 10)))
-    return (f + f.conj().T) / 2, near
+        powers.append((f + f.conj().T) / 2)
+    return powers, near_cutoff
 
 
 def max_entangled(d: int) -> np.ndarray:

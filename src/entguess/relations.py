@@ -38,7 +38,6 @@ from .entropies import (
     pg_recovery_fidelity,
 )
 from .errors import DesignDefectError, FormatError, ParameterError
-from .linops import tensor
 from .states import DensityMatrix
 from .tolerances import (
     CERTIFICATION_TOL,
@@ -233,7 +232,7 @@ def achiever_state(
     # mixed to pure sweeps F^pg over [1/d^2, 1/d].
     q = (1.0 - mix) * uniform + mix * point
     rho_a = (basis * q) @ basis.conj().T
-    return DensityMatrix(tensor(rho_a, np.eye(d) / d), (d, d))
+    return DensityMatrix(np.kron(rho_a, np.eye(d) / d), (d, d))
 
 
 def two_to_full_bound(p2: float, d: int) -> float:
@@ -310,7 +309,7 @@ def monogamy_report(
     rho_ae = np.einsum("abe,cbf->aecf", t, t.conj()).reshape(d_a * d_e, d_a * d_e)
     rho_e = np.einsum("abe,abf->ef", t, t.conj())
 
-    lhs, sensitive = d0_relative(rho_ae, tensor(np.eye(d_a) / d_a, rho_e))
+    lhs, sensitive = d0_relative(rho_ae, np.kron(np.eye(d_a) / d_a, rho_e))
     h2p = h2nu_outcomes(DensityMatrix(rho_ab, (d_a, d_b)), mubs, 1.0)
     rhs = float(np.log2(d_a) - np.log2((d_a + 1) * 2.0 ** (-h2p) - 1.0))
     return RelationReport.equality(

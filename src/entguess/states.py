@@ -11,7 +11,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DimensionError, ParameterError
-from .linops import partial_trace, tensor
+from .linops import partial_trace
 from .tolerances import EIG_TOL, STATE_HERM_TOL, TRACE_TOL
 
 
@@ -139,7 +139,7 @@ def random_separable(d_a: int, d_b: int, terms: int, seed: SeedSpec) -> DensityM
         gb = _complex_gaussian(gen, (d_b, d_b))
         rho_a = ga @ ga.conj().T
         rho_b = gb @ gb.conj().T
-        out += p * tensor(rho_a / np.trace(rho_a).real, rho_b / np.trace(rho_b).real)
+        out += p * np.kron(rho_a / np.trace(rho_a).real, rho_b / np.trace(rho_b).real)
     return DensityMatrix(out, (d_a, d_b))
 
 

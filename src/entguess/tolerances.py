@@ -4,10 +4,11 @@ Relative tolerances are scaled by the size of the operand named in their
 comment; all others are absolute.
 """
 
-# The one rank cutoff.  linops.func_on_support and support_projector drop
-# eigenvalues at or below RANK_TOL * max |eigenvalue|, so every negative power
-# of rho_B is taken on its support; entropies.d0_relative treats a support
-# overlap at or below RANK_TOL (absolute) as orthogonal supports.
+# The one rank cutoff.  linops.func_on_support drops eigenvalues at or below
+# RANK_TOL * max |eigenvalue|, so every negative power of rho_B is taken on
+# its support and exponent 0 is the support projector; entropies.d0_relative
+# treats a support overlap at or below RANK_TOL (absolute) as orthogonal
+# supports.
 RANK_TOL = 1e-10
 
 # Hermiticity of a func_on_support input, relative to its largest entry.

@@ -65,7 +65,7 @@ def pg_recovery_fidelity_explicit(rho: DensityMatrix) -> float:
     entangled vector is returned.
     """
     d_a, d_b = rho.d_a, rho.d_b
-    (inv_sqrt,) = func_on_support(rho.marginal("B"), (-0.5,))
+    (inv_sqrt,), _ = func_on_support(rho.marginal("B"), (-0.5,))
     m4 = rho.matrix.reshape(d_a, d_b, d_a, d_b)
     # Lambda(Y)[i, j] = sum_{m,x} rho4[j, m, i, x] (S Y S)[x, m], so applying
     # id (x) Lambda to rho itself gives
@@ -79,7 +79,7 @@ def pg_recovery_fidelity_explicit(rho: DensityMatrix) -> float:
 def h2nu_einsum_oracle(rho: DensityMatrix, nu: float) -> float:
     """H_{2,nu}(A|B) with rho_nu contracted in one index summation."""
     d_a, d_b = rho.d_a, rho.d_b
-    left, right = func_on_support(rho.marginal("B"), (-(1.0 - nu) / 4.0, -(1.0 + nu) / 4.0))
+    (left, right), _ = func_on_support(rho.marginal("B"), (-(1.0 - nu) / 4.0, -(1.0 + nu) / 4.0))
     m4 = rho.matrix.reshape(d_a, d_b, d_a, d_b)
     rho_nu = np.einsum("pb,abcd,dq->apcq", left, m4, right)
     return -np.log2(float(np.real(np.sum(np.abs(rho_nu) ** 2))))
@@ -87,7 +87,7 @@ def h2nu_einsum_oracle(rho: DensityMatrix, nu: float) -> float:
 
 def h2nu_kron_oracle(rho: DensityMatrix, nu: float) -> float:
     """H_{2,nu}(A|B) = -log Tr X^dag X with X = (1 (x) L) rho (1 (x) R) built by np.kron."""
-    left, right = func_on_support(rho.marginal("B"), (-(1.0 - nu) / 4.0, -(1.0 + nu) / 4.0))
+    (left, right), _ = func_on_support(rho.marginal("B"), (-(1.0 - nu) / 4.0, -(1.0 + nu) / 4.0))
     eye_a = np.eye(rho.d_a)
     x = np.kron(eye_a, left) @ rho.matrix @ np.kron(eye_a, right)
     return -np.log2(float(np.real(np.trace(x.conj().T @ x))))
@@ -112,7 +112,7 @@ def pgm_guess_prob(conds) -> float:
 
     Pi^k = rho_B^(-1/2) rho_B^k rho_B^(-1/2) with rho_B = sum_k rho_B^k.
     """
-    (inv_sqrt,) = func_on_support(sum(conds), (-0.5,))
+    (inv_sqrt,), _ = func_on_support(sum(conds), (-0.5,))
     total = 0.0
     for c in conds:
         pgm_op = inv_sqrt @ c @ inv_sqrt
@@ -136,8 +136,8 @@ def h2nu_outcomes_per_setting(
     for vectors, scales in zip(family.vectors, family.scales):
         conds = setting_conditionals(rho, vectors, scales)
         rho_b = sum(conds)
-        (m1,) = func_on_support(rho_b, (-(1.0 - nu) / 2.0,))
-        (m2,) = func_on_support(rho_b, (-(1.0 + nu) / 2.0,))
+        (m1,), _ = func_on_support(rho_b, (-(1.0 - nu) / 2.0,))
+        (m2,), _ = func_on_support(rho_b, (-(1.0 + nu) / 2.0,))
         total += family.setting_weight * sum(
             float(np.real(np.trace(c @ m1 @ c @ m2))) for c in conds
         )

@@ -117,6 +117,7 @@ class TestVerify:
         [
             ["--relation", "main", "--d", "3", "--db", "0"],
             ["--relation", "monogamy", "--d", "2", "--de", "0"],
+            ["--relation", "monogamy", "--d", "2", "--db", "-1", "--de", "-1"],
         ],
     )
     def test_zero_dimension_is_usage_error(self, capsys, args):
@@ -191,6 +192,22 @@ class TestVerify:
         assert out == ""
         assert err.startswith("error:")
 
+    @pytest.mark.parametrize("defect", ["not-utf8", "huge-d"])
+    def test_undecodable_family_file_is_usage_error(self, capsys, tmp_path, defect):
+        doc = mub_family_doc(2)
+        doc["d"] = "D"
+        text = json.dumps(doc).replace('"D"', "1e400").encode()
+        fam_file = tmp_path / "fam.json"
+        fam_file.write_bytes(b"\xff" + text if defect == "not-utf8" else text)
+        code, out, err = run_cli(
+            ["verify", "--relation", "main", "--d", "2", "--samples", "2",
+             "--family", f"file:{fam_file}"],
+            capsys,
+        )
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: malformed family document")
+
 
 class TestSweep:
     def test_known_rows(self, capsys):
@@ -262,6 +279,18 @@ class TestWitnessCommand:
         f.write_text("{nope")
         code, _, err = run_cli(["witness", "--input", str(f)], capsys)
         assert code == 2
+
+    @pytest.mark.parametrize("defect", ["not-utf8", "huge-d_a"])
+    def test_undecodable_statistics_file_is_schema_error(self, capsys, tmp_path, defect):
+        f = tmp_path / "w.json"
+        write_ideal_witness_file(f)
+        text = f.read_bytes()
+        huge = text.replace(b'"d_a": 2', b'"d_a": 1e400')
+        f.write_bytes(b"\xff" + text if defect == "not-utf8" else huge)
+        code, out, err = run_cli(["witness", "--input", str(f)], capsys)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: malformed joint-distribution document")
 
     def test_nan_table_is_schema_error(self, capsys, tmp_path):
         # Python's json reads NaN; the NaN column must not be skipped into a verdict
@@ -374,10 +403,12 @@ class TestGameCommand:
             ["--state", "random", "--rank", "0"],
             ["--state", "random", "--db", "0"],
             ["--state", "maximally-mixed", "--db", "0"],
+            ["--state", "maximally-mixed", "--d", "3", "--db", "-1"],
+            ["--state", "separable", "--db", "-1"],
         ],
     )
     def test_zero_rank_or_dimension_is_usage_error(self, capsys, args):
-        code, _, err = run_cli(["game", *args, "--d", "2", "--trials", "10"], capsys)
+        code, _, err = run_cli(["game", "--d", "2", *args, "--trials", "10"], capsys)
         assert code == 2
         assert err.startswith("error:")
 
@@ -389,6 +420,23 @@ class TestGameCommand:
         )
         assert code == 2
 
+
+    @pytest.mark.parametrize("defect", ["not-utf8", "infinite-dims"])
+    def test_undecodable_state_file_is_usage_error(self, capsys, tmp_path, defect):
+        rho = max_entangled_state(2)
+        text = json.dumps({
+            "dims": ["D", 2],
+            "re": rho.matrix.real.tolist(),
+            "im": rho.matrix.imag.tolist(),
+        }).replace('"D"', "Infinity" if defect == "infinite-dims" else "2").encode()
+        f = tmp_path / "state.json"
+        f.write_bytes(b"\xff" + text if defect == "not-utf8" else text)
+        code, out, err = run_cli(
+            ["game", "--state", f"file:{f}", "--d", "2", "--trials", "10"], capsys
+        )
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: malformed density-matrix document")
 
     def test_non_integer_dims_is_usage_error(self, capsys, tmp_path):
         rho = max_entangled_state(2)
@@ -449,28 +497,28 @@ class TestDeterminismAndConfig:
             (
                 ["verify", "--relation", "main", "--d", "3"],
                 '{"command": "verify", "d": 3, "d_b": 3, "d_e": 3, "family": "mub", "fmt": "json", '
-                '"grid": 101, "input_path": null, "n": null, "nu": 0.0, "output_path": null, '
+                '"grid": 101, "input_path": null, "nu": 0.0, "output_path": null, '
                 '"rank": null, "relation": "main", "samples": 50, "seed": 0, "state": null, '
                 '"tolerance": null, "trials": 100000}',
             ),
             (
                 ["sweep", "--d", "5"],
                 '{"command": "sweep", "d": 5, "d_b": 5, "d_e": 5, "family": "mub", "fmt": "csv", '
-                '"grid": 101, "input_path": null, "n": null, "nu": 0.0, "output_path": null, '
+                '"grid": 101, "input_path": null, "nu": 0.0, "output_path": null, '
                 '"rank": null, "relation": null, "samples": 50, "seed": 0, "state": null, '
                 '"tolerance": null, "trials": 100000}',
             ),
             (
                 ["witness", "--input", "w.json", "--tolerance", "0.1", "--output", "r.json"],
                 '{"command": "witness", "d": null, "d_b": null, "d_e": null, "family": "mub", '
-                '"fmt": "json", "grid": 101, "input_path": "w.json", "n": null, "nu": 0.0, '
+                '"fmt": "json", "grid": 101, "input_path": "w.json", "nu": 0.0, '
                 '"output_path": "r.json", "rank": null, "relation": null, "samples": 50, '
                 '"seed": 0, "state": null, "tolerance": 0.1, "trials": 100000}',
             ),
             (
                 ["game", "--d", "3", "--db", "0", "--rank", "2", "--trials", "5"],
                 '{"command": "game", "d": 3, "d_b": 0, "d_e": 3, "family": "mub", "fmt": "json", '
-                '"grid": 101, "input_path": null, "n": null, "nu": 0.0, "output_path": null, '
+                '"grid": 101, "input_path": null, "nu": 0.0, "output_path": null, '
                 '"rank": 2, "relation": null, "samples": 50, "seed": 0, "state": "random", '
                 '"tolerance": null, "trials": 5}',
             ),

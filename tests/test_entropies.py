@@ -40,7 +40,6 @@ from entguess import (
     random_pure,
     random_separable,
     sic_povm,
-    tensor,
 )
 from entguess import entropies
 from entguess.designs import MUB_COMPLETE
@@ -59,7 +58,7 @@ class TestH2nu:
         g = gen.normal(size=(3, 3)) + 1j * gen.normal(size=(3, 3))
         sigma = g @ g.conj().T
         sigma /= np.trace(sigma).real
-        rho = DensityMatrix(tensor(np.eye(4) / 4, sigma), (4, 3))
+        rho = DensityMatrix(np.kron(np.eye(4) / 4, sigma), (4, 3))
         assert abs(h2nu(rho, nu) - 2.0) < 1e-10
 
     def test_pure_state_schmidt_form(self):
@@ -142,7 +141,7 @@ class TestMeasureInBasis:
         rho_a /= np.trace(rho_a).real
         rho_b = gb @ gb.conj().T
         rho_b /= np.trace(rho_b).real
-        rho = DensityMatrix(tensor(rho_a, rho_b), (2, 3))
+        rho = DensityMatrix(np.kron(rho_a, rho_b), (2, 3))
         conds = measure_in_basis(rho, np.eye(2, dtype=complex))
         for k, c in enumerate(conds):
             assert np.abs(c - rho_a[k, k].real * rho_b).max() < 1e-12

@@ -13,8 +13,6 @@ from entguess import (
     func_on_support,
     max_entangled,
     partial_trace,
-    support_projector,
-    tensor,
 )
 
 
@@ -47,8 +45,10 @@ def ptrace_oracle(m, da, db, keep):
 
 
 class TestTensor:
+    """np.kron is the package's tensor product: its order is A-major."""
+
     def test_identity(self):
-        assert np.array_equal(tensor(np.eye(2), np.eye(3)), np.eye(6))
+        assert np.array_equal(np.kron(np.eye(2), np.eye(3)), np.eye(6))
 
     def test_basis_projectors(self):
         e0 = np.zeros((2, 2))
@@ -57,13 +57,13 @@ class TestTensor:
         e1[1, 1] = 1.0
         expected = np.zeros((4, 4))
         expected[1, 1] = 1.0  # |0>|1> sits at flat index 1
-        assert np.array_equal(tensor(e0, e1), expected)
+        assert np.array_equal(np.kron(e0, e1), expected)
 
     def test_matches_kron_oracle_and_trace_product(self):
         gen = np.random.default_rng(11)
         a = hermitian(gen, 2)
         b = hermitian(gen, 2)
-        t = tensor(a, b)
+        t = np.kron(a, b)
         assert np.abs(t - kron_oracle(a, b)).max() < 1e-12
         assert abs(np.trace(t) - np.trace(a) * np.trace(b)) < 1e-12
 
@@ -71,7 +71,7 @@ class TestTensor:
         gen = np.random.default_rng(12)
         a, b, c = (gen.normal(size=(2, 2)) + 1j * gen.normal(size=(2, 2)) for _ in range(3))
         # equal entrywise up to the rounding of reassociated float products
-        assert np.abs(tensor(tensor(a, b), c) - tensor(a, tensor(b, c))).max() < 1e-15
+        assert np.abs(np.kron(np.kron(a, b), c) - np.kron(a, np.kron(b, c))).max() < 1e-15
 
 
 class TestPartialTrace:
@@ -87,7 +87,7 @@ class TestPartialTrace:
         a /= np.trace(a)
         b = psd(gen, 3)
         b /= np.trace(b)
-        assert np.abs(partial_trace(tensor(a, b), 2, 3, "B") - b).max() < 1e-12
+        assert np.abs(partial_trace(np.kron(a, b), 2, 3, "B") - b).max() < 1e-12
 
     @pytest.mark.parametrize("keep", ["A", "B"])
     def test_random_against_index_sum_oracle(self, keep):
@@ -115,27 +115,24 @@ class TestPartialTrace:
 
 class TestFuncOnSupport:
     def test_identity_inverse_sqrt(self):
-        assert np.abs(func_on_support(np.eye(4), [-0.5])[0] - np.eye(4)).max() < 1e-12
+        (out,), _ = func_on_support(np.eye(4), [-0.5])
+        assert np.abs(out - np.eye(4)).max() < 1e-12
 
     def test_pseudoinverse_on_support(self):
-        out = func_on_support(np.diag([4.0, 0.0]), [-0.5])[0]
+        (out,), _ = func_on_support(np.diag([4.0, 0.0]), [-0.5])
         assert np.abs(out - np.diag([0.5, 0.0])).max() < 1e-12
 
     def test_sqrt_squares_back(self):
         gen = np.random.default_rng(17)
         m = psd(gen, 4, rank=2)
-        root = func_on_support(m, [0.5])[0]
+        (root,), _ = func_on_support(m, [0.5])
         assert np.linalg.norm(root @ root - m) < 1e-10
 
     def test_exponent_one_is_support_restriction(self):
         gen = np.random.default_rng(18)
         m = psd(gen, 4, rank=3)
-        assert np.abs(func_on_support(m, [1.0])[0] - m).max() < 1e-11
-
-    def test_exponent_zero_is_support_projector(self):
-        gen = np.random.default_rng(19)
-        m = psd(gen, 4, rank=2)
-        assert np.abs(func_on_support(m, [0.0])[0] - support_projector(m)[0]).max() < 1e-11
+        (out,), _ = func_on_support(m, [1.0])
+        assert np.abs(out - m).max() < 1e-11
 
     def test_rejects_negative_matrix(self):
         with pytest.raises(NotPositiveError):
@@ -147,21 +144,30 @@ class TestFuncOnSupport:
 
 
 class TestSupportProjector:
+    """The support projector is func_on_support's exponent-0 power."""
+
     def test_full_rank(self):
         gen = np.random.default_rng(20)
         m = psd(gen, 3)
-        assert np.abs(support_projector(m)[0] - np.eye(3)).max() < 1e-11
+        (proj,), _ = func_on_support(m, (0.0,))
+        assert np.abs(proj - np.eye(3)).max() < 1e-11
 
     def test_rank_two_diag(self):
-        out, _ = support_projector(np.diag([0.7, 0.3, 0.0]))
+        (out,), _ = func_on_support(np.diag([0.7, 0.3, 0.0]), (0.0,))
         assert np.abs(out - np.diag([1.0, 1.0, 0.0])).max() < 1e-12
 
     def test_projects_onto_support(self):
         gen = np.random.default_rng(21)
         m = psd(gen, 5, rank=3)
-        proj, _ = support_projector(m)
+        (proj,), _ = func_on_support(m, (0.0,))
         assert np.abs(proj @ proj - proj).max() < 1e-12
         assert np.abs(proj @ m @ proj - m).max() < 1e-11
+
+    @staticmethod
+    def _near_cutoff_matrix(small):
+        # the cutoff is RANK_TOL * 1 here; the window is a factor 10 either side
+        u = np.linalg.qr(hermitian(np.random.default_rng(22), 3))[0]
+        return (u * [1.0, small, 0.0]) @ u.conj().T
 
     @pytest.mark.parametrize(
         "small, near",
@@ -169,13 +175,20 @@ class TestSupportProjector:
          (9e-10, True), (2e-9, False), (0.3, False)],
     )
     def test_flags_eigenvalues_near_cutoff(self, small, near):
-        # the cutoff is RANK_TOL * 1 here; the window is a factor 10 either side
-        u = np.linalg.qr(hermitian(np.random.default_rng(22), 3))[0]
-        m = (u * [1.0, small, 0.0]) @ u.conj().T
-        proj, flagged = support_projector(m)
+        (proj,), flagged = func_on_support(self._near_cutoff_matrix(small), (0.0,))
         assert flagged is near
         kept = 2 if small > RANK_TOL else 1
         assert abs(np.trace(proj).real - kept) < 1e-9
+
+    def test_flag_does_not_depend_on_exponent(self):
+        flags = []
+        for small in (0.0, 5e-11, 0.3):
+            m = self._near_cutoff_matrix(small)
+            _, at_zero = func_on_support(m, (0.0,))
+            _, at_negative = func_on_support(m, (-0.5, -0.25))
+            assert at_negative is at_zero
+            flags.append(at_zero)
+        assert flags == [False, True, False]
 
 
 class TestRankCutoff:
@@ -208,7 +221,7 @@ class TestSwapOperator:
         gen = np.random.default_rng(22)
         m = hermitian(gen, 3)
         n = hermitian(gen, 3)
-        lhs = np.trace(tensor(m, n) @ swap_operator(3))
+        lhs = np.trace(np.kron(m, n) @ swap_operator(3))
         assert abs(lhs - np.trace(m @ n)) < 1e-12
 
     def test_swap_trick_property(self):
@@ -217,7 +230,7 @@ class TestSwapOperator:
             d = int(gen.integers(2, 6))
             m = hermitian(gen, d)
             n = hermitian(gen, d)
-            lhs = np.trace(tensor(m, n) @ swap_operator(d))
+            lhs = np.trace(np.kron(m, n) @ swap_operator(d))
             assert abs(lhs - np.trace(m @ n)) < 1e-11
 
 
