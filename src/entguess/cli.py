@@ -12,14 +12,16 @@ import argparse
 import csv
 import io
 import json
+import math
 import sys
 from dataclasses import asdict, dataclass
+from json.encoder import encode_basestring_ascii as _quote
 
 import numpy as np
 
 from . import designs, game, relations
 from .entropies import JointDistribution
-from .errors import EntguessError, FormatError
+from .errors import EntguessError, FormatError, exact_int
 from .linops import max_entangled
 from .states import DensityMatrix, SeedSpec, mixed_rank_states, random_density, random_pure, random_separable
 
@@ -58,19 +60,17 @@ class RunConfig:
         return cls(**json.loads(text))
 
 
-def round12(x):
-    """Round floats (recursively through containers) to 12 significant digits."""
-    if isinstance(x, bool):
-        return x
-    if isinstance(x, (int, np.integer)):
-        return int(x)
-    if isinstance(x, (float, np.floating)):
-        return float(f"{float(x):.12g}")
-    if isinstance(x, dict):
-        return {k: round12(v) for k, v in x.items()}
-    if isinstance(x, (list, tuple)):
-        return [round12(v) for v in x]
-    return x
+# `verify` evaluates its states in chunks sized so that a stack of the
+# chunk's largest matrices (16 bytes per complex entry) holds about this many
+# bytes: the stacked temporaries stay bounded whatever --samples is, and a
+# matrix of this size or more is evaluated one state at a time.
+_CHUNK_BYTES = 1 << 17
+
+
+def _chunks(count: int, n: int):
+    """(start, stop) ranges covering `count` states whose largest matrix is n x n."""
+    step = max(1, _CHUNK_BYTES // (16 * n * n))
+    return [(start, min(start + step, count)) for start in range(0, count, step)]
 
 
 def _fmt(x: float) -> str:
@@ -85,10 +85,40 @@ def _emit(text: str, path):
         sys.stdout.write(text)
 
 
+def _json_value(x, pad: str) -> str:
+    """x as JSON with sorted keys, two-space indent from `pad`, and floats
+    rounded to 12 significant digits; ValueError for a NaN or infinity.
+
+    It writes what ``json.dumps(x, sort_keys=True, indent=2,
+    allow_nan=False)`` writes for x with its floats rounded, in one walk.
+    """
+    if isinstance(x, (float, np.floating)):
+        rounded = float(f"{float(x):.12g}")
+        if not math.isfinite(rounded):
+            raise ValueError(f"Out of range float values are not JSON compliant: {rounded!r}")
+        return repr(rounded)
+    if isinstance(x, str):
+        return _quote(x)
+    inner = pad + "  "
+    if isinstance(x, dict):
+        items = [f"{inner}{_quote(k)}: {_json_value(v, inner)}" for k, v in sorted(x.items())]
+        return "{\n" + ",\n".join(items) + "\n" + pad + "}" if items else "{}"
+    if isinstance(x, (list, tuple)):
+        items = [inner + _json_value(v, inner) for v in x]
+        return "[\n" + ",\n".join(items) + "\n" + pad + "]" if items else "[]"
+    if isinstance(x, bool):
+        return "true" if x else "false"
+    if isinstance(x, (int, np.integer)):
+        return str(int(x))
+    if x is None:
+        return "null"
+    raise TypeError(f"Object of type {type(x).__name__} is not JSON serializable")
+
+
 def _json_text(doc) -> str:
     """Output document as JSON; a NaN or infinity is an error, never bare text."""
     try:
-        return json.dumps(round12(doc), sort_keys=True, indent=2, allow_nan=False) + "\n"
+        return _json_value(doc, "") + "\n"
     except ValueError as exc:
         raise EntguessError(f"output holds a non-finite value: {exc}") from exc
 
@@ -139,26 +169,22 @@ def _family_for(name: str, d: int) -> designs.MeasurementFamily:
 def cmd_verify(cfg: RunConfig) -> int:
     if cfg.samples < 1:
         raise EntguessError(f"samples must be >= 1, got {cfg.samples}")
+    reports = []
     if cfg.relation == "main":
         family = _family_for(cfg.family, cfg.d)
         tol = cfg.tolerance if cfg.tolerance is not None else relations.EQUALITY_TOL
-        reports = [
-            relations.equality_report(rho, family, cfg.nu, tol)
-            for rho in mixed_rank_states(cfg.d, cfg.d_b, cfg.samples, cfg.seed)
-        ]
+        for start, stop in _chunks(cfg.samples, cfg.d * cfg.d_b):
+            rho = mixed_rank_states(cfg.d, cfg.d_b, stop - start, cfg.seed, start)
+            reports += relations.equality_report(rho, family, cfg.nu, tol)
     elif cfg.relation == "monogamy":
         mubs = designs.mub_family(cfg.d)
         tol = cfg.tolerance if cfg.tolerance is not None else relations.MONOGAMY_TOL
         dims = (cfg.d, cfg.d_b, cfg.d_e)
-        reports = [
-            relations.monogamy_report(
-                random_pure(int(np.prod(dims)), SeedSpec(cfg.seed, stream=i)),
-                dims,
-                mubs,
-                tol,
-            )
-            for i in range(cfg.samples)
-        ]
+        n = cfg.d * cfg.d_b * cfg.d_e
+        for start, stop in _chunks(cfg.samples, cfg.d * max(cfg.d_b, cfg.d_e)):
+            streams = range(start, stop)
+            psi = np.array([random_pure(n, SeedSpec(cfg.seed, stream=i)) for i in streams])
+            reports += relations.monogamy_report(psi, dims, mubs, tol)
     else:
         raise EntguessError(f"unknown relation {cfg.relation!r}")
     text = _reports_json(reports) if cfg.fmt == "json" else _reports_csv(reports)
@@ -221,7 +247,7 @@ def _load_state(cfg: RunConfig) -> DensityMatrix:
         doc = _load_json(cfg.state[5:], "density-matrix")
         try:
             m = np.array(doc["re"], dtype=float) + 1j * np.array(doc["im"], dtype=float)
-            rho = DensityMatrix(m, tuple(doc["dims"]))
+            rho = DensityMatrix(m, tuple(exact_int(x) for x in doc["dims"]))
         except (KeyError, TypeError, ValueError, OverflowError) as exc:
             raise FormatError(f"malformed density-matrix document: {exc}") from exc
         if rho.d_a != d:

@@ -26,6 +26,7 @@ from .errors import (
     ParameterError,
     UnsupportedDimensionError,
     UnsupportedFamilyError,
+    exact_int,
 )
 from .tolerances import BASIS_SCALE_TOL, COMPLETENESS_TOL, NORM_TOL
 
@@ -167,7 +168,7 @@ class MeasurementFamily:
             ])
             if vectors.ndim != 3:
                 raise ValueError("settings must be non-empty lists of equal length")
-            d = int(doc["d"])
+            d = exact_int(doc["d"])
             kind = doc["kind"]
             constant = doc.get("equality_constant")
         except (KeyError, TypeError, ValueError, OverflowError) as exc:

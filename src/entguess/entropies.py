@@ -25,7 +25,11 @@ Pi^k = rho_B^(-1/2) rho_B^k rho_B^(-1/2); there is no separate PGM routine.
 
 Every input state is a `DensityMatrix`, whose positivity was certified at
 construction by a Cholesky factorisation of rho + EIG_TOL 1, not by its
-spectrum (see `states`).
+spectrum (see `states`).  A `DensityMatrix` holding a stack of k states is
+evaluated as a batch: `measure_family`, `h2nu`, `h2nu_outcomes` and
+`d0_relative` keep the stack's leading axis in what they return, and
+decompose every rho_B of the stack in one stacked ``eigh``.  A single state
+is the stack with no leading axis, through the same code.
 
 Quantities that need semidefinite optimization are deliberately absent and
 only bound the ones computed here: the optimal guessing probability
@@ -39,7 +43,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .designs import MeasurementFamily
-from .errors import DimensionError, FormatError, InfiniteDivergence, ParameterError
+from .errors import DimensionError, FormatError, InfiniteDivergence, ParameterError, exact_int
 from .linops import func_on_support
 from .states import DensityMatrix
 from .tolerances import RANK_TOL, TABLE_NEG_TOL, TABLE_SUM_TOL
@@ -50,28 +54,32 @@ def _require_nu(nu: float) -> None:
         raise ParameterError(f"nu must lie in [0, 1], got {nu}")
 
 
-def h2nu(rho: DensityMatrix, nu: float) -> float:
-    """Conditional collision entropy H_{2,nu}(A|B) of a bipartite state."""
+def h2nu(rho: DensityMatrix, nu: float):
+    """Conditional collision entropy H_{2,nu}(A|B) of a bipartite state, or of each in a stack."""
     _require_nu(nu)
     d_a, d_b = rho.d_a, rho.d_b
     (left, right), _ = func_on_support(rho.marginal("B"), (-(1.0 - nu) / 4.0, -(1.0 + nu) / 4.0))
+    lead = rho.matrix.shape[:-2]
     n = d_a * d_b
     # left acts on the row index b of rho[(a, b), (c, d)], right on the column index d
-    rho_nu = (left @ rho.matrix.reshape(d_a, d_b, n)).reshape(n, d_a, d_b) @ right
-    return -np.log2(float(np.real(np.vdot(rho_nu, rho_nu))))
+    rho_nu = left[..., None, :, :] @ rho.matrix.reshape(*lead, d_a, d_b, n)
+    rho_nu = (rho_nu.reshape(*lead, n * d_a, d_b) @ right).reshape(*lead, -1)
+    return -np.log2(np.real(np.vecdot(rho_nu, rho_nu)))
 
 
 def _measure(rho: DensityMatrix, vectors: np.ndarray, scales: np.ndarray) -> np.ndarray:
     d_a, d_b = rho.d_a, rho.d_b
+    lead = rho.matrix.shape[:-2]
     n_settings, _, n_outcomes = vectors.shape
     # rows (a, c), columns (b, d): rho[(a, b), (c, d)]
-    m = rho.matrix.reshape(d_a, d_b, d_a, d_b).transpose(0, 2, 1, 3).reshape(d_a * d_a, -1)
-    out = np.empty((n_settings, n_outcomes, d_b * d_b), dtype=complex)
+    m = rho.matrix.reshape(*lead, d_a, d_b, d_a, d_b).swapaxes(-3, -2)
+    m = m.reshape(*lead, d_a * d_a, d_b * d_b)
+    out = np.empty((*lead, n_settings, n_outcomes, d_b * d_b), dtype=complex)
     for t in range(n_settings):
         # per effect, scale_k conj(v_k[a]) v_k[c] flattened over (a, c); one
         # setting at a time keeps the temporaries at the size of rho
         effects = vectors[t].conj().T[:, :, None] * (vectors[t] * scales[t]).T[:, None, :]
-        np.matmul(effects.reshape(n_outcomes, -1), m, out=out[t])
+        np.matmul(effects.reshape(n_outcomes, -1), m, out=out[..., t, :, :])
     return out
 
 
@@ -86,16 +94,17 @@ def _measure_gauss_sum(rho: DensityMatrix, dft, chirp, rows, cols) -> np.ndarray
     is rho_B for every a.  The computational basis reads the blocks r[k, k].
     """
     d, d_b = rho.d_a, rho.d_b
-    r = rho.matrix.reshape(d, d_b, d, d_b).transpose(0, 2, 1, 3)
-    g = r[rows, cols].reshape(d, d, d_b * d_b)
-    out = np.empty((d + 1, d, d_b * d_b), dtype=complex)
-    out[0] = g[:, 0]
-    g[0, 0] = g[:, 0].sum(axis=0)
-    g[1:, 0] = 0.0
-    t = (dft @ g.reshape(d, -1)).reshape(d, d, -1)
+    lead = rho.matrix.shape[:-2]
+    r = rho.matrix.reshape(*lead, d, d_b, d, d_b).swapaxes(-3, -2)
+    g = r[..., rows, cols, :, :].reshape(*lead, d, d, d_b * d_b)
+    out = np.empty((*lead, d + 1, d, d_b * d_b), dtype=complex)
+    out[..., 0, :, :] = g[..., 0, :]
+    g[..., 0, 0, :] = g[..., 0, :].sum(axis=-2)
+    g[..., 1:, 0, :] = 0.0
+    t = (dft @ g.reshape(*lead, d, -1)).reshape(*lead, d, d, -1)
     t *= chirp[:, :, None]
-    np.matmul(dft, t, out=out[1:])
-    out[1:] /= d
+    np.matmul(dft, t, out=out[..., 1:, :, :])
+    out[..., 1:, :, :] /= d
     return out
 
 
@@ -103,8 +112,9 @@ def measure_family(rho: DensityMatrix, family: MeasurementFamily) -> np.ndarray:
     """Conditional operators rho_B^k = scale_k <v_k| rho |v_k>_A of every effect.
 
     Returns an array of shape (n_settings * n_outcomes, d_B, d_B), setting
-    major.  The rows of each setting sum to rho_B, and their traces are the
-    setting's outcome probabilities.  The bases `mub_family` builds for odd
+    major, after the leading axis of a stack of states.  The rows of each
+    setting sum to rho_B, and their traces are the setting's outcome
+    probabilities.  The bases `mub_family` builds for odd
     prime d are measured by the DFT route, every other family by one GEMM
     per setting.
     """
@@ -115,18 +125,24 @@ def measure_family(rho: DensityMatrix, family: MeasurementFamily) -> np.ndarray:
         out = _measure(rho, family.vectors, family.scales)
     else:
         out = _measure_gauss_sum(rho, *tables)
-    return out.reshape(-1, rho.d_b, rho.d_b)
+    return out.reshape(*rho.matrix.shape[:-2], -1, rho.d_b, rho.d_b)
 
 
 def _collision_terms(conds: np.ndarray, rho_b: np.ndarray, nu: float):
-    """Tr[c M1 c M2] for every conditional operator c.
+    """Tr[c M1 c M2] for every conditional operator c, per ensemble of a stack.
 
-    M1 = rho_B^(-(1-nu)/2) and M2 = rho_B^(-(1+nu)/2) come from one
-    decomposition of rho_B.
+    conds has shape (..., K, b, b) and rho_b (..., b, b).  M1 =
+    rho_B^(-(1-nu)/2) and M2 = rho_B^(-(1+nu)/2) come from one
+    decomposition of rho_B; each is applied to all K operators of its
+    ensemble by one (K b, b) x (b, b) GEMM.
     """
     _require_nu(nu)
     (m1, m2), _ = func_on_support(rho_b, (-(1.0 - nu) / 2.0, -(1.0 + nu) / 2.0))
-    return np.real(np.einsum("kij,kji->k", conds @ m1, conds @ m2))
+    *lead, k, b, _ = conds.shape
+    rows = conds.reshape(*lead, k * b, b)
+    x = (rows @ m1).reshape(conds.shape)
+    y = (rows @ m2).reshape(conds.shape)
+    return np.real(np.einsum("...kij,...kji->...k", x, y))
 
 
 def cq_collision(conds, nu: float) -> float:
@@ -147,7 +163,7 @@ def _measured_collisions(rho: DensityMatrix, family: MeasurementFamily, nu: floa
     partial trace the bipartite side uses; every complete setting sums to it.
     """
     conds = measure_family(rho, family)
-    return _collision_terms(conds, family.setting_weight * conds.sum(axis=0), nu)
+    return _collision_terms(conds, family.setting_weight * conds.sum(axis=-3), nu)
 
 
 def family_guess_prob(rho: DensityMatrix, family: MeasurementFamily):
@@ -158,15 +174,16 @@ def family_guess_prob(rho: DensityMatrix, family: MeasurementFamily):
     return per_setting, average
 
 
-def h2nu_outcomes(rho: DensityMatrix, family: MeasurementFamily, nu: float) -> float:
+def h2nu_outcomes(rho: DensityMatrix, family: MeasurementFamily, nu: float):
     """H_{2,nu} of the measurement outcome given side information and setting.
 
     This is the entropy of the classical-quantum post-measurement state in
     which the outcome register K is conditioned on both B and the setting
-    label: -log sum_theta w_theta sum_k Tr[rho_B^(theta,k) M1 rho_B^(theta,k) M2].
+    label: -log sum_theta w_theta sum_k Tr[rho_B^(theta,k) M1 rho_B^(theta,k) M2],
+    for a state or for each state of a stack.
     """
     terms = _measured_collisions(rho, family, nu)
-    return -np.log2(family.setting_weight * float(terms.sum()))
+    return -np.log2(family.setting_weight * terms.sum(axis=-1))
 
 
 def pg_recovery_fidelity(rho: DensityMatrix) -> float:
@@ -192,13 +209,16 @@ def d0_relative(rho: np.ndarray, sigma: np.ndarray):
 
     Pi_rho is the exponent-0 power of rho.  Returns (value, near_cutoff),
     where near_cutoff is func_on_support's flag for an eigenvalue of rho
-    within a factor 10 of the rank cutoff.  An overlap at or below RANK_TOL
-    counts as orthogonal supports and raises InfiniteDivergence.
+    within a factor 10 of the rank cutoff; for stacks of rho and sigma both
+    are per pair.  An overlap at or below RANK_TOL counts as orthogonal
+    supports and raises InfiniteDivergence, naming the first such pair.
     """
     (proj,), near_cutoff = func_on_support(rho, (0.0,))
-    overlap = float(np.real(np.trace(proj @ sigma)))
-    if overlap <= RANK_TOL:
-        raise InfiniteDivergence(f"supports nearly orthogonal: Tr = {overlap:.3e}")
+    overlap = np.real(np.trace(proj @ sigma, axis1=-2, axis2=-1))
+    orthogonal = (overlap <= RANK_TOL).ravel()
+    if orthogonal.any():
+        first = overlap.ravel()[orthogonal.argmax()]
+        raise InfiniteDivergence(f"supports nearly orthogonal: Tr = {first:.3e}")
     return -np.log2(overlap), near_cutoff
 
 
@@ -244,10 +264,10 @@ class JointDistribution:
     def from_json_dict(cls, doc: dict) -> "JointDistribution":
         try:
             settings = tuple(
-                (int(s["theta"]), np.array(s["table"], dtype=float))
+                (exact_int(s["theta"]), np.array(s["table"], dtype=float))
                 for s in doc["settings"]
             )
-            return cls(d_a=int(doc["d_a"]), d_b=int(doc["d_b"]), settings=settings)
+            return cls(d_a=exact_int(doc["d_a"]), d_b=exact_int(doc["d_b"]), settings=settings)
         except (KeyError, TypeError, ValueError, OverflowError) as exc:
             raise FormatError(f"malformed joint-distribution document: {exc}") from exc
 

@@ -1,4 +1,6 @@
-"""Exception types shared across the package."""
+"""Exception types, and the integer check of outside input, shared across the package."""
+
+import operator
 
 
 class EntguessError(Exception):
@@ -35,3 +37,13 @@ class FormatError(EntguessError):
 
 class InfiniteDivergence(EntguessError):
     """The Renyi-0 relative entropy diverges (supports are orthogonal)."""
+
+
+def exact_int(x) -> int:
+    """x as an int; TypeError for a bool or a non-integer type, such as 2.7 or 2.0."""
+    if not isinstance(x, bool):
+        try:
+            return operator.index(x)
+        except TypeError:
+            pass
+    raise TypeError(f"{x!r} is not an integer")

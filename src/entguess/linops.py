@@ -11,6 +11,11 @@ one relative rank cutoff, tolerances.RANK_TOL, so negative powers are taken
 on the support (pseudoinverse convention) and exponent 0 is the support
 projector.  It also holds the one near-cutoff rule: it flags an eigenvalue
 within a factor 10 of the cutoff, on either side.
+
+`partial_trace` and `func_on_support` take a stack of matrices with
+leading batch axes, (..., n, n), and act on each matrix as on a single
+one; a single matrix is the stack with no leading axes, through the same
+code.
 """
 
 import numpy as np
@@ -20,27 +25,27 @@ from .tolerances import FUNC_HERM_TOL, RANK_TOL
 
 
 def partial_trace(m: np.ndarray, dim_a: int, dim_b: int, keep: str) -> np.ndarray:
-    """Trace out one subsystem of a bipartite operator.
+    """Trace out one subsystem of a bipartite operator, or of each in a stack.
 
     Args:
-        m: (dim_a*dim_b)-square matrix.
+        m: (dim_a*dim_b)-square matrix, or a stack of them with leading axes.
         dim_a, dim_b: subsystem dimensions, A major.
         keep: "A" to trace out B, "B" to trace out A.
 
     Returns:
-        The reduced operator on the kept subsystem.
+        The reduced operator on the kept subsystem, with m's leading axes.
     """
     m = np.asarray(m)
     n = dim_a * dim_b
-    if m.shape != (n, n):
+    if m.ndim < 2 or m.shape[-2:] != (n, n):
         raise DimensionError(
-            f"matrix is {m.shape}, expected ({n}, {n}) for dims ({dim_a}, {dim_b})"
+            f"matrix is {m.shape}, expected (..., {n}, {n}) for dims ({dim_a}, {dim_b})"
         )
-    m4 = m.reshape(dim_a, dim_b, dim_a, dim_b)
+    m4 = m.reshape(*m.shape[:-2], dim_a, dim_b, dim_a, dim_b)
     if keep == "A":
-        return np.einsum("ibjb->ij", m4)
+        return np.einsum("...ibjb->...ij", m4)
     if keep == "B":
-        return np.einsum("iaib->ab", m4)
+        return np.einsum("...iaib->...ab", m4)
     raise ParameterError(f"keep must be 'A' or 'B', got {keep!r}")
 
 
@@ -48,33 +53,43 @@ def func_on_support(m: np.ndarray, exponents):
     """Apply ``lambda -> lambda**e`` on the support of a PSD matrix, per exponent.
 
     The package's only eigendecomposition.  One ``eigh`` serves every
-    exponent in ``exponents``.  Eigenvalues above the cutoff ``RANK_TOL *
-    max |eigenvalue|`` are raised to the power; the rest map to zero, so a
+    exponent in ``exponents`` and every matrix of a stack ``m`` of shape
+    (..., n, n).  Per matrix, eigenvalues above the cutoff ``RANK_TOL * max
+    |eigenvalue|`` are raised to the power; the rest map to zero, so a
     negative exponent gives the pseudoinverse-style power and exponent 0 the
     support projector.
 
     Returns (powers, near_cutoff): the powered matrices in the order of
-    ``exponents``, and True when some eigenvalue lies within a factor 10 of
-    the cutoff, on either side, where rounding noise can flip whether it
-    counts as support.  Raises NotPositiveError if m is not Hermitian or has
-    an eigenvalue below -cutoff.
+    ``exponents``, each with m's shape, and per matrix True when some
+    eigenvalue lies within a factor 10 of the cutoff, on either side, where
+    rounding noise can flip whether it counts as support (a bool for one
+    matrix, a bool array over the leading axes for a stack).  Raises
+    NotPositiveError if a matrix is not Hermitian or has an eigenvalue below
+    -cutoff; for a stack the message names the first such matrix.
     """
     m = np.asarray(m)
-    if np.abs(m - m.conj().T).max() > FUNC_HERM_TOL * max(np.abs(m).max(), 1.0):
+    m_dag = m.conj().swapaxes(-1, -2)
+    scale = np.maximum(np.abs(m).max(axis=(-2, -1)), 1.0)
+    if (np.abs(m - m_dag).max(axis=(-2, -1)) > FUNC_HERM_TOL * scale).any():
         raise NotPositiveError("matrix is not Hermitian")
-    w, u = np.linalg.eigh((m + m.conj().T) / 2)
-    cutoff = RANK_TOL * (np.abs(w).max() if w.size else 0.0)
-    if w.size and w[0] < -cutoff:
-        raise NotPositiveError(f"negative eigenvalue {w[0]:.3e} below -{cutoff:.3e}")
+    w, u = np.linalg.eigh((m + m_dag) / 2)
+    cutoff = RANK_TOL * np.abs(w).max(axis=-1, keepdims=True)
+    negative = (w[..., :1] < -cutoff).ravel()
+    if negative.any():
+        i = np.argmax(negative)
+        raise NotPositiveError(
+            f"negative eigenvalue {w[..., 0].ravel()[i]:.3e} below -{cutoff.ravel()[i]:.3e}"
+        )
     on = w > cutoff
-    near_cutoff = bool(((w > cutoff / 10) & (w < cutoff * 10)).any())
+    near_cutoff = ((w > cutoff / 10) & (w < cutoff * 10)).any(axis=-1)
+    u_dag = u.conj().swapaxes(-1, -2)
     powers = []
     for exponent in exponents:
         powered = np.zeros_like(w)
         powered[on] = w[on] ** exponent
-        f = (u * powered) @ u.conj().T
-        powers.append((f + f.conj().T) / 2)
-    return powers, near_cutoff
+        f = (u * powered[..., None, :]) @ u_dag
+        powers.append((f + f.conj().swapaxes(-1, -2)) / 2)
+    return powers, near_cutoff if near_cutoff.ndim else bool(near_cutoff)
 
 
 def max_entangled(d: int) -> np.ndarray:

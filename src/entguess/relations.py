@@ -101,6 +101,19 @@ class RelationReport:
         }
 
 
+def _equalities(lhs, rhs, tolerance, metadata):
+    """Equality report per state: one for a single state, a list for a stack.
+
+    lhs and rhs are scalars or arrays over the stack; metadata yields one
+    dict per state.
+    """
+    reports = [
+        RelationReport.equality(left, right, tolerance, meta)
+        for left, right, meta in zip(np.ravel(lhs), np.ravel(rhs), metadata)
+    ]
+    return reports if np.ndim(lhs) else reports[0]
+
+
 def _require_certified(family: MeasurementFamily):
     defect = design_defect(family)
     if defect >= CERTIFICATION_TOL:
@@ -123,16 +136,14 @@ def equality_report(
     Clifford-orbit families, d(d+1) for SICs).  The two sides go through
     independent code paths: the left measures the state and sums per-setting
     collision terms, the right evaluates the bipartite entropy directly.
+    A `DensityMatrix` holding a stack of k states is checked as one batch
+    and gives a list of k reports, in stack order.
     """
     _require_certified(family)
     lhs = h2nu_outcomes(rho, family, nu)
     rhs = np.log2(family.equality_constant) - np.log2(2.0 ** (-h2nu(rho, nu)) + 1.0)
-    return RelationReport.equality(
-        lhs,
-        rhs,
-        tolerance,
-        metadata={"kind": family.kind, "d": rho.d_a, "d_b": rho.d_b, "nu": nu},
-    )
+    meta = {"kind": family.kind, "d": rho.d_a, "d_b": rho.d_b, "nu": nu}
+    return _equalities(lhs, rhs, tolerance, (dict(meta) for _ in range(np.size(lhs))))
 
 
 def guessing_bounds(fpg: float, d: int, n: int):
@@ -279,11 +290,11 @@ def witness(
 def _amplitude_tensor(psi_abe: np.ndarray, dims) -> np.ndarray:
     d_a, d_b, d_e = dims
     psi = np.asarray(psi_abe, dtype=complex)
-    if psi.shape != (d_a * d_b * d_e,):
+    if psi.ndim not in (1, 2) or psi.shape[-1] != d_a * d_b * d_e:
         raise ParameterError(f"vector length {psi.shape} does not match dims {dims}")
-    if abs(np.linalg.norm(psi) - 1.0) > UNIT_NORM_TOL:
+    if np.abs(np.linalg.norm(psi, axis=-1) - 1.0).max() > UNIT_NORM_TOL:
         raise ParameterError("tripartite vector is not normalized")
-    return psi.reshape(d_a, d_b, d_e)
+    return psi.reshape(*psi.shape[:-1], d_a, d_b, d_e)
 
 
 def monogamy_report(
@@ -299,22 +310,22 @@ def monogamy_report(
     given Bob and the setting, over the complete MUB set.  The metadata
     flags rank-tolerance sensitivity when rho_AE has eigenvalues within a
     factor 10 of the support cutoff, where the support projector (and so
-    the lhs) can flip on noise.
+    the lhs) can flip on noise.  A stack of k vectors, shape (k, d_A d_B
+    d_E), is checked as one batch and gives a list of k reports, in order.
     """
     d_a, d_b, d_e = dims
     if mubs.kind != MUB_COMPLETE or mubs.d != d_a:
         raise ParameterError("need the complete MUB family on the A system")
     t = _amplitude_tensor(psi_abe, dims)
-    rho_ab = np.einsum("abe,cde->abcd", t, t.conj()).reshape(d_a * d_b, d_a * d_b)
-    rho_ae = np.einsum("abe,cbf->aecf", t, t.conj()).reshape(d_a * d_e, d_a * d_e)
-    rho_e = np.einsum("abe,abf->ef", t, t.conj())
+    lead = t.shape[:-3]
+    rho_ab = np.einsum("...abe,...cde->...abcd", t, t.conj()).reshape(*lead, d_a * d_b, -1)
+    rho_ae = np.einsum("...abe,...cbf->...aecf", t, t.conj()).reshape(*lead, d_a * d_e, -1)
+    rho_e = np.einsum("...abe,...abf->...ef", t, t.conj())
 
     lhs, sensitive = d0_relative(rho_ae, np.kron(np.eye(d_a) / d_a, rho_e))
     h2p = h2nu_outcomes(DensityMatrix(rho_ab, (d_a, d_b)), mubs, 1.0)
-    rhs = float(np.log2(d_a) - np.log2((d_a + 1) * 2.0 ** (-h2p) - 1.0))
-    return RelationReport.equality(
-        lhs,
-        rhs,
-        tolerance,
-        metadata={"dims": list(dims), "rank_tol_sensitive": sensitive},
+    rhs = np.log2(d_a) - np.log2((d_a + 1) * 2.0 ** (-h2p) - 1.0)
+    metadata = (
+        {"dims": list(dims), "rank_tol_sensitive": bool(flag)} for flag in np.ravel(sensitive)
     )
+    return _equalities(lhs, rhs, tolerance, metadata)

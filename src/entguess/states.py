@@ -6,11 +6,12 @@ uniforms.  The same (seed, stream) therefore reproduces the same state
 bit-for-bit on a given build, and distinct streams are independent.
 """
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DimensionError, ParameterError
+from .errors import DimensionError, ParameterError, exact_int
 from .linops import partial_trace
 from .tolerances import EIG_TOL, STATE_HERM_TOL, TRACE_TOL
 
@@ -27,27 +28,50 @@ class SeedSpec:
         return np.random.Generator(np.random.Philox(key=key))
 
 
-def _box_muller(gen: np.random.Generator, n: int) -> np.ndarray:
-    """n standard normals from Box-Muller pairs over Philox uniforms."""
-    m = (n + 1) // 2
+def _complex_gaussians(gens, shapes) -> list:
+    """One complex Gaussian array per (generator, shape), in order.
+
+    An array of n entries takes 2n standard normals, the real parts and then
+    the imaginary parts, from n Box-Muller pairs: its generator draws the n
+    radius uniforms and then the n angle uniforms.  The transform runs once
+    over the draws of every generator.
+    """
+    sizes = [math.prod(shape) for shape in shapes]
+    draws = [gen.random(2 * n) for gen, n in zip(gens, sizes)]
     # 1 - u keeps the log argument in (0, 1].
-    r = np.sqrt(-2.0 * np.log(1.0 - gen.random(m)))
-    phi = 2.0 * np.pi * gen.random(m)
-    out = np.empty(2 * m)
-    out[0::2] = r * np.cos(phi)
-    out[1::2] = r * np.sin(phi)
-    return out[:n]
+    r = np.sqrt(-2.0 * np.log(1.0 - np.concatenate([u[:n] for u, n in zip(draws, sizes)])))
+    phi = 2.0 * np.pi * np.concatenate([u[n:] for u, n in zip(draws, sizes)])
+    z = np.empty(2 * len(r))
+    z[0::2] = r * np.cos(phi)
+    z[1::2] = r * np.sin(phi)
+    out = []
+    for shape, n, end in zip(shapes, sizes, np.cumsum(sizes).tolist()):
+        pairs = z[2 * (end - n) : 2 * end]
+        out.append((pairs[:n] + 1j * pairs[n:]).reshape(shape))
+    return out
 
 
 def _complex_gaussian(gen: np.random.Generator, shape: tuple) -> np.ndarray:
-    n = int(np.prod(shape))
-    z = _box_muller(gen, 2 * n)
-    return (z[:n] + 1j * z[n:]).reshape(shape)
+    return _complex_gaussians([gen], [shape])[0]
+
+
+def _has_cholesky(m: np.ndarray) -> bool:
+    try:
+        np.linalg.cholesky(m)
+    except np.linalg.LinAlgError:
+        return False
+    return True
 
 
 @dataclass(frozen=True)
 class DensityMatrix:
-    """Trace-one PSD matrix with declared subsystem dimensions (A major)."""
+    """Trace-one PSD matrix with declared subsystem dimensions (A major).
+
+    ``matrix`` may also hold a stack of k such matrices, shape (k, n, n),
+    all with the same ``dims``; every check runs on the whole stack, and a
+    rejection names the first matrix that fails it, in the words used for a
+    single one.  ``rho[i]`` is state i of a stack.
+    """
 
     matrix: np.ndarray
     dims: tuple = field(default=())
@@ -55,30 +79,39 @@ class DensityMatrix:
     def __post_init__(self):
         m = np.asarray(self.matrix, dtype=complex)
         object.__setattr__(self, "matrix", m)
-        dims = tuple(int(d) for d in self.dims) or (m.shape[0],)
+        try:
+            dims = tuple(exact_int(d) for d in self.dims) or (m.shape[-1],)
+        except TypeError as exc:
+            raise DimensionError(f"subsystem dimensions must be integers: {exc}") from None
         object.__setattr__(self, "dims", dims)
         if min(dims) < 1:
             raise DimensionError(f"subsystem dimensions must be >= 1, got {dims}")
         n = int(np.prod(dims))
-        if m.ndim != 2 or m.shape != (n, n):
+        if m.ndim not in (2, 3) or m.shape[-2:] != (n, n):
             raise DimensionError(f"matrix shape {m.shape} does not match dims {dims}")
+        stack = m.reshape(-1, n, n)
+        stack_dag = stack.conj().swapaxes(1, 2)
         # m - m^dag is NaN or infinite wherever m is, so a non-finite entry
         # fails the first check before it can reach the factorisation
         with np.errstate(invalid="ignore"):
-            herm_gap = np.abs(m - m.conj().T).max()
-        if not herm_gap <= STATE_HERM_TOL:
-            raise ParameterError(f"matrix deviates from Hermitian by {herm_gap:.3e}")
-        trace = np.trace(m)
-        if not (abs(trace.real - 1.0) <= TRACE_TOL and abs(trace.imag) <= TRACE_TOL):
-            raise ParameterError(f"trace {trace} differs from 1")
+            herm_gap = np.abs(stack - stack_dag).max(axis=(1, 2))
+        bad = ~(herm_gap <= STATE_HERM_TOL)
+        if bad.any():
+            raise ParameterError(f"matrix deviates from Hermitian by {herm_gap[bad.argmax()]:.3e}")
+        trace = np.trace(stack, axis1=1, axis2=2)
+        bad = ~((abs(trace.real - 1.0) <= TRACE_TOL) & (abs(trace.imag) <= TRACE_TOL))
+        if bad.any():
+            raise ParameterError(f"trace {trace[bad.argmax()]} differs from 1")
         # h + EIG_TOL 1 has a Cholesky factor iff h has no eigenvalue below
         # -EIG_TOL, up to rounding of about n eps |h|, far inside EIG_TOL
-        h = (m + m.conj().T) / 2
-        try:
-            np.linalg.cholesky(h + EIG_TOL * np.eye(n))
-        except np.linalg.LinAlgError:
-            w = np.linalg.eigvalsh(h)
-            raise ParameterError(f"negative eigenvalue {w[0]:.3e}") from None
+        h = (stack + stack_dag) / 2
+        shifted = h + EIG_TOL * np.eye(n)
+        if not _has_cholesky(shifted):
+            first = next(one for one, s in zip(h, shifted) if not _has_cholesky(s))
+            raise ParameterError(f"negative eigenvalue {np.linalg.eigvalsh(first)[0]:.3e}")
+
+    def __getitem__(self, i) -> "DensityMatrix":
+        return DensityMatrix(self.matrix[i], self.dims)
 
     @classmethod
     def from_pure(cls, psi: np.ndarray, dims) -> "DensityMatrix":
@@ -113,13 +146,18 @@ def random_pure(d: int, seed: SeedSpec) -> np.ndarray:
     return v / np.linalg.norm(v)
 
 
+def _ginibre(g: np.ndarray) -> np.ndarray:
+    """The Ginibre-induced state G G^dag / Tr of a Gaussian matrix G."""
+    m = g @ g.conj().T
+    return m / np.trace(m).real
+
+
 def random_density(d: int, rank: int, seed: SeedSpec, dims=None) -> DensityMatrix:
     """Ginibre-induced mixed state G G^dag / Tr with G a d x rank Gaussian."""
     if not 1 <= rank <= d:
         raise ParameterError(f"rank {rank} out of range [1, {d}]")
     g = _complex_gaussian(seed.generator(), (d, rank))
-    m = g @ g.conj().T
-    return DensityMatrix(m / np.trace(m).real, tuple(dims) if dims else (d,))
+    return DensityMatrix(_ginibre(g), tuple(dims) if dims else (d,))
 
 
 def random_separable(d_a: int, d_b: int, terms: int, seed: SeedSpec) -> DensityMatrix:
@@ -143,15 +181,20 @@ def random_separable(d_a: int, d_b: int, terms: int, seed: SeedSpec) -> DensityM
     return DensityMatrix(out, (d_a, d_b))
 
 
-def mixed_rank_states(d_a: int, d_b: int, count: int, seed: int):
-    """Yield `count` seeded random bipartite states with ranks cycling 1..d_a*d_b.
+def mixed_rank_states(d_a: int, d_b: int, count: int, seed: int, start: int = 0) -> DensityMatrix:
+    """`count` seeded random bipartite states as one stack, ranks cycling 1..d_a*d_b.
 
-    The i-th state is drawn from stream i of `seed`, so any prefix of the
-    sequence is reproducible independently of the rest.
+    State i of the stack is state start + i of the sequence: it is drawn from
+    stream start + i of `seed` with rank (start + i) % (d_a d_b) + 1, so any
+    part of the sequence is reproducible independently of the rest, and the
+    stack validates once.
     """
     if d_a < 1 or d_b < 1:
         raise ParameterError(f"dimensions must be >= 1, got ({d_a}, {d_b})")
     n = d_a * d_b
-    for i in range(count):
-        rank = (i % n) + 1
-        yield random_density(n, rank, SeedSpec(seed, stream=i), dims=(d_a, d_b))
+    streams = range(start, start + count)
+    gens = [SeedSpec(seed, stream=k).generator() for k in streams]
+    out = np.empty((count, n, n), dtype=complex)
+    for i, g in enumerate(_complex_gaussians(gens, [(n, k % n + 1) for k in streams])):
+        out[i] = _ginibre(g)
+    return DensityMatrix(out, (d_a, d_b))

@@ -6,10 +6,12 @@ channel, the per-setting measure-then-sum loop with its own contraction
 and its own decomposition of rho_B for every setting, the second tensor
 moment written out as a sum of d^2 x d^2 Kronecker products, index
 summations (`np.einsum`) or Kronecker products in place of the package's
-matrix products, or an inverse-CDF draw by comparing against every CDF
-entry.  The state helpers at the end (`purify`, `schmidt_values`,
-`haar_unitary`) are used only by tests.
+matrix products, an inverse-CDF draw by comparing against every CDF
+entry, or the standard library's JSON encoder.  The state helpers at the
+end (`purify`, `schmidt_values`, `haar_unitary`) are used only by tests.
 """
+
+import json
 
 import numpy as np
 
@@ -142,6 +144,26 @@ def h2nu_outcomes_per_setting(
             float(np.real(np.trace(c @ m1 @ c @ m2))) for c in conds
         )
     return -np.log2(total)
+
+
+def round12_oracle(x):
+    """Round floats (recursively through containers) to 12 significant digits."""
+    if isinstance(x, bool):
+        return x
+    if isinstance(x, (int, np.integer)):
+        return int(x)
+    if isinstance(x, (float, np.floating)):
+        return float(f"{float(x):.12g}")
+    if isinstance(x, dict):
+        return {k: round12_oracle(v) for k, v in x.items()}
+    if isinstance(x, (list, tuple)):
+        return [round12_oracle(v) for v in x]
+    return x
+
+
+def json_text_oracle(doc) -> str:
+    """The CLI's JSON text by the standard encoder: rounded, sorted keys, indent 2."""
+    return json.dumps(round12_oracle(doc), sort_keys=True, indent=2, allow_nan=False) + "\n"
 
 
 def swap_operator(d: int) -> np.ndarray:

@@ -1,13 +1,17 @@
 import csv
 import io
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
 from conftest import cached_mubs, max_entangled_state
+from oracles import json_text_oracle
 
-from entguess import EntguessError, joint_from_state
-from entguess.cli import RunConfig, _json_text, build_parser, config_from_args, main, round12
+from entguess import EntguessError, joint_from_state, mixed_rank_states, relations
+from entguess.cli import RunConfig, _json_text, build_parser, config_from_args, main
+
+GOLDEN = Path(__file__).resolve().parent / "golden"
 
 
 def run_cli(args, capsys):
@@ -208,6 +212,54 @@ class TestVerify:
         assert out == ""
         assert err.startswith("error: malformed family document")
 
+    @pytest.mark.parametrize("value", ["2.7", "2.0", "true"])
+    def test_non_integral_family_dimension_is_usage_error(self, capsys, tmp_path, value):
+        doc = mub_family_doc(2)
+        doc["d"] = "D"
+        fam_file = tmp_path / "fam.json"
+        fam_file.write_text(json.dumps(doc).replace('"D"', value))
+        code, out, err = run_cli(
+            ["verify", "--relation", "main", "--d", "2", "--samples", "2",
+             "--family", f"file:{fam_file}"],
+            capsys,
+        )
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: malformed family document")
+
+    @pytest.mark.parametrize(
+        "d, d_b, samples, chunks",
+        [(7, 4, 3, [3]), (7, 4, 11, [10, 1]), (31, 8, 2, [1, 1])],
+        ids=["fewer-than-a-chunk", "chunk-plus-one", "chunk-of-one"],
+    )
+    def test_states_run_in_chunks_that_match_single_states(
+        self, capsys, monkeypatch, tmp_path, d, d_b, samples, chunks
+    ):
+        # a chunk holds about 2**17 bytes of d*d_b-square matrices
+        batched = []
+        original = relations.equality_report
+
+        def spy(rho, family, nu, tolerance):
+            reports = original(rho, family, nu, tolerance)
+            batched.append((rho, family, reports))
+            return reports
+
+        monkeypatch.setattr(relations, "equality_report", spy)
+        code, _, _ = run_cli(
+            ["verify", "--relation", "main", "--d", str(d), "--db", str(d_b), "--nu", "0.5",
+             "--samples", str(samples), "--seed", "9", "--output", str(tmp_path / "r.json")],
+            capsys,
+        )
+        assert code == 0
+        assert [len(reports) for _, _, reports in batched] == chunks
+        states = np.concatenate([rho.matrix for rho, _, _ in batched])
+        assert np.array_equal(states, mixed_rank_states(d, d_b, samples, seed=9).matrix)
+        for rho, family, reports in batched:
+            for i, report in enumerate(reports):
+                single = original(rho[i], family, 0.5, report.tolerance)
+                assert abs(report.lhs - single.lhs) < 1e-14
+                assert abs(report.rhs - single.rhs) < 1e-14
+
 
 class TestSweep:
     def test_known_rows(self, capsys):
@@ -287,6 +339,23 @@ class TestWitnessCommand:
         text = f.read_bytes()
         huge = text.replace(b'"d_a": 2', b'"d_a": 1e400')
         f.write_bytes(b"\xff" + text if defect == "not-utf8" else huge)
+        code, out, err = run_cli(["witness", "--input", str(f)], capsys)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: malformed joint-distribution document")
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [(b'"d_a": 2', b'"d_a": 2.0'), (b'"d_b": 2', b'"d_b": true'),
+         (b'"theta": 1', b'"theta": 1.5')],
+        ids=["float-d_a", "bool-d_b", "fractional-theta"],
+    )
+    def test_non_integral_statistics_field_is_schema_error(self, capsys, tmp_path, field, value):
+        f = tmp_path / "w.json"
+        write_ideal_witness_file(f)
+        text = f.read_bytes()
+        assert field in text
+        f.write_bytes(text.replace(field, value))
         code, out, err = run_cli(["witness", "--input", str(f)], capsys)
         assert code == 2
         assert out == ""
@@ -452,6 +521,22 @@ class TestGameCommand:
         assert code == 2
         assert err.startswith("error: malformed density-matrix document")
 
+    @pytest.mark.parametrize("dims", ["[2.7, 2]", "[2, 2.0]", "[true, 4]"])
+    def test_non_integral_dims_is_usage_error(self, capsys, tmp_path, dims):
+        rho = max_entangled_state(2)
+        f = tmp_path / "state.json"
+        f.write_text(json.dumps({
+            "dims": "DIMS",
+            "re": rho.matrix.real.tolist(),
+            "im": rho.matrix.imag.tolist(),
+        }).replace('"DIMS"', dims))
+        code, out, err = run_cli(
+            ["game", "--state", f"file:{f}", "--d", "2", "--trials", "10"], capsys
+        )
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: malformed density-matrix document")
+
     def test_state_file_dimension_mismatch(self, capsys, tmp_path):
         rho = max_entangled_state(2)
         f = tmp_path / "state.json"
@@ -534,7 +619,38 @@ class TestDeterminismAndConfig:
         back = RunConfig.from_json(cfg.to_json())
         assert back == cfg
 
-    def test_round12(self):
-        assert round12(0.1234567890123456) == 0.123456789012
-        assert round12({"a": [1, 2.00000000000049]}) == {"a": [1, 2.0]}
-        assert round12(True) is True
+    @pytest.mark.parametrize("fmt", ["json", "csv"])
+    @pytest.mark.parametrize(
+        "argv, name",
+        [
+            (["--relation", "main", "--d", "5", "--db", "2", "--nu", "0.3", "--samples", "4"],
+             "verify-main"),
+            (["--relation", "monogamy", "--d", "3", "--db", "2", "--de", "2", "--samples", "3"],
+             "verify-monogamy"),
+        ],
+        ids=["main", "monogamy"],
+    )
+    def test_verify_output_matches_recorded_bytes(self, capsys, tmp_path, argv, name, fmt):
+        # recorded with the round12 + json.dumps writer, which the one-walk writer replaced
+        out_file = tmp_path / f"out.{fmt}"
+        code, _, _ = run_cli(
+            ["verify", *argv, "--seed", "3", "--format", fmt, "--output", str(out_file)], capsys
+        )
+        assert code == 0
+        assert out_file.read_bytes() == (GOLDEN / f"{name}.{fmt}").read_bytes()
+
+    def test_json_text_matches_standard_encoder(self):
+        doc = [
+            {"lhs": 1.0 / 3.0, "ok": True, "none": None, "n": np.int64(7),
+             "x": np.float64(2.5e-17), "text": 'quote " \\ tab \t é', "empty": {},
+             "nested": [[], [1, -0.0, False], ("a", 1e300)]},
+            {"z": 12345678901234.5, "a": -1e-300},
+            [],
+            "top",
+        ]
+        assert _json_text(doc) == json_text_oracle(doc)
+
+    def test_json_text_rounds_to_12_digits(self):
+        assert _json_text(0.1234567890123456) == "0.123456789012\n"
+        assert _json_text({"a": [1, 2.00000000000049]}) == '{\n  "a": [\n    1,\n    2.0\n  ]\n}\n'
+        assert _json_text(True) == "true\n"

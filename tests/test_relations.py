@@ -292,19 +292,26 @@ class TestMonogamy:
         assert rep.metadata["rank_tol_sensitive"]
 
     def test_one_decomposition_of_rho_ae(self, monkeypatch):
-        # validation Cholesky of rho_AB, eigh of rho_B, eigh of rho_AE
+        # per chunk of k states, whatever k: one stacked validation Cholesky
+        # of the rho_AB stack, one stacked eigh of the rho_B stack and one of
+        # the rho_AE stack
         calls = []
         for name in ("cholesky", "eigh", "eigvalsh"):
             original = getattr(np.linalg, name)
 
-            def counting(*args, _name=name, _original=original, **kwargs):
-                calls.append(_name)
-                return _original(*args, **kwargs)
+            def counting(a, *args, _name=name, _original=original, **kwargs):
+                calls.append((_name, np.shape(a)[:-2]))
+                return _original(a, *args, **kwargs)
 
             monkeypatch.setattr(np.linalg, name, counting)
-        psi = random_pure(60, SeedSpec(75))
-        monogamy_report(psi, (5, 3, 4), cached_mubs(5))
-        assert sorted(calls) == ["cholesky", "eigh", "eigh"]
+        for k in (1, 3, 20):
+            calls.clear()
+            psi = np.array([random_pure(60, SeedSpec(75, stream=i)) for i in range(k)])
+            monogamy_report(psi, (5, 3, 4), cached_mubs(5))
+            assert sorted(calls) == [("cholesky", (k,)), ("eigh", (k,)), ("eigh", (k,))]
+        calls.clear()
+        monogamy_report(random_pure(60, SeedSpec(75)), (5, 3, 4), cached_mubs(5))
+        assert sorted(calls) == [("cholesky", (1,)), ("eigh", ()), ("eigh", ())]
 
     def test_clean_spectrum_not_flagged(self):
         psi = random_pure(8, SeedSpec(74))

@@ -208,3 +208,8 @@ class TestDensityMatrixInvariants:
     def test_rejects_dimension_mismatch(self):
         with pytest.raises(DimensionError):
             DensityMatrix(np.eye(4) / 4, (2, 3))
+
+    @pytest.mark.parametrize("dims", [(True, 4), (np.True_, 4), (2.0, 2), (2.7, 2)], ids=str)
+    def test_rejects_non_integer_dimensions(self, dims):
+        with pytest.raises(DimensionError, match="must be integers"):
+            DensityMatrix(np.eye(4) / 4, dims)
