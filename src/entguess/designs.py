@@ -41,38 +41,21 @@ class MeasurementFamily:
 
     ``vectors`` has shape (n_settings, d, n_outcomes) and ``scales`` shape
     (n_settings, n_outcomes).  Settings share a uniform sampling weight
-    1/n_settings.  Families for which the guessing-probability equality
-    holds carry its constant: d+1 for complete-MUB and Clifford-orbit
-    families, d(d+1) for SICs, None otherwise.
+    1/n_settings.  ``d`` is read from ``vectors`` and the constant of the
+    guessing-probability equality from ``kind``: d+1 for complete-MUB and
+    Clifford-orbit families, d(d+1) for SICs, None otherwise.
     """
 
-    d: int
     kind: str
     vectors: np.ndarray
     scales: np.ndarray
-    equality_constant: float | None = None
 
     def __post_init__(self):
-        if self.kind == MUB_COMPLETE or self.kind == CLIFFORD_ORBIT:
-            expected = float(self.d + 1)
-        elif self.kind == SIC:
-            expected = float(self.d * (self.d + 1))
-        else:
-            expected = None
-        if self.equality_constant != expected:
-            raise ParameterError(
-                f"kind {self.kind!r} requires equality_constant {expected}"
-            )
         v, scales = self.vectors, self.scales
-        if (
-            v.ndim != 3
-            or v.shape[1] != self.d
-            or scales.shape != (v.shape[0], v.shape[2])
-            or scales.size == 0
-        ):
+        if v.ndim != 3 or scales.shape != (v.shape[0], v.shape[2]) or scales.size == 0:
             raise DimensionError(
                 f"vectors {v.shape} and scales {scales.shape} do not form "
-                f"(n_settings, {self.d}, n_outcomes) and (n_settings, n_outcomes) "
+                "(n_settings, d, n_outcomes) and (n_settings, n_outcomes) "
                 "with at least one of each"
             )
         # written as `not <=` so that a NaN entry fails the check
@@ -81,6 +64,18 @@ class MeasurementFamily:
         sums = (v * scales[:, None, :]) @ v.conj().transpose(0, 2, 1)
         if not np.abs(sums - np.eye(self.d)).max() <= COMPLETENESS_TOL:
             raise ParameterError("setting effects do not sum to the identity")
+
+    @property
+    def d(self) -> int:
+        return self.vectors.shape[1]
+
+    @property
+    def equality_constant(self) -> float | None:
+        if self.kind == MUB_COMPLETE or self.kind == CLIFFORD_ORBIT:
+            return float(self.d + 1)
+        if self.kind == SIC:
+            return float(self.d * (self.d + 1))
+        return None
 
     @property
     def n_settings(self) -> int:
@@ -97,9 +92,7 @@ class MeasurementFamily:
         """First n settings, as an uncertified partial family."""
         if not 1 <= n <= self.n_settings:
             raise ParameterError(f"n {n} out of range [1, {self.n_settings}]")
-        return MeasurementFamily(
-            self.d, f"{self.kind}-subset({n})", self.vectors[:n], self.scales[:n]
-        )
+        return MeasurementFamily(f"{self.kind}-subset({n})", self.vectors[:n], self.scales[:n])
 
     @cached_property
     def _design_defect(self) -> float:
@@ -158,7 +151,11 @@ class MeasurementFamily:
 
     @classmethod
     def from_json_dict(cls, doc: dict) -> "MeasurementFamily":
-        """Family from `to_json_dict`'s document; FormatError if it is malformed."""
+        """Family from `to_json_dict`'s document.
+
+        FormatError if it is malformed or its ``d`` is not the length of its
+        vectors; ParameterError if its ``equality_constant`` is not its kind's.
+        """
         try:
             settings = doc["settings"]
             scales = np.array([[e["weight"] for e in s] for s in settings], dtype=float)
@@ -170,10 +167,15 @@ class MeasurementFamily:
                 raise ValueError("settings must be non-empty lists of equal length")
             d = exact_int(doc["d"])
             kind = doc["kind"]
-            constant = doc.get("equality_constant")
         except (KeyError, TypeError, ValueError, OverflowError) as exc:
             raise FormatError(f"malformed family document: {exc}") from exc
-        return cls(d, kind, vectors.transpose(0, 2, 1), scales, constant)
+        family = cls(kind, vectors.transpose(0, 2, 1), scales)
+        if family.d != d:
+            raise FormatError(f"family document has d = {d}, vectors of length {family.d}")
+        expected = family.equality_constant
+        if doc.get("equality_constant") != expected:
+            raise ParameterError(f"kind {kind!r} requires equality_constant {expected}")
+        return family
 
 
 def _is_prime(n: int) -> bool:
@@ -203,7 +205,7 @@ def mub_family(d: int) -> MeasurementFamily:
         ])
     else:
         bases = _gauss_sum_bases(d)
-    return MeasurementFamily(d, MUB_COMPLETE, bases, np.ones((d + 1, d)), float(d + 1))
+    return MeasurementFamily(MUB_COMPLETE, bases, np.ones((d + 1, d)))
 
 
 def _gauss_sum_bases(d: int) -> np.ndarray:
@@ -246,17 +248,13 @@ def sic_povm(d: int) -> MeasurementFamily:
         fid = np.array([0.0, 1.0, -1.0], dtype=complex) / np.sqrt(2)
     else:
         raise UnsupportedDimensionError(f"SIC fiducials available for d in (2, 3), got {d}")
-    return MeasurementFamily(
-        d, SIC, _weyl_orbit(fid)[None], np.full((1, d * d), 1.0 / d), float(d * (d + 1))
-    )
+    return MeasurementFamily(SIC, _weyl_orbit(fid)[None], np.full((1, d * d), 1.0 / d))
 
 
 def _canonical_phase(u: np.ndarray) -> np.ndarray:
     """Fix the global phase: first entry with magnitude above 0.25 made positive real."""
     flat = u.flatten()
     pivot = flat[np.argmax(np.abs(flat) > 0.25)]
-    if abs(pivot) < 1e-12:  # pragma: no cover - unitaries always have a large entry
-        pivot = flat[np.argmax(np.abs(flat))]
     return u * (pivot.conjugate() / abs(pivot))
 
 
@@ -288,7 +286,7 @@ def single_qubit_cliffords() -> list:
 def clifford_orbit_family() -> MeasurementFamily:
     """Qubit bases {U|0>, U|1>} over the 24 Clifford unitaries, weight 1/24 each."""
     cliffords = np.array(single_qubit_cliffords())
-    return MeasurementFamily(2, CLIFFORD_ORBIT, cliffords, np.ones((len(cliffords), 2)), 3.0)
+    return MeasurementFamily(CLIFFORD_ORBIT, cliffords, np.ones((len(cliffords), 2)))
 
 
 def design_defect(family: MeasurementFamily) -> float:

@@ -104,7 +104,9 @@ def _measure_gauss_sum(rho: DensityMatrix, dft, chirp, rows, cols) -> np.ndarray
     t = (dft @ g.reshape(*lead, d, -1)).reshape(*lead, d, d, -1)
     t *= chirp[:, :, None]
     np.matmul(dft, t, out=out[..., 1:, :, :])
-    out[..., 1:, :, :] /= d
+    # scaling the float view by 1/d gives the values of complex division by d
+    # (up to the sign of zero); dividing the float view would not
+    out[..., 1:, :, :].view(float)[...] *= 1.0 / d
     return out
 
 

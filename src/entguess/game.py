@@ -40,16 +40,6 @@ class GameResult:
     std_error: float
     per_setting: tuple  # one dict per setting
 
-    def to_dict(self) -> dict:
-        return {
-            "trials": self.trials,
-            "wins": self.wins,
-            "empirical_rate": self.empirical_rate,
-            "analytic_rate": self.analytic_rate,
-            "std_error": self.std_error,
-            "per_setting": list(self.per_setting),
-        }
-
 
 def _game_tables(rho: DensityMatrix, family: MeasurementFamily):
     """Per setting: outcome probabilities, Bob's conditional guess matrix, and

@@ -90,16 +90,6 @@ class RelationReport:
     def holds(self) -> bool:
         return self.verdict == "holds"
 
-    def to_dict(self) -> dict:
-        return {
-            "lhs": self.lhs,
-            "rhs": self.rhs,
-            "defect": self.defect,
-            "tolerance": self.tolerance,
-            "verdict": self.verdict,
-            "metadata": self.metadata,
-        }
-
 
 def _equalities(lhs, rhs, tolerance, metadata):
     """Equality report per state: one for a single state, a list for a stack.
@@ -194,12 +184,7 @@ def nbasis_bounds(
 
 
 def achiever_state(
-    d: int,
-    regime: str,
-    which: str,
-    mubs: MeasurementFamily,
-    n: int,
-    mix: float,
+    mubs: MeasurementFamily, regime: str, which: str, n: int, mix: float
 ) -> DensityMatrix:
     """A state whose (F^pg, P(n)) point sits exactly on the requested bound.
 
@@ -211,8 +196,9 @@ def achiever_state(
     the least entangled point of the regime (mix = 0) to the most
     (mix = 1); lower-bound constructions need n <= d.
     """
-    if mubs.kind != MUB_COMPLETE or mubs.d != d:
-        raise ParameterError("need the complete MUB family for dimension d")
+    if mubs.kind != MUB_COMPLETE:
+        raise ParameterError(f"need a complete MUB family, got kind {mubs.kind!r}")
+    d = mubs.d
     if which not in ("upper", "lower"):
         raise ParameterError(f"which must be 'upper' or 'lower', got {which!r}")
     if regime not in (HEISENBERG, EPR):
@@ -259,9 +245,7 @@ def two_to_full_bound(p2: float, d: int) -> float:
     return (d * (2.0 * p2 - 1.0) + 1.0) / (d + 1.0)
 
 
-def witness(
-    joints: JointDistribution, d_a: int, tolerance: float = EQUALITY_TOL
-) -> RelationReport:
+def witness(joints: JointDistribution, *, tolerance: float = EQUALITY_TOL) -> RelationReport:
     """Entanglement witness from classical joint statistics.
 
     Evaluates sum_theta 2^(-H_2(K_theta|L_theta)) against 1 + (n-1)/d_a
@@ -269,8 +253,7 @@ def witness(
     verdict certifies that no separable state can produce the statistics,
     i.e. the source is entangled; "holds" is inconclusive.
     """
-    if joints.d_a != d_a:
-        raise FormatError(f"tables are for d_a = {joints.d_a}, asked about {d_a}")
+    d_a = joints.d_a
     n = len(joints.settings)
     labels = [theta for theta, _ in joints.settings]
     if n < 1 or n > d_a + 1 or len(set(labels)) != n:

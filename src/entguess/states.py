@@ -152,12 +152,16 @@ def _ginibre(g: np.ndarray) -> np.ndarray:
     return m / np.trace(m).real
 
 
-def random_density(d: int, rank: int, seed: SeedSpec, dims=None) -> DensityMatrix:
-    """Ginibre-induced mixed state G G^dag / Tr with G a d x rank Gaussian."""
+def random_density(dims: tuple, rank: int, seed: SeedSpec) -> DensityMatrix:
+    """Ginibre-induced mixed state G G^dag / Tr on subsystems `dims`.
+
+    G is a d x rank Gaussian, d = prod(dims); a single system is ``(d,)``.
+    """
+    d = math.prod(dims)
     if not 1 <= rank <= d:
         raise ParameterError(f"rank {rank} out of range [1, {d}]")
     g = _complex_gaussian(seed.generator(), (d, rank))
-    return DensityMatrix(_ginibre(g), tuple(dims) if dims else (d,))
+    return DensityMatrix(_ginibre(g), tuple(dims))
 
 
 def random_separable(d_a: int, d_b: int, terms: int, seed: SeedSpec) -> DensityMatrix:

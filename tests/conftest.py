@@ -31,12 +31,12 @@ def max_entangled_state(d) -> DensityMatrix:
 def measure_in_basis(rho: DensityMatrix, basis) -> np.ndarray:
     """Conditional operators of measuring A in one basis (columns), as a one-setting family."""
     basis = np.asarray(basis)
-    family = MeasurementFamily(len(basis), "Custom", basis[None], np.ones((1, len(basis))))
+    family = MeasurementFamily("Custom", basis[None], np.ones((1, len(basis))))
     return measure_family(rho, family)
 
 
 def random_bipartite(d_a, d_b, rank, seed, stream=0) -> DensityMatrix:
-    return random_density(d_a * d_b, rank, SeedSpec(seed, stream), dims=(d_a, d_b))
+    return random_density((d_a, d_b), rank, SeedSpec(seed, stream))
 
 
 def hermitian(gen, d) -> np.ndarray:

@@ -142,7 +142,7 @@ def test_criterion_05_achiever_tightness():
     ):
         for n in range(1, n_max + 1):
             for mix in np.linspace(0.0, 1.0, 10):
-                rho = achiever_state(d, regime, which, mubs, n, float(mix))
+                rho = achiever_state(mubs, regime, which, n, float(mix))
                 fpg = pg_recovery_fidelity(rho)
                 per, _ = family_guess_prob(rho, mubs)
                 p_n = float(np.mean(per[:n]))
@@ -181,7 +181,7 @@ def test_criterion_08_witness_soundness_and_power():
             n = 2 + (i % d_a)  # partial and full MUB sets
             thetas = list(range(n))
             bob = [haar_unitary(d_a, SeedSpec(8100 + d_a, stream=100 * i + t)) for t in thetas]
-            rep = witness(joint_from_state(rho, fam, thetas, bob), d_a)
+            rep = witness(joint_from_state(rho, fam, thetas, bob))
             false_positives += rep.metadata["entangled"]
 
     fires = True
@@ -191,7 +191,7 @@ def test_criterion_08_witness_soundness_and_power():
         for n in range(2, d_a + 2):
             thetas = list(range(n))
             bob = [fam.vectors[t].conj() for t in thetas]
-            rep = witness(joint_from_state(rho, fam, thetas, bob), d_a)
+            rep = witness(joint_from_state(rho, fam, thetas, bob))
             fires &= rep.metadata["entangled"]
     verdict(8, "witness: sound on separable, fires on maximally entangled",
             false_positives == 0 and fires, f"{false_positives} false positives")

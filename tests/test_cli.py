@@ -151,6 +151,29 @@ class TestVerify:
         assert code == 2
 
 
+    @pytest.mark.parametrize(
+        "edit, message",
+        [
+            ({"equality_constant": 7.0}, "kind 'MUB-complete' requires equality_constant 4.0"),
+            ({"equality_constant": "drop"}, "kind 'MUB-complete' requires equality_constant 4.0"),
+            ({"kind": "SIC"}, "kind 'SIC' requires equality_constant 12.0"),
+            ({"d": 2, "equality_constant": 3.0}, "family document has d = 2, vectors of length 3"),
+            ({"d": 10**400}, f"family document has d = {10**400}, vectors of length 3"),
+        ],
+        ids=["wrong-constant", "no-constant", "other-kind", "wrong-d", "huge-d"],
+    )
+    def test_family_file_contradicting_itself_is_usage_error(self, capsys, tmp_path, edit, message):
+        # a "drop" value removes the key
+        doc = {k: v for k, v in {**mub_family_doc(3), **edit}.items() if v != "drop"}
+        fam_file = tmp_path / "fam.json"
+        fam_file.write_text(json.dumps(doc))
+        code, out, err = run_cli(
+            ["verify", "--relation", "main", "--d", str(doc["d"]), "--samples", "2",
+             "--family", f"file:{fam_file}"],
+            capsys,
+        )
+        assert (code, out, err) == (2, "", f"error: {message}\n")
+
     @pytest.mark.parametrize("tolerance", ["-1", "nan", "inf"])
     def test_bad_tolerance_is_usage_error(self, capsys, tolerance):
         code, out, err = run_cli(
@@ -399,6 +422,15 @@ class TestGameCommand:
         doc = json.loads(out_file.read_text())
         assert doc["empirical_rate"] == 1.0
 
+    @pytest.mark.parametrize("d", [2, 3, 5, 7, 11, 13])
+    def test_max_entangled_in_band_at_every_prime(self, capsys, d):
+        # every trial wins; at d = 3 and 11 the analytic rate rounds above 1
+        code, out, _ = run_cli(
+            ["game", "--state", "max-entangled", "--d", str(d), "--trials", "1000"], capsys
+        )
+        assert code == 0
+        assert json.loads(out)["wins"] == 1000
+
     def test_maximally_mixed(self, capsys):
         code, out, _ = run_cli(
             ["game", "--state", "maximally-mixed", "--d", "2", "--trials", "20000",
@@ -566,6 +598,29 @@ class TestGameCommand:
     def test_non_finite_output_is_an_error(self):
         with pytest.raises(EntguessError, match="non-finite"):
             _json_text({"lhs": float("nan")})
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["verify", "--relation", "main", "--d", "2", "--de", "2"],
+        ["verify", "--relation", "monogamy", "--d", "2", "--family", "sic"],
+        ["verify", "--relation", "monogamy", "--d", "2", "--nu", "0.7"],
+        ["game", "--state", "max-entangled", "--d", "2", "--db", "5"],
+        ["game", "--state", "file:state.json", "--d", "2", "--db", "2"],
+        ["game", "--state", "max-entangled", "--d", "2", "--rank", "1"],
+        ["game", "--state", "maximally-mixed", "--d", "2", "--rank", "1"],
+        ["game", "--state", "separable", "--d", "2", "--rank", "1"],
+        ["game", "--state", "file:state.json", "--d", "2", "--rank", "1"],
+    ],
+    ids=["main-de", "monogamy-family", "monogamy-nu", "max-entangled-db", "file-db",
+         "max-entangled-rank", "maximally-mixed-rank", "separable-rank", "file-rank"],
+)
+def test_ignored_option_is_usage_error(capsys, argv):
+    code, out, err = run_cli(argv, capsys)
+    option = argv[-2]
+    mode = " ".join(argv[:3])
+    assert (code, out, err) == (2, "", f"error: {option} has no effect on {mode}\n")
 
 
 class TestDeterminismAndConfig:

@@ -159,10 +159,7 @@ class TestDesignDefect:
 
     def test_single_basis_defect_value(self):
         fam = MeasurementFamily(
-            d=2,
-            kind="Custom",
-            vectors=np.eye(2, dtype=complex)[None],
-            scales=np.ones((1, 2)),
+            kind="Custom", vectors=np.eye(2, dtype=complex)[None], scales=np.ones((1, 2))
         )
         # exact distance of one basis's moment from the 2-design target
         assert abs(design_defect(fam) - np.sqrt(1 / 6)) < 1e-12
@@ -186,7 +183,7 @@ class TestDesignDefect:
 class TestUnbiasednessDefect:
     def test_duplicate_basis_worst_case(self):
         twice = np.array([np.eye(3), np.eye(3)], dtype=complex)
-        fam = MeasurementFamily(d=3, kind="Custom", vectors=twice, scales=np.ones((2, 3)))
+        fam = MeasurementFamily(kind="Custom", vectors=twice, scales=np.ones((2, 3)))
         assert abs(unbiasedness_defect(fam) - (1 - 1 / 3)) < 1e-12
 
     def test_rejects_sic(self):
@@ -195,39 +192,60 @@ class TestUnbiasednessDefect:
 
 
 class TestFamilyStructure:
-    def test_constant_enforced_at_construction(self):
-        with pytest.raises(ParameterError):
-            MeasurementFamily(
-                d=2,
-                kind="MUB-complete",
-                vectors=mub_family(2).vectors,
-                scales=mub_family(2).scales,
-                equality_constant=7.0,
-            )
+    def test_d_and_constant_follow_from_arrays_and_kind(self):
+        vectors, scales = mub_family(2).vectors, mub_family(2).scales
+        for kind, constant in (("MUB-complete", 3.0), ("CliffordOrbit", 3.0), ("SIC", 6.0)):
+            fam = MeasurementFamily(kind, vectors, scales)
+            assert (fam.d, fam.equality_constant) == (2, constant)
+        assert MeasurementFamily("Custom", vectors, scales).equality_constant is None
+
+    @pytest.mark.parametrize(
+        "kind,constant",
+        [("MUB-complete", 7.0), ("MUB-complete", "missing"), ("MUB-complete", None),
+         ("SIC", 3.0), ("Custom", 3.0)],
+        ids=["wrong-constant", "no-constant", "null-constant", "sic-constant", "custom-constant"],
+    )
+    def test_constant_enforced_on_documents(self, kind, constant):
+        doc = mub_family(2).to_json_dict()
+        doc["kind"] = kind
+        if constant == "missing":
+            del doc["equality_constant"]
+        else:
+            doc["equality_constant"] = constant
+        expected = {"MUB-complete": 3.0, "SIC": 6.0, "Custom": None}[kind]
+        with pytest.raises(ParameterError) as exc:
+            MeasurementFamily.from_json_dict(doc)
+        assert str(exc.value) == f"kind {kind!r} requires equality_constant {expected}"
+
+    def test_json_wrong_d_rejected(self):
+        doc = mub_family(2).to_json_dict()
+        doc["d"] = 3
+        doc["equality_constant"] = 4.0
+        with pytest.raises(FormatError, match="d = 3, vectors of length 2"):
+            MeasurementFamily.from_json_dict(doc)
 
     def test_incomplete_setting_rejected(self):
         half = np.eye(2, dtype=complex)[None, :, :1]
         with pytest.raises(ParameterError):
-            MeasurementFamily(d=2, kind="Custom", vectors=half, scales=np.ones((1, 1)))
+            MeasurementFamily(kind="Custom", vectors=half, scales=np.ones((1, 1)))
 
     def test_unnormalized_vector_rejected(self):
         with pytest.raises(ParameterError):
-            MeasurementFamily(2, "Custom", 2 * np.eye(2)[None], np.full((1, 2), 0.25))
+            MeasurementFamily("Custom", 2 * np.eye(2)[None], np.full((1, 2), 0.25))
 
     @pytest.mark.parametrize(
         "vectors,scales",
         [
             (np.zeros((0, 2, 2)), np.zeros((0, 2))),  # no setting
             (np.zeros((1, 2, 0)), np.zeros((1, 0))),  # no outcome
-            (np.eye(3)[None], np.ones((1, 3))),  # wrong d
             (np.eye(2)[None], np.ones((2, 2))),  # scales for two settings
             (np.eye(2), np.ones(2)),  # one setting without its axis
         ],
-        ids=["no-setting", "no-outcome", "wrong-d", "scales-shape", "2d-vectors"],
+        ids=["no-setting", "no-outcome", "scales-shape", "2d-vectors"],
     )
     def test_bad_shapes_rejected(self, vectors, scales):
         with pytest.raises(DimensionError):
-            MeasurementFamily(d=2, kind="Custom", vectors=vectors, scales=scales)
+            MeasurementFamily(kind="Custom", vectors=vectors, scales=scales)
 
     def test_subset_has_no_constant(self):
         sub = cached_mubs(3).subset(2)

@@ -121,7 +121,7 @@ class TestH2nu:
         from entguess import random_density
 
         with pytest.raises(DimensionError):
-            h2nu(random_density(4, 2, SeedSpec(0)), 0.0)
+            h2nu(random_density((4,), 2, SeedSpec(0)), 0.0)
 
 
 class TestMeasureInBasis:
@@ -338,14 +338,14 @@ def routes(monkeypatch):
 def rephased(family: MeasurementFamily, phases) -> MeasurementFamily:
     """The family with a diagonal phase unitary applied to every vector, same kind."""
     vectors = phases[None, :, None] * family.vectors
-    return MeasurementFamily(family.d, family.kind, vectors, family.scales, family.equality_constant)
+    return MeasurementFamily(family.kind, vectors, family.scales)
 
 
 def phase_edited(family: MeasurementFamily) -> MeasurementFamily:
     """The family with one effect vector's global phase changed: same effects, other content."""
     vectors = family.vectors.copy()
     vectors[1, :, 0] *= np.exp(1e-3j)
-    return MeasurementFamily(family.d, family.kind, vectors, family.scales, family.equality_constant)
+    return MeasurementFamily(family.kind, vectors, family.scales)
 
 
 class TestGaussSumRoute:

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from conftest import cached_mubs, max_entangled_state, random_bipartite
@@ -64,7 +66,7 @@ class TestSimulateGame:
 
     def test_result_serializes(self):
         result = simulate_game(max_entangled_state(2), cached_mubs(2), 100, SeedSpec(91))
-        doc = result.to_dict()
+        doc = dataclasses.asdict(result)
         assert doc["trials"] == 100
         assert len(doc["per_setting"]) == 3
 

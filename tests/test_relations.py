@@ -1,3 +1,6 @@
+import dataclasses
+import inspect
+
 import numpy as np
 import pytest
 from conftest import cached_mubs, max_entangled_state, random_bipartite
@@ -8,6 +11,7 @@ from entguess import (
     EPR,
     FormatError,
     HEISENBERG,
+    MeasurementFamily,
     ParameterError,
     SeedSpec,
     achiever_state,
@@ -21,6 +25,7 @@ from entguess import (
     monogamy_report,
     nbasis_bounds,
     pg_recovery_fidelity,
+    random_density,
     random_pure,
     random_separable,
     sic_povm,
@@ -28,6 +33,22 @@ from entguess import (
     witness,
 )
 from entguess.entropies import JointDistribution
+
+
+def test_no_argument_repeats_what_another_carries():
+    # d is read from the arrays it sizes, the equality constant from the kind
+    names = {
+        MeasurementFamily: ["kind", "vectors", "scales"],
+        witness: ["joints", "tolerance"],
+        achiever_state: ["mubs", "regime", "which", "n", "mix"],
+        random_density: ["dims", "rank", "seed"],
+    }
+    for func, expected in names.items():
+        assert list(inspect.signature(func).parameters) == expected
+    tolerance = inspect.signature(witness).parameters["tolerance"]
+    assert tolerance.kind is inspect.Parameter.KEYWORD_ONLY
+    with pytest.raises(TypeError):
+        witness(ideal_max_entangled_joints(2, 2), 2)
 
 
 class TestEqualityReport:
@@ -104,12 +125,12 @@ class TestNbasisBounds:
             nbasis_bounds(max_entangled_state(3), cached_mubs(3).subset(2), 1)
 
 
-def tune_mix_to_fidelity(d, regime, which, mubs, n, target):
+def tune_mix_to_fidelity(mubs, regime, which, n, target):
     """Bisection on mix so the achiever hits a requested F^pg."""
     lo, hi = 0.0, 1.0
     for _ in range(60):
         mid = (lo + hi) / 2
-        f = pg_recovery_fidelity(achiever_state(d, regime, which, mubs, n, mid))
+        f = pg_recovery_fidelity(achiever_state(mubs, regime, which, n, mid))
         if f < target:
             lo = mid
         else:
@@ -121,8 +142,8 @@ class TestAchieverStates:
     def test_epr_upper_at_half_fidelity(self):
         d, n = 5, 2
         mubs = cached_mubs(d)
-        mix = tune_mix_to_fidelity(d, EPR, "upper", mubs, n, 0.5)
-        rho = achiever_state(d, EPR, "upper", mubs, n, mix)
+        mix = tune_mix_to_fidelity(mubs, EPR, "upper", n, 0.5)
+        rho = achiever_state(mubs, EPR, "upper", n, mix)
         per, _ = family_guess_prob(rho, mubs)
         f = pg_recovery_fidelity(rho)
         assert abs(f - 0.5) < 1e-9
@@ -131,7 +152,7 @@ class TestAchieverStates:
     def test_heisenberg_upper_pure_marginal(self):
         d = 5
         mubs = cached_mubs(d)
-        rho = achiever_state(d, HEISENBERG, "upper", mubs, 1, mix=1.0)
+        rho = achiever_state(mubs, HEISENBERG, "upper", 1, mix=1.0)
         f = pg_recovery_fidelity(rho)
         per, _ = family_guess_prob(rho, mubs)
         assert abs(f - 1 / d) < 1e-9
@@ -140,7 +161,7 @@ class TestAchieverStates:
     def test_epr_lower_excluded_basis(self):
         d, n = 5, 5
         mubs = cached_mubs(d)
-        rho = achiever_state(d, EPR, "lower", mubs, n, mix=0.6)
+        rho = achiever_state(mubs, EPR, "lower", n, mix=0.6)
         f = pg_recovery_fidelity(rho)
         per, _ = family_guess_prob(rho, mubs)
         assert abs(np.mean(per[:n]) - f) < 1e-9
@@ -153,7 +174,7 @@ class TestAchieverStates:
         mubs = cached_mubs(d)
         n = 3
         for mix in np.linspace(0.1, 1.0, 5):
-            rho = achiever_state(d, regime, which, mubs, n, float(mix))
+            rho = achiever_state(mubs, regime, which, n, float(mix))
             f = pg_recovery_fidelity(rho)
             per, _ = family_guess_prob(rho, mubs)
             p_n = float(np.mean(per[:n]))
@@ -163,11 +184,11 @@ class TestAchieverStates:
 
     def test_lower_needs_excluded_basis(self):
         with pytest.raises(ParameterError):
-            achiever_state(5, EPR, "lower", cached_mubs(5), 6, 0.5)
+            achiever_state(cached_mubs(5), EPR, "lower", 6, 0.5)
 
     def test_rejects_bad_mix(self):
         with pytest.raises(ParameterError):
-            achiever_state(5, EPR, "upper", cached_mubs(5), 2, 1.5)
+            achiever_state(cached_mubs(5), EPR, "upper", 2, 1.5)
 
 
 class TestTwoToFullBound:
@@ -206,7 +227,7 @@ def ideal_max_entangled_joints(d, n):
 
 class TestWitness:
     def test_fires_on_ideal_statistics(self):
-        rep = witness(ideal_max_entangled_joints(2, 2), 2)
+        rep = witness(ideal_max_entangled_joints(2, 2))
         assert abs(rep.lhs - 2.0) < 1e-12
         assert abs(rep.rhs - 1.5) < 1e-12
         assert rep.metadata["entangled"]
@@ -215,7 +236,7 @@ class TestWitness:
         d = 3
         table = np.full((d, d), 1 / d**2)
         joints = JointDistribution(d_a=d, d_b=d, settings=tuple((t, table) for t in range(3)))
-        rep = witness(joints, d)
+        rep = witness(joints)
         assert abs(rep.lhs - 3 / d) < 1e-12
         assert not rep.metadata["entangled"]
 
@@ -228,7 +249,7 @@ class TestWitness:
             n = 2 + (i % d)  # both partial and full sets
             thetas = list(range(n))
             bob = [haar_unitary(d, SeedSpec(70, stream=100 * i + t)) for t in thetas]
-            rep = witness(joint_from_state(rho, fam, thetas, bob), d)
+            rep = witness(joint_from_state(rho, fam, thetas, bob))
             fired += rep.metadata["entangled"]
         assert fired == 0
 
@@ -236,13 +257,13 @@ class TestWitness:
         table = np.full((2, 2), 0.25)
         joints = JointDistribution(d_a=2, d_b=2, settings=((0, table), (0, table)))
         with pytest.raises(FormatError):
-            witness(joints, 2)
+            witness(joints)
 
     def test_rejects_label_out_of_range(self):
         table = np.full((2, 2), 0.25)
         joints = JointDistribution(d_a=2, d_b=2, settings=((0, table), (5, table)))
         with pytest.raises(FormatError):
-            witness(joints, 2)
+            witness(joints)
 
 
 class TestMonogamy:
@@ -277,7 +298,7 @@ class TestMonogamy:
     def test_report_serializes(self):
         psi = random_pure(8, SeedSpec(73))
         rep = monogamy_report(psi, (2, 2, 2), cached_mubs(2))
-        doc = rep.to_dict()
+        doc = dataclasses.asdict(rep)
         assert set(doc) == {"lhs", "rhs", "defect", "tolerance", "verdict", "metadata"}
         assert isinstance(doc["metadata"]["rank_tol_sensitive"], bool)
 

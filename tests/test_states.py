@@ -54,28 +54,28 @@ class TestRandomPure:
 
 class TestRandomDensity:
     def test_rank_one_is_pure(self):
-        rho = random_density(4, 1, SeedSpec(5))
+        rho = random_density((4,), 1, SeedSpec(5))
         purity = float(np.real(np.trace(rho.matrix @ rho.matrix)))
         assert abs(purity - 1.0) < 1e-11
 
     def test_full_rank_positive_spectrum(self):
-        rho = random_density(3, 3, SeedSpec(6))
+        rho = random_density((3,), 3, SeedSpec(6))
         assert np.linalg.eigvalsh(rho.matrix).min() > 0
 
     def test_numerical_rank_matches(self):
-        rho = random_density(6, 2, SeedSpec(8))
+        rho = random_density((6,), 2, SeedSpec(8))
         w = np.linalg.eigvalsh(rho.matrix)
         assert np.sum(w > 1e-10 * w.max()) == 2
 
     def test_deterministic(self):
-        a = random_density(4, 2, SeedSpec(9))
-        b = random_density(4, 2, SeedSpec(9))
+        a = random_density((4,), 2, SeedSpec(9))
+        b = random_density((4,), 2, SeedSpec(9))
         assert np.array_equal(a.matrix, b.matrix)
 
     @pytest.mark.parametrize("rank", [0, 5])
     def test_rank_out_of_range(self, rank):
         with pytest.raises(ParameterError):
-            random_density(4, rank, SeedSpec(0))
+            random_density((4,), rank, SeedSpec(0))
 
 
 class TestRandomSeparable:
@@ -109,7 +109,7 @@ class TestPurify:
         assert abs(overlap - 1.0) < 1e-10
 
     def test_roundtrip_rank3(self):
-        rho = random_density(4, 3, SeedSpec(12))
+        rho = random_density((4,), 3, SeedSpec(12))
         psi = purify(rho)
         assert psi.shape == (12,)  # purifying dimension = numerical rank
         rec = partial_trace(np.outer(psi, psi.conj()), 4, 3, "A")
@@ -118,7 +118,7 @@ class TestPurify:
     def test_roundtrip_many(self):
         for i in range(50):
             rank = (i % 4) + 1
-            rho = random_density(4, rank, SeedSpec(13, stream=i))
+            rho = random_density((4,), rank, SeedSpec(13, stream=i))
             psi = purify(rho)
             d_e = psi.shape[0] // 4
             rec = partial_trace(np.outer(psi, psi.conj()), 4, d_e, "A")
