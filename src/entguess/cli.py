@@ -23,7 +23,14 @@ from . import designs, game, relations
 from .entropies import JointDistribution
 from .errors import EntguessError, FormatError, exact_int
 from .linops import max_entangled
-from .states import DensityMatrix, SeedSpec, mixed_rank_states, random_density, random_pure, random_separable
+from .states import (
+    DensityMatrix,
+    SeedSpec,
+    _complex_gaussians,
+    mixed_rank_states,
+    random_density,
+    random_separable,
+)
 
 
 @dataclass
@@ -185,8 +192,12 @@ def cmd_verify(cfg: RunConfig) -> int:
         dims = (cfg.d, cfg.d_b, cfg.d_e)
         n = cfg.d * cfg.d_b * cfg.d_e
         for start, stop in _chunks(cfg.samples, cfg.d * max(cfg.d_b, cfg.d_e)):
-            streams = range(start, stop)
-            psi = np.array([random_pure(n, SeedSpec(cfg.seed, stream=i)) for i in streams])
+            # random_pure(n, SeedSpec(seed, stream=i)) of every stream i of
+            # the chunk, with one Box-Muller transform; a norm per row keeps
+            # the bits of random_pure's
+            gens = [SeedSpec(cfg.seed, stream=i).generator() for i in range(start, stop)]
+            draws = _complex_gaussians(gens, [(n,)] * len(gens))
+            psi = np.array([v / np.linalg.norm(v) for v in draws])
             reports += relations.monogamy_report(psi, dims, mubs, tol)
     else:
         raise EntguessError(f"unknown relation {cfg.relation!r}")

@@ -31,6 +31,12 @@ evaluated as a batch: `measure_family`, `h2nu`, `h2nu_outcomes` and
 decompose every rho_B of the stack in one stacked ``eigh``.  A single state
 is the stack with no leading axis, through the same code.
 
+`d0_relative` takes rho in factor form, rho = t t^dag with t of shape
+n x r, and finds the support of rho from one r x r decomposition of the
+Gram matrix t^dag t, which has rho's nonzero eigenvalues; the monogamy lhs
+passes the amplitudes of a tripartite pure state as t, so its largest
+decomposition is d_B x d_B, not (d_A d_E) x (d_A d_E).
+
 Quantities that need semidefinite optimization are deliberately absent and
 only bound the ones computed here: the optimal guessing probability
 P_guess and recovery fidelity F(A|B) satisfy P_guess^2 <= P^pg <= P_guess
@@ -206,17 +212,21 @@ def classical_h2_cond(table: np.ndarray) -> float:
     return -np.log2(coll)
 
 
-def d0_relative(rho: np.ndarray, sigma: np.ndarray):
-    """Renyi-0 relative entropy D_0(rho || sigma) = -log Tr[Pi_rho sigma].
+def d0_relative(t: np.ndarray, sigma: np.ndarray):
+    """Renyi-0 relative entropy D_0(rho || sigma) = -log Tr[Pi_rho sigma] of rho = t t^dag.
 
-    Pi_rho is the exponent-0 power of rho.  Returns (value, near_cutoff),
-    where near_cutoff is func_on_support's flag for an eigenvalue of rho
-    within a factor 10 of the rank cutoff; for stacks of rho and sigma both
-    are per pair.  An overlap at or below RANK_TOL counts as orthogonal
-    supports and raises InfiniteDivergence, naming the first such pair.
+    t is an n x r factor of rho.  The support projector of rho is
+    Pi_rho = t G^+ t^dag with G = t^dag t, whose nonzero spectrum is rho's,
+    so Tr[Pi_rho sigma] = Tr[(t^dag sigma t) G^+] takes one r x r
+    decomposition and none of size n.  Returns (value, near_cutoff), where
+    near_cutoff is func_on_support's flag for an eigenvalue of G within a
+    factor 10 of the rank cutoff; for stacks of t and sigma both are per
+    pair.  An overlap at or below RANK_TOL counts as orthogonal supports and
+    raises InfiniteDivergence, naming the first such pair.
     """
-    (proj,), near_cutoff = func_on_support(rho, (0.0,))
-    overlap = np.real(np.trace(proj @ sigma, axis1=-2, axis2=-1))
+    t_dag = t.conj().swapaxes(-1, -2)
+    (g_pinv,), near_cutoff = func_on_support(t_dag @ t, (-1.0,))
+    overlap = np.real(np.trace(t_dag @ sigma @ t @ g_pinv, axis1=-2, axis2=-1))
     orthogonal = (overlap <= RANK_TOL).ravel()
     if orthogonal.any():
         first = overlap.ravel()[orthogonal.argmax()]

@@ -290,11 +290,16 @@ def monogamy_report(
 
     lhs = D_0(rho_AE || 1/d_A (x) rho_E); rhs = log d_A -
     log((d_A+1) 2^(-H') - 1) with H' the nu = 1 entropy of Alice's outcome
-    given Bob and the setting, over the complete MUB set.  The metadata
-    flags rank-tolerance sensitivity when rho_AE has eigenvalues within a
-    factor 10 of the support cutoff, where the support projector (and so
-    the lhs) can flip on noise.  A stack of k vectors, shape (k, d_A d_B
-    d_E), is checked as one batch and gives a list of k reports, in order.
+    given Bob and the setting, over the complete MUB set.  The two sides
+    read the state independently: the lhs reads the amplitudes, arranged as
+    the (d_A d_E) x d_B matrix T[(a, e), b] = psi_abe with rho_AE = T T^dag,
+    and takes the support of rho_AE from one decomposition of the d_B x d_B
+    Gram matrix T^dag T, which has the same nonzero eigenvalues; the rhs
+    measures rho_AB.  The metadata flags rank-tolerance sensitivity when
+    rho_AE has eigenvalues within a factor 10 of the support cutoff, where
+    the support projector (and so the lhs) can flip on noise.  A stack of k
+    vectors, shape (k, d_A d_B d_E), is checked as one batch and gives a
+    list of k reports, in order.
     """
     d_a, d_b, d_e = dims
     if mubs.kind != MUB_COMPLETE or mubs.d != d_a:
@@ -302,10 +307,11 @@ def monogamy_report(
     t = _amplitude_tensor(psi_abe, dims)
     lead = t.shape[:-3]
     rho_ab = np.einsum("...abe,...cde->...abcd", t, t.conj()).reshape(*lead, d_a * d_b, -1)
-    rho_ae = np.einsum("...abe,...cbf->...aecf", t, t.conj()).reshape(*lead, d_a * d_e, -1)
     rho_e = np.einsum("...abe,...abf->...ef", t, t.conj())
+    # rho_AE = T T^dag with T[(a, e), b] = psi_abe
+    t_ae = t.swapaxes(-1, -2).reshape(*lead, d_a * d_e, d_b)
 
-    lhs, sensitive = d0_relative(rho_ae, np.kron(np.eye(d_a) / d_a, rho_e))
+    lhs, sensitive = d0_relative(t_ae, np.kron(np.eye(d_a) / d_a, rho_e))
     h2p = h2nu_outcomes(DensityMatrix(rho_ab, (d_a, d_b)), mubs, 1.0)
     rhs = np.log2(d_a) - np.log2((d_a + 1) * 2.0 ** (-h2p) - 1.0)
     metadata = (

@@ -6,9 +6,11 @@ comment; all others are absolute.
 
 # The one rank cutoff.  linops.func_on_support drops eigenvalues at or below
 # RANK_TOL * max |eigenvalue|, so every negative power of rho_B is taken on
-# its support and exponent 0 is the support projector; entropies.d0_relative
-# treats a support overlap at or below RANK_TOL (absolute) as orthogonal
-# supports.
+# its support and exponent 0 is the support projector.
+# entropies.d0_relative applies it to the Gram matrix t^dag t of rho = t t^dag
+# (d_B x d_B for the monogamy lhs), whose nonzero eigenvalues are rho's, so it
+# cuts and flags the eigenvalues of rho_AE; it treats a support overlap at or
+# below RANK_TOL (absolute) as orthogonal supports.
 RANK_TOL = 1e-10
 
 # Hermiticity of a func_on_support input, relative to its largest entry.

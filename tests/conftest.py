@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from entguess import (
+    RANK_TOL,
     DensityMatrix,
     MeasurementFamily,
     SeedSpec,
@@ -26,6 +27,15 @@ def mubs():
 
 def max_entangled_state(d) -> DensityMatrix:
     return DensityMatrix.from_pure(max_entangled(d), (d, d))
+
+
+def near_cutoff_tripartite() -> np.ndarray:
+    """sqrt(1 - lam)|000> + sqrt(lam)|111> on 2 x 2 x 2: rho_AE has spectrum
+    (1 - lam, lam), with lam at 1.5x the rank cutoff."""
+    lam = 1.5 * RANK_TOL / (1.0 + 1.5 * RANK_TOL)
+    psi = np.zeros(8, dtype=complex)
+    psi[0], psi[7] = np.sqrt(1.0 - lam), np.sqrt(lam)
+    return psi
 
 
 def measure_in_basis(rho: DensityMatrix, basis) -> np.ndarray:

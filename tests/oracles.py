@@ -2,12 +2,13 @@
 
 Each oracle takes a different route to a quantity the package computes: an
 explicit classical-quantum density matrix, an explicitly applied recovery
-channel, the per-setting measure-then-sum loop with its own contraction
-and its own decomposition of rho_B for every setting, the second tensor
-moment written out as a sum of d^2 x d^2 Kronecker products, index
-summations (`np.einsum`) or Kronecker products in place of the package's
-matrix products, an inverse-CDF draw by comparing against every CDF
-entry, or the standard library's JSON encoder.  The state helpers at the
+channel, a support projector from the decomposition of the full rho in
+place of its small Gram matrix, the per-setting measure-then-sum loop with
+its own contraction and its own decomposition of rho_B for every setting,
+the second tensor moment written out as a sum of d^2 x d^2 Kronecker
+products, index summations (`np.einsum`) or Kronecker products in place of
+the package's matrix products, an inverse-CDF draw by comparing against
+every CDF entry, or the standard library's JSON encoder.  The state helpers at the
 end (`purify`, `schmidt_values`, `haar_unitary`) are used only by tests.
 """
 
@@ -18,6 +19,7 @@ import numpy as np
 from entguess import (
     DensityMatrix,
     DimensionError,
+    InfiniteDivergence,
     MeasurementFamily,
     ParameterError,
     SeedSpec,
@@ -144,6 +146,30 @@ def h2nu_outcomes_per_setting(
             float(np.real(np.trace(c @ m1 @ c @ m2))) for c in conds
         )
     return -np.log2(total)
+
+
+def d0_relative_oracle(rho, sigma):
+    """D_0(rho || sigma) = -log Tr[Pi_rho sigma] with Pi_rho from the n x n decomposition of rho.
+
+    Returns (value, near_cutoff) as `d0_relative` does, for a matrix or a
+    stack, and raises InfiniteDivergence at an overlap at or below RANK_TOL.
+    """
+    (proj,), near_cutoff = func_on_support(rho, (0.0,))
+    overlap = np.real(np.trace(proj @ sigma, axis1=-2, axis2=-1))
+    orthogonal = (overlap <= RANK_TOL).ravel()
+    if orthogonal.any():
+        first = overlap.ravel()[orthogonal.argmax()]
+        raise InfiniteDivergence(f"supports nearly orthogonal: Tr = {first:.3e}")
+    return -np.log2(overlap), near_cutoff
+
+
+def monogamy_lhs_oracle(psi_abe, dims):
+    """The monogamy lhs D_0(rho_AE || 1/d_A (x) rho_E) and its flag, from the built rho_AE."""
+    d_a, d_b, d_e = dims
+    t = np.asarray(psi_abe).reshape(d_a, d_b, d_e)
+    rho_ae = np.einsum("abe,cbf->aecf", t, t.conj()).reshape(d_a * d_e, -1)
+    rho_e = np.einsum("abe,abf->ef", t, t.conj())
+    return d0_relative_oracle(rho_ae, np.kron(np.eye(d_a) / d_a, rho_e))
 
 
 def round12_oracle(x):

@@ -2,7 +2,8 @@
 
 import numpy as np
 import pytest
-from conftest import cached_mubs
+from conftest import cached_mubs, near_cutoff_tripartite
+from oracles import d0_relative_oracle
 
 from entguess import (
     RANK_TOL,
@@ -107,12 +108,8 @@ class TestRelations:
             assert (report.verdict, report.metadata) == (single.verdict, single.metadata)
 
     def test_monogamy_report_flags_only_its_own_state(self):
-        # rho_AE of sqrt(1 - lam)|000> + sqrt(lam)|111> has spectrum (1 - lam, lam)
-        lam = 1.5 * RANK_TOL / (1.0 + 1.5 * RANK_TOL)
-        near = np.zeros(8, dtype=complex)
-        near[0], near[7] = np.sqrt(1.0 - lam), np.sqrt(lam)
         psi = [random_pure(8, SeedSpec(5, stream=i)) for i in range(3)]
-        psi.insert(NEAR, near)
+        psi.insert(NEAR, near_cutoff_tripartite())
         reports = monogamy_report(np.array(psi), (2, 2, 2), cached_mubs(2))
         flags = [r.metadata["rank_tol_sensitive"] for r in reports]
         assert flags == [i == NEAR for i in range(4)]
@@ -161,10 +158,13 @@ class TestStackRejection:
         assert str(single.value).startswith("negative eigenvalue")
 
     def test_d0_relative_orthogonal_supports(self):
-        rho = np.array([np.eye(2) / 2, np.diag([1.0, 0.0]), np.diag([0.0, 1.0])])
+        # factors t of rho = t t^dag = 1/2, diag(1, 0) and diag(0, 1)
+        t = np.array([np.eye(2) / np.sqrt(2), np.diag([1.0, 0.0]), np.diag([0.0, 1.0])])
         sigma = np.array([np.eye(2) / 2, np.diag([0.0, 1.0]), np.diag([1.0, 0.0])])
         with pytest.raises(InfiniteDivergence) as single:
-            d0_relative(rho[1], sigma[1])
+            d0_relative(t[1], sigma[1])
         with pytest.raises(InfiniteDivergence) as stacked:
-            d0_relative(rho, sigma)
-        assert str(stacked.value) == str(single.value)
+            d0_relative(t, sigma)
+        with pytest.raises(InfiniteDivergence) as oracle:
+            d0_relative_oracle(t @ t.swapaxes(1, 2), sigma)
+        assert str(stacked.value) == str(single.value) == str(oracle.value)

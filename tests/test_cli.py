@@ -8,7 +8,14 @@ import pytest
 from conftest import cached_mubs, max_entangled_state
 from oracles import json_text_oracle
 
-from entguess import EntguessError, joint_from_state, mixed_rank_states, relations
+from entguess import (
+    EntguessError,
+    SeedSpec,
+    joint_from_state,
+    mixed_rank_states,
+    random_pure,
+    relations,
+)
 from entguess.cli import RunConfig, _json_text, build_parser, config_from_args, main
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
@@ -282,6 +289,27 @@ class TestVerify:
                 single = original(rho[i], family, 0.5, report.tolerance)
                 assert abs(report.lhs - single.lhs) < 1e-14
                 assert abs(report.rhs - single.rhs) < 1e-14
+
+    def test_monogamy_chunks_draw_random_pure_states(self, capsys, monkeypatch, tmp_path):
+        # 5 x 3 x 4 gives chunks of 20 states; each chunk draws its states in
+        # one batch, bit for bit the random_pure vector of each stream
+        batched = []
+        original = relations.monogamy_report
+
+        def spy(psi, dims, mubs, tolerance):
+            batched.append(psi)
+            return original(psi, dims, mubs, tolerance)
+
+        monkeypatch.setattr(relations, "monogamy_report", spy)
+        code, _, _ = run_cli(
+            ["verify", "--relation", "monogamy", "--d", "5", "--db", "3", "--de", "4",
+             "--samples", "45", "--seed", "9", "--output", str(tmp_path / "r.json")],
+            capsys,
+        )
+        assert code == 0
+        assert [len(psi) for psi in batched] == [20, 20, 5]
+        expected = [random_pure(60, SeedSpec(9, stream=i)) for i in range(45)]
+        assert np.array_equal(np.concatenate(batched), np.array(expected))
 
 
 class TestSweep:

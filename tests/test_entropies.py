@@ -6,6 +6,7 @@ from conftest import cached_mubs, max_entangled_state, measure_in_basis, random_
 from oracles import (
     cq_embedding,
     cq_state,
+    d0_relative_oracle,
     h2nu_einsum_oracle,
     h2nu_kron_oracle,
     h2nu_outcomes_per_setting,
@@ -440,22 +441,44 @@ class TestClassicalH2:
 
 
 class TestD0Relative:
+    # d0_relative takes a factor t of rho = t t^dag; the oracle decomposes rho itself
     def test_self_distance_zero(self):
         gen = np.random.default_rng(52)
         g = gen.normal(size=(3, 3)) + 1j * gen.normal(size=(3, 3))
-        rho = g @ g.conj().T
-        rho /= np.trace(rho).real
-        assert abs(d0_relative(rho, rho)[0]) < 1e-12
+        t = g / np.sqrt(np.trace(g @ g.conj().T).real)
+        rho = t @ t.conj().T
+        value, flag = d0_relative(t, rho)
+        assert abs(value) < 1e-12
+        expected, expected_flag = d0_relative_oracle(rho, rho)
+        assert abs(value - expected) < 1e-12 and flag == expected_flag
 
     def test_pure_vs_maximally_mixed(self):
         d = 5
         psi = random_pure(d, SeedSpec(53))
-        value, _ = d0_relative(np.outer(psi, psi.conj()), np.eye(d) / d)
+        value, flag = d0_relative(psi[:, None], np.eye(d) / d)
         assert abs(value - np.log2(d)) < 1e-12
+        expected, expected_flag = d0_relative_oracle(np.outer(psi, psi.conj()), np.eye(d) / d)
+        assert abs(value - expected) < 1e-12 and flag == expected_flag
 
     def test_orthogonal_supports_diverge(self):
-        with pytest.raises(InfiniteDivergence):
-            d0_relative(np.diag([1.0, 0.0]), np.diag([0.0, 1.0]))
+        with pytest.raises(InfiniteDivergence) as factor:
+            d0_relative(np.array([[1.0], [0.0]]), np.diag([0.0, 1.0]))
+        with pytest.raises(InfiniteDivergence) as oracle:
+            d0_relative_oracle(np.diag([1.0, 0.0]), np.diag([0.0, 1.0]))
+        assert str(factor.value) == str(oracle.value)
+
+    @pytest.mark.parametrize("n, r", [(6, 2), (4, 4), (3, 7)], ids=["tall", "square", "wide"])
+    def test_matches_oracle_whatever_the_shape_of_t(self, n, r):
+        # a wide t has r - n zero eigenvalues of t^dag t, a tall one n - r of rho
+        gen = np.random.default_rng(54)
+        t = gen.normal(size=(5, n, r)) + 1j * gen.normal(size=(5, n, r))
+        t /= np.linalg.norm(t, axis=(1, 2))[:, None, None]
+        g = gen.normal(size=(5, n, n)) + 1j * gen.normal(size=(5, n, n))
+        sigma = g @ g.conj().swapaxes(1, 2)
+        values, flags = d0_relative(t, sigma)
+        expected, expected_flags = d0_relative_oracle(t @ t.conj().swapaxes(1, 2), sigma)
+        assert np.abs(values - expected).max() < 1e-12
+        assert np.array_equal(flags, expected_flags)
 
 
 class TestJointDistribution:

@@ -3,8 +3,8 @@ import inspect
 
 import numpy as np
 import pytest
-from conftest import cached_mubs, max_entangled_state, random_bipartite
-from oracles import haar_unitary
+from conftest import cached_mubs, max_entangled_state, near_cutoff_tripartite, random_bipartite
+from oracles import haar_unitary, monogamy_lhs_oracle
 
 from entguess import (
     DesignDefectError,
@@ -314,14 +314,15 @@ class TestMonogamy:
 
     def test_one_decomposition_of_rho_ae(self, monkeypatch):
         # per chunk of k states, whatever k: one stacked validation Cholesky
-        # of the rho_AB stack, one stacked eigh of the rho_B stack and one of
-        # the rho_AE stack
+        # of the (k, 15, 15) rho_AB stack, one stacked eigh of the measured
+        # rho_B stack and one of the Gram stack T^dag T of rho_AE = T T^dag,
+        # both (k, 3, 3); nothing of rho_AE's size (20 x 20) is decomposed
         calls = []
         for name in ("cholesky", "eigh", "eigvalsh"):
             original = getattr(np.linalg, name)
 
             def counting(a, *args, _name=name, _original=original, **kwargs):
-                calls.append((_name, np.shape(a)[:-2]))
+                calls.append((_name, np.shape(a)))
                 return _original(a, *args, **kwargs)
 
             monkeypatch.setattr(np.linalg, name, counting)
@@ -329,10 +330,34 @@ class TestMonogamy:
             calls.clear()
             psi = np.array([random_pure(60, SeedSpec(75, stream=i)) for i in range(k)])
             monogamy_report(psi, (5, 3, 4), cached_mubs(5))
-            assert sorted(calls) == [("cholesky", (k,)), ("eigh", (k,)), ("eigh", (k,))]
+            assert sorted(calls) == [
+                ("cholesky", (k, 15, 15)), ("eigh", (k, 3, 3)), ("eigh", (k, 3, 3))
+            ]
         calls.clear()
         monogamy_report(random_pure(60, SeedSpec(75)), (5, 3, 4), cached_mubs(5))
-        assert sorted(calls) == [("cholesky", (1,)), ("eigh", ()), ("eigh", ())]
+        assert sorted(calls) == [("cholesky", (1, 15, 15)), ("eigh", (3, 3)), ("eigh", (3, 3))]
+
+    @pytest.mark.parametrize(
+        "dims, states, flagged",
+        [
+            ((3, 7, 2), lambda: [random_pure(42, SeedSpec(76, stream=i)) for i in range(10)], False),
+            ((3, 1, 4), lambda: [random_pure(12, SeedSpec(77, stream=i)) for i in range(10)], False),
+            ((2, 2, 2), lambda: [near_cutoff_tripartite()], True),
+        ],
+        ids=["gram-rank-deficient", "d_b-1", "near-cutoff"],
+    )
+    def test_lhs_matches_rho_ae_oracle(self, dims, states, flagged):
+        # the lhs from the d_B x d_B Gram of the amplitudes against the
+        # support projector of the built rho_AE, flag included
+        mubs = cached_mubs(dims[0])
+        for psi in states():
+            rep = monogamy_report(psi, dims, mubs)
+            lhs, flag = monogamy_lhs_oracle(psi, dims)
+            assert abs(rep.lhs - lhs) < 1e-12
+            assert rep.metadata["rank_tol_sensitive"] == flag == flagged
+            if dims[1] > dims[0] * dims[2]:
+                # rho_AE has full rank, so Pi_AE = 1 and the exact lhs is 0
+                assert abs(rep.lhs) < 1e-12
 
     def test_clean_spectrum_not_flagged(self):
         psi = random_pure(8, SeedSpec(74))
