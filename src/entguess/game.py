@@ -8,10 +8,12 @@ the PGM guessing probability the rest of the package computes.
 
 Sampling inverts the CDFs: a draw is the number of entries of the
 nondecreasing CDF row that are <= its uniform, found by a binary search run
-on a fixed-size chunk of trials at a time.  The chunk bounds the search's
-temporaries; it does not bound the three float64 uniforms per trial, which
-are drawn up front (24 bytes per trial, 24 MB at 10^6 trials), so memory
-grows linearly with the number of trials.
+on a fixed-size chunk of trials at a time.  The uniforms are drawn one chunk
+at a time too, so the chunk bounds all of the sampling's memory, whatever
+the number of trials.  They stay bit-identical to drawing each of the three
+streams (settings, Alice's outcomes, Bob's guesses) whole, one after the
+other, from the seed's Philox generator: each stream has its own copy of
+that generator, placed once at the stream's offset.
 """
 
 from dataclasses import dataclass
@@ -24,9 +26,12 @@ from .errors import ParameterError
 from .linops import func_on_support
 from .states import DensityMatrix, SeedSpec
 
-# Trials drawn per pass of the sampling loop; bounds the per-trial
-# temporaries (indices, gathered CDF entries, masks) to a fixed size.
-_CHUNK = 1 << 16
+# Trials drawn per pass of the sampling loop; bounds the uniforms and the
+# per-trial temporaries (indices, gathered CDF entries, masks) to a fixed
+# size.  At 2^13 trials an 8-byte temporary is 64 KiB, below glibc's 128 KiB
+# mmap threshold: larger ones are mapped and page-faulted afresh on every
+# chunk, which made 2^16 slower than drawing every uniform up front.
+_CHUNK = 1 << 13
 
 
 @dataclass(frozen=True)
@@ -83,27 +88,42 @@ def _count_at_most(cdf: np.ndarray, rows: np.ndarray, u: np.ndarray) -> np.ndarr
     return count
 
 
+def _stream_generator(seed: SeedSpec, offset: int) -> np.random.Generator:
+    """The seed's generator placed so that its next uniform is draw `offset`.
+
+    Philox makes its output in blocks of four 64-bit words, one per float64
+    uniform; `advance` skips whole blocks, and the rest are drawn and dropped.
+    """
+    gen = seed.generator()
+    gen.bit_generator.advance(offset // 4)
+    gen.random(offset % 4)
+    return gen
+
+
 def simulate_game(
     rho: DensityMatrix, family: MeasurementFamily, trials: int, seed: SeedSpec
 ) -> GameResult:
     """Play `trials` rounds of the guessing game, deterministically in `seed`.
 
-    All three uniforms per trial (setting, Alice outcome, Bob guess) are
-    drawn up front from the seed's Philox stream, so the result is
-    bit-reproducible and independent of any internal batching.
+    The seed's Philox stream holds all setting uniforms, then all Alice
+    outcome uniforms, then all Bob guess uniforms.  Each of the three is
+    read chunk by chunk from its own generator, advanced once to the
+    stream's start, so memory is bounded by the chunk and the result is
+    bit-reproducible and independent of the chunk size.
     """
     if trials < 1:
         raise ParameterError(f"trials must be >= 1, got {trials}")
+    if trials > np.iinfo(np.int64).max:
+        raise ParameterError(f"trials must fit the int64 trial counters, got {trials}")
     if not family.is_basis_family():
         raise ParameterError("the game is defined for basis-type families")
     outcome_probs, bob_conds, analytic = _game_tables(rho, family)
     n_settings = family.n_settings
     d = family.d
 
-    gen = seed.generator()
-    u_setting = gen.random(trials)
-    u_alice = gen.random(trials)
-    u_bob = gen.random(trials)
+    # streams 0, 1, 2: the setting, Alice's outcome and Bob's guess uniforms
+    gens = [_stream_generator(seed, which * trials) for which in range(3)]
+    uniforms = np.empty((3, min(trials, _CHUNK)))
 
     alice_cdf = np.cumsum(outcome_probs, axis=1)
     # row theta * d + k holds Bob's guess CDF in setting theta given outcome k
@@ -111,10 +131,13 @@ def simulate_game(
     setting_trials = np.zeros(n_settings, dtype=np.int64)
     setting_wins = np.zeros(n_settings, dtype=np.int64)
     for start in range(0, trials, _CHUNK):
-        stop = start + _CHUNK
-        thetas = np.minimum((u_setting[start:stop] * n_settings).astype(np.intp), n_settings - 1)
-        ks = np.minimum(_count_at_most(alice_cdf, thetas, u_alice[start:stop]), d - 1)
-        js = np.minimum(_count_at_most(bob_cdf, thetas * d + ks, u_bob[start:stop]), d - 1)
+        n = min(_CHUNK, trials - start)
+        for gen, row in zip(gens, uniforms):
+            gen.random(out=row[:n])
+        u_setting, u_alice, u_bob = uniforms[:, :n]
+        thetas = np.minimum((u_setting * n_settings).astype(np.intp), n_settings - 1)
+        ks = np.minimum(_count_at_most(alice_cdf, thetas, u_alice), d - 1)
+        js = np.minimum(_count_at_most(bob_cdf, thetas * d + ks, u_bob), d - 1)
         setting_trials += np.bincount(thetas, minlength=n_settings)
         setting_wins += np.bincount(thetas[ks == js], minlength=n_settings)
 

@@ -8,7 +8,8 @@ its own contraction and its own decomposition of rho_B for every setting,
 the second tensor moment written out as a sum of d^2 x d^2 Kronecker
 products, index summations (`np.einsum`) or Kronecker products in place of
 the package's matrix products, an inverse-CDF draw by comparing against
-every CDF entry, or the standard library's JSON encoder.  The state helpers at the
+every CDF entry, the guessing game with all of its uniforms drawn up front,
+or the standard library's JSON encoder.  The state helpers at the
 end (`purify`, `schmidt_values`, `haar_unitary`) are used only by tests.
 """
 
@@ -27,6 +28,7 @@ from entguess import (
     max_entangled,
     measure_family,
 )
+from entguess.game import _game_tables
 from entguess.states import _complex_gaussian
 from entguess.tolerances import RANK_TOL, UNIT_NORM_TOL
 
@@ -109,6 +111,22 @@ def joint_tables_oracle(rho: DensityMatrix, family: MeasurementFamily, thetas, b
 def categorical_oracle(cdf_rows, u) -> np.ndarray:
     """Inverse-CDF draw: how many entries of row i of cdf_rows are <= u[i]."""
     return (np.asarray(u)[:, None] >= cdf_rows).sum(axis=1)
+
+
+def game_counts_oracle(rho: DensityMatrix, family: MeasurementFamily, trials, seed):
+    """Per setting, (trials, wins) of the guessing game drawn in one piece.
+
+    All 3 * trials uniforms come up front from one generator: the settings,
+    then Alice's outcomes, then Bob's guesses, each inverted by
+    `categorical_oracle`.
+    """
+    outcome_probs, bob_conds, _ = _game_tables(rho, family)
+    n, d = outcome_probs.shape
+    u_setting, u_alice, u_bob = seed.generator().random(3 * trials).reshape(3, trials)
+    thetas = np.minimum((u_setting * n).astype(np.intp), n - 1)
+    ks = np.minimum(categorical_oracle(np.cumsum(outcome_probs, axis=1)[thetas], u_alice), d - 1)
+    js = np.minimum(categorical_oracle(np.cumsum(bob_conds, axis=2)[thetas, ks], u_bob), d - 1)
+    return [(int(np.sum(thetas == th)), int(np.sum((thetas == th) & (ks == js)))) for th in range(n)]
 
 
 def pgm_guess_prob(conds) -> float:

@@ -612,6 +612,15 @@ class TestGameCommand:
         assert out == ""
         assert err.startswith("error: state file is for d_A = 2")
 
+    @pytest.mark.parametrize("trials", [10**29, 2**63])
+    def test_trials_beyond_int64_is_usage_error(self, capsys, trials):
+        code, out, err = run_cli(
+            ["game", "--state", "random", "--d", "3", "--db", "2", "--trials", str(trials)],
+            capsys,
+        )
+        assert (code, out) == (2, "")
+        assert err == f"error: trials must fit the int64 trial counters, got {trials}\n"
+
     def test_setting_without_trials_is_valid_json(self, capsys):
         def reject(token):
             raise ValueError(f"{token} is not JSON")

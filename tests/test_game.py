@@ -1,9 +1,10 @@
 import dataclasses
+import tracemalloc
 
 import numpy as np
 import pytest
 from conftest import cached_mubs, max_entangled_state, random_bipartite
-from oracles import categorical_oracle
+from oracles import categorical_oracle, game_counts_oracle
 
 from entguess import (
     DensityMatrix,
@@ -140,3 +141,29 @@ class TestChunkedSampling:
         expected = simulate_game(*args)
         monkeypatch.setattr(game, "_CHUNK", chunk)
         assert simulate_game(*args) == expected
+
+    # Each stream starts at draw which * trials: trials 1, 3 and 5,003 put
+    # the Alice and Bob streams inside a Philox block of four draws.
+    @pytest.mark.parametrize("chunk", [1, 7, 4096])
+    @pytest.mark.parametrize("trials", [1, 3, 5_003])
+    def test_matches_up_front_draw(self, monkeypatch, trials, chunk):
+        rho = random_bipartite(3, 2, 4, seed=96)
+        seed = SeedSpec(97, stream=1)
+        monkeypatch.setattr(game, "_CHUNK", chunk)
+        result = simulate_game(rho, cached_mubs(3), trials, seed)
+        expected = game_counts_oracle(rho, cached_mubs(3), trials, seed)
+        assert [(e["trials"], e["wins"]) for e in result.per_setting] == expected
+        assert result.wins == sum(w for _, w in expected)
+
+    def test_memory_does_not_grow_with_trials(self):
+        rho = random_bipartite(3, 2, 4, seed=98)
+        peaks = []
+        for trials in (10**4, 10**6):
+            tracemalloc.start()
+            try:
+                simulate_game(rho, cached_mubs(3), trials, SeedSpec(99))
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        # drawing every uniform up front would take 24 MB at 10^6 trials
+        assert peaks[1] < 2 * peaks[0], peaks
