@@ -2,18 +2,25 @@
 
 Each trial: a setting is drawn uniformly from the family, Alice's outcome
 is drawn by the Born rule, and Bob's guess is drawn from the pretty good
-measurement's outcome distribution conditioned on Alice's outcome.  Bob
-really samples his guess, so the analytic win probability is exactly
-the PGM guessing probability the rest of the package computes.
+measurement's outcome distribution conditioned on Alice's outcome.  Each
+of the three is decided by a uniform of its own, so the win rate is a Monte
+Carlo estimate of exactly the PGM guessing probability the rest of the
+package computes.
 
-Sampling inverts the CDFs: a draw is the number of entries of the
-nondecreasing CDF row that are <= its uniform, found by a binary search run
-on a fixed-size chunk of trials at a time.  The uniforms are drawn one chunk
-at a time too, so the chunk bounds all of the sampling's memory, whatever
-the number of trials.  They stay bit-identical to drawing each of the three
-streams (settings, Alice's outcomes, Bob's guesses) whole, one after the
-other, from the seed's Philox generator: each stream has its own copy of
-that generator, placed once at the stream's offset.
+Sampling inverts the CDFs, a fixed-size chunk of trials at a time.  A
+setting is floor(u * n_settings).  Alice's outcome is the number of entries
+of her nondecreasing CDF row that are <= her uniform: a guide table of
+power-of-two buckets gives where that count starts, and a binary search
+over the widest bucket's span finishes it (one probe when no bucket holds
+two entries).  Bob's guess is never materialised: only whether it equals
+Alice's outcome k counts, and that holds exactly when his uniform lies
+between entries k - 1 and k of his CDF row, so two compares decide it.  The
+uniforms are drawn one chunk at a time too, so the chunk bounds all of the
+sampling's memory, whatever the number of trials.  They stay bit-identical
+to drawing each of the three streams (settings, Alice's outcomes, Bob's
+guesses) whole, one after the other, from the seed's Philox generator: each
+stream has its own copy of that generator, placed once at the stream's
+offset.  The counts equal those of drawing every guess by inverse CDF.
 """
 
 from dataclasses import dataclass
@@ -68,24 +75,69 @@ def _game_tables(rho: DensityMatrix, family: MeasurementFamily):
     return outcome_probs, cond, analytic
 
 
-def _count_at_most(cdf: np.ndarray, rows: np.ndarray, u: np.ndarray) -> np.ndarray:
-    """Per trial i, the number of entries of cdf[rows[i]] that are <= u[i].
+class _GuidedCdf:
+    """Inverse-CDF draws from the nondecreasing rows of a CDF table.
 
-    A binary search run on all trials at once, building the count from its
-    highest bit down: a step is taken when the entry it would count is still
-    <= u[i].  Every row is nondecreasing, so the count is the inverse-CDF
-    draw at u[i] and equals (u[i] >= cdf[rows[i]]).sum() exactly.
+    A draw at u from row i is the number of entries of cdf[i] that are <= u.
+    It starts from a guide table (Chen & Asau's indexed search): with B
+    buckets, B a power of two so that floor(u * B) is exact, guide[i, b]
+    counts the entries of row i that are <= b / B.  The draw at a u in bucket
+    b lies between guide[i, b] and guide[i, b + 1], so a binary search over
+    the widest bucket's span, on rows padded with +inf, finishes it.  Exact
+    for every u in [0, 1]; even with all entries in one bucket it probes no
+    more often than a binary search of the whole row.
     """
-    width = cdf.shape[1]
-    flat = cdf.ravel()
-    last = rows * width - 1  # flat index of the entry before each row
-    count = np.zeros(len(u), dtype=np.intp)
-    step = 1 << (width.bit_length() - 1)
-    while step:
-        probe = count + step
-        count += step * ((probe <= width) & (flat[last + np.minimum(probe, width)] <= u))
-        step >>= 1
-    return count
+
+    def __init__(self, cdf: np.ndarray):
+        n_rows, width = cdf.shape
+        # at least two buckets per entry: on a spread-out row no bucket holds
+        # two entries, and one probe finishes each draw
+        self.n_buckets = 1 << (2 * width - 1).bit_length()
+        edges = np.arange(self.n_buckets + 1) / self.n_buckets
+        guide = np.stack([np.searchsorted(row, edges, side="right") for row in cdf])
+        self.guide = guide.ravel()
+        # bucket B holds only u = 1, where the guide entry is the draw itself
+        span = int(np.diff(guide, axis=1).max())
+        self.steps = [1 << i for i in reversed(range(span.bit_length()))]
+        # a probe reads at most `step` <= span entries past the last one
+        # counted, so span entries of +inf pad every row
+        self.width = width + span
+        padded = np.full((n_rows, self.width), np.inf)
+        padded[:, :width] = cdf
+        self.flat = padded.ravel()
+
+    def draw(self, rows: np.ndarray, u: np.ndarray) -> np.ndarray:
+        """Per trial t, the number of entries of cdf[rows[t]] that are <= u[t]."""
+        buckets = (u * self.n_buckets).astype(np.intp)
+        count = self.guide[rows * (self.n_buckets + 1) + buckets]
+        last = rows * self.width - 1  # flat index of the entry before each row
+        for step in self.steps:
+            count += step * (self.flat[last + count + step] <= u)
+        return count
+
+
+class _BobWins:
+    """Whether Bob's guess equals Alice's outcome, without drawing it.
+
+    Bob's guess at uniform u is min(draw, d - 1), the draw taken from the
+    nondecreasing CDF row bob_cdf[theta, k] that Alice's outcome k selects.
+    It equals k exactly when bob_cdf[theta, k, k - 1] <= u < bob_cdf[theta,
+    k, k], with the bound past either end of the row infinite.  Both bounds
+    are kept flat, at row theta * d + k.
+    """
+
+    def __init__(self, bob_cdf: np.ndarray):
+        d = bob_cdf.shape[-1]
+        outcome = np.arange(d)
+        hi = bob_cdf[:, outcome, outcome]
+        hi[:, -1] = np.inf
+        lo = np.full_like(hi, -np.inf)
+        lo[:, 1:] = bob_cdf[:, outcome[1:], outcome[:-1]]
+        self.lo, self.hi = lo.ravel(), hi.ravel()
+
+    def won(self, rows: np.ndarray, u: np.ndarray) -> np.ndarray:
+        """Per trial t, whether Bob's guess at u[t] in row rows[t] is right."""
+        return (self.lo[rows] <= u) & (u < self.hi[rows])
 
 
 def _stream_generator(seed: SeedSpec, offset: int) -> np.random.Generator:
@@ -109,7 +161,10 @@ def simulate_game(
     outcome uniforms, then all Bob guess uniforms.  Each of the three is
     read chunk by chunk from its own generator, advanced once to the
     stream's start, so memory is bounded by the chunk and the result is
-    bit-reproducible and independent of the chunk size.
+    bit-reproducible and independent of the chunk size.  Per chunk, Alice's
+    outcomes come from a guide-table draw and Bob's wins from comparing his
+    uniforms with the bounds of the CDF interval that maps to her outcome;
+    one bincount of 2 * setting + win gives each setting's trials and wins.
     """
     if trials < 1:
         raise ParameterError(f"trials must be >= 1, got {trials}")
@@ -125,22 +180,22 @@ def simulate_game(
     gens = [_stream_generator(seed, which * trials) for which in range(3)]
     uniforms = np.empty((3, min(trials, _CHUNK)))
 
-    alice_cdf = np.cumsum(outcome_probs, axis=1)
-    # row theta * d + k holds Bob's guess CDF in setting theta given outcome k
-    bob_cdf = np.cumsum(bob_conds, axis=2).reshape(n_settings * d, d)
-    setting_trials = np.zeros(n_settings, dtype=np.int64)
-    setting_wins = np.zeros(n_settings, dtype=np.int64)
+    alice = _GuidedCdf(np.cumsum(outcome_probs, axis=1))
+    bob = _BobWins(np.cumsum(bob_conds, axis=2))
+    # entry 2 * theta + won: trials of setting theta lost, then won
+    counts = np.zeros(2 * n_settings, dtype=np.int64)
     for start in range(0, trials, _CHUNK):
         n = min(_CHUNK, trials - start)
         for gen, row in zip(gens, uniforms):
             gen.random(out=row[:n])
         u_setting, u_alice, u_bob = uniforms[:, :n]
         thetas = np.minimum((u_setting * n_settings).astype(np.intp), n_settings - 1)
-        ks = np.minimum(_count_at_most(alice_cdf, thetas, u_alice), d - 1)
-        js = np.minimum(_count_at_most(bob_cdf, thetas * d + ks, u_bob), d - 1)
-        setting_trials += np.bincount(thetas, minlength=n_settings)
-        setting_wins += np.bincount(thetas[ks == js], minlength=n_settings)
+        ks = np.minimum(alice.draw(thetas, u_alice), d - 1)
+        won = bob.won(thetas * d + ks, u_bob)
+        counts += np.bincount(2 * thetas + won, minlength=2 * n_settings)
 
+    setting_wins = counts[1::2]
+    setting_trials = counts[::2] + setting_wins
     wins = int(setting_wins.sum())
     per_setting = []
     for th in range(n_settings):

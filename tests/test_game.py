@@ -3,7 +3,9 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from conftest import cached_mubs, max_entangled_state, random_bipartite
+from conftest import cached_mubs, max_entangled_state, psd, random_bipartite
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from oracles import categorical_oracle, game_counts_oracle
 
 from entguess import (
@@ -84,32 +86,132 @@ def _cdf_table(gen, n_rows, width):
     return np.cumsum(probs / probs.sum(axis=1, keepdims=True), axis=1)
 
 
+def _n_buckets(width):
+    """The guide table's bucket count for CDF rows of this width."""
+    return game._GuidedCdf(np.zeros((1, width))).n_buckets
+
+
+def _edge_uniforms(cdf, n_buckets):
+    """Every CDF value (where >= and > differ), every bucket edge j / B and
+    the neighbours of both inside [0, 1], and the ends of [0, 1]."""
+    points = np.concatenate([np.unique(cdf), np.arange(n_buckets + 1) / n_buckets])
+    u = np.concatenate([points, np.nextafter(points, -1.0), np.nextafter(points, 2.0), [0.0, 1.0]])
+    return u[(u >= 0.0) & (u <= 1.0)]
+
+
+def _guided_draw(cdf, u):
+    """The guided draw of every u from every row of cdf, and the rows used."""
+    sampler = game._GuidedCdf(cdf)
+    rows = np.repeat(np.arange(len(cdf)), len(u))
+    return sampler.draw(rows, np.tile(u, len(cdf))), rows
+
+
 class TestInverseCdfDraw:
     @pytest.mark.parametrize("width", [1, 2, 3, 8, 13, 16, 17])
     def test_matches_categorical_oracle(self, width):
         gen = np.random.default_rng(92)
-        cdf = _cdf_table(gen, 9, width)
-        values = np.unique(cdf)
-        # every CDF value itself (where >= and > differ), its neighbours, the
-        # ends of [0, 1], and ordinary uniforms
+        n_buckets = _n_buckets(width)
+        # random rows, and a row whose entries sit on bucket edges, ending on 1
+        on_edges = np.arange(1, width + 1) * n_buckets // width / n_buckets
+        cdf = np.vstack([_cdf_table(gen, 9, width), on_edges])
+        # the edge cases, then ordinary uniforms
+        u = np.concatenate([_edge_uniforms(cdf, n_buckets), gen.random(500)])
+        got, rows = _guided_draw(cdf, u)
+        assert np.array_equal(got, categorical_oracle(cdf[rows], np.tile(u, len(cdf))))
+
+    @pytest.mark.parametrize("width", [2, 3, 13, 40])
+    def test_all_but_last_entry_in_first_bucket(self, width):
+        # every entry but the last in the first bucket: a span of width - 1
+        probs = np.full((1, width), 1e-3 / width)
+        probs[0, -1] = 1.0 - probs[0, :-1].sum()
+        cdf = np.cumsum(probs, axis=1)
+        sampler = game._GuidedCdf(cdf)
+        assert cdf[0, -2] < 1.0 / sampler.n_buckets
+        # no more probes than a binary search of the whole row
+        assert len(sampler.steps) == (width - 1).bit_length() <= width.bit_length()
         u = np.concatenate([
-            values,
-            np.nextafter(values, 0.0),
-            np.nextafter(values, 2.0),
-            [0.0, 1.0],
-            gen.random(500),
+            _edge_uniforms(cdf, sampler.n_buckets),
+            np.random.default_rng(93).random(200) / sampler.n_buckets,
         ])
-        u = np.tile(u, len(cdf))
-        rows = np.repeat(np.arange(len(cdf)), len(u) // len(cdf))
-        got = game._count_at_most(cdf, rows, u)
+        got, rows = _guided_draw(cdf, u)
         assert np.array_equal(got, categorical_oracle(cdf[rows], u))
 
     def test_zero_probability_outcomes_never_drawn(self):
         probs = np.array([[0.0, 0.5, 0.0, 0.0, 0.5, 0.0]])
         cdf = np.cumsum(probs, axis=1)
         u = np.random.default_rng(93).random(10_000)
-        draws = game._count_at_most(cdf, np.zeros(len(u), dtype=np.intp), u)
+        draws, _ = _guided_draw(cdf, u)
         assert set(np.unique(draws)) == {1, 4}
+
+
+@st.composite
+def _cdf_rows(draw):
+    """A nondecreasing CDF table of width 1-40: values spread over [0, 1], or
+    clustered in one bucket, with runs of repeats (zero probability) and
+    values on the bucket's edges."""
+    width = draw(st.integers(1, 40))
+    n_rows = draw(st.integers(1, 3))
+    clustered = draw(st.booleans())
+    repeats = draw(st.sampled_from([0.0, 0.3, 0.8]))
+    # a last entry of exactly 1, or off it by rounding, or left as drawn
+    end = draw(st.sampled_from([0.0, 1.0, np.nextafter(1.0, 0.0), np.nextafter(1.0, 2.0)]))
+    gen = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    n_buckets = _n_buckets(width)
+    rows = []
+    for _ in range(n_rows):
+        low, high = 0.0, 1.0
+        if clustered:
+            low = gen.integers(n_buckets) / n_buckets
+            high = low + 1.0 / n_buckets
+        row = gen.uniform(low, high, width)
+        row[gen.random(width) < 0.2] = low
+        row[gen.random(width) < 0.2] = high
+        row = np.sort(row)
+        repeat = gen.random(width) < repeats
+        repeat[0] = False
+        row = row[np.maximum.accumulate(np.where(repeat, 0, np.arange(width)))]
+        row[-1] = max(row[-1], end)
+        rows.append(row)
+    return np.array(rows)
+
+
+class TestGuidedDrawProperty:
+    @settings(derandomize=True, max_examples=80, deadline=None)
+    @given(cdf=_cdf_rows(), extra=st.lists(st.floats(0.0, 1.0), max_size=5))
+    def test_matches_categorical_oracle(self, cdf, extra):
+        u = np.concatenate([_edge_uniforms(cdf, _n_buckets(cdf.shape[1])), extra])
+        got, rows = _guided_draw(cdf, u)
+        assert np.array_equal(got, categorical_oracle(cdf[rows], np.tile(u, len(cdf))))
+
+
+class TestBobWins:
+    """Bob wins exactly when his inverse-CDF guess, capped at d - 1, is k."""
+
+    @staticmethod
+    def _tables(d):
+        gen = np.random.default_rng(100)
+        cdf = _cdf_table(gen, 2 * d, d).reshape(2, d, d)
+        delta = np.cumsum(np.eye(d), axis=1)  # a guess that always equals k
+        zero = np.zeros((d, d))  # an outcome that is never drawn
+        return np.concatenate([cdf, delta[None], zero[None]])
+
+    @pytest.mark.parametrize("d", [1, 2, 5])
+    def test_matches_capped_oracle(self, d):
+        bob_cdf = self._tables(d)
+        rows = bob_cdf.reshape(-1, d)
+        # every CDF value, so u sits on both bounds of every interval
+        u = np.tile(_edge_uniforms(bob_cdf, 1), len(rows))
+        r = np.repeat(np.arange(len(rows)), len(u) // len(rows))
+        guess = np.minimum(categorical_oracle(rows[r], u), d - 1)
+        won = game._BobWins(bob_cdf).won(r, u)
+        assert np.array_equal(won, guess == r % d)
+
+    def test_bounds_past_the_row_are_infinite(self):
+        bob = game._BobWins(self._tables(5))
+        assert np.all(bob.lo.reshape(-1, 5)[:, 0] == -np.inf)
+        assert np.all(bob.hi.reshape(-1, 5)[:, -1] == np.inf)
+        assert np.all(np.isfinite(bob.lo.reshape(-1, 5)[:, 1:]))
+        assert np.all(np.isfinite(bob.hi.reshape(-1, 5)[:, :-1]))
 
 
 # Recorded from the summed-comparison draw this sampler replaced: random
@@ -154,6 +256,27 @@ class TestChunkedSampling:
         expected = game_counts_oracle(rho, cached_mubs(3), trials, seed)
         assert [(e["trials"], e["wins"]) for e in result.per_setting] == expected
         assert result.wins == sum(w for _, w in expected)
+
+    # Delta rows in Bob's tables (maximally entangled), rows with zero
+    # entries and outcomes of probability 0 (|0><0| x rho_B), uniform rows
+    # (maximally mixed): Bob's bounds at k = 0 and k = d - 1 are exercised.
+    @pytest.mark.parametrize("d", [2, 5])
+    @pytest.mark.parametrize("state", ["max-entangled", "product", "maximally-mixed"])
+    def test_matches_up_front_draw_at_extreme_states(self, monkeypatch, state, d):
+        if state == "max-entangled":
+            rho = max_entangled_state(d)
+        elif state == "product":
+            ket0 = np.zeros((d, d))
+            ket0[0, 0] = 1.0
+            rho_b = psd(np.random.default_rng(101), 3)
+            rho = DensityMatrix(np.kron(ket0, rho_b / np.trace(rho_b)), (d, 3))
+        else:
+            rho = DensityMatrix(np.eye(2 * d) / (2 * d), (d, 2))
+        seed = SeedSpec(102, stream=1)
+        monkeypatch.setattr(game, "_CHUNK", 4096)
+        result = simulate_game(rho, cached_mubs(d), 5_003, seed)
+        expected = game_counts_oracle(rho, cached_mubs(d), 5_003, seed)
+        assert [(e["trials"], e["wins"]) for e in result.per_setting] == expected
 
     def test_memory_does_not_grow_with_trials(self):
         rho = random_bipartite(3, 2, 4, seed=98)
