@@ -26,7 +26,7 @@ from .linops import max_entangled
 from .states import (
     DensityMatrix,
     SeedSpec,
-    _complex_gaussians,
+    _stream_gaussians,
     mixed_rank_states,
     random_density,
     random_separable,
@@ -195,8 +195,7 @@ def cmd_verify(cfg: RunConfig) -> int:
             # random_pure(n, SeedSpec(seed, stream=i)) of every stream i of
             # the chunk, with one Box-Muller transform; a norm per row keeps
             # the bits of random_pure's
-            gens = [SeedSpec(cfg.seed, stream=i).generator() for i in range(start, stop)]
-            draws = _complex_gaussians(gens, [(n,)] * len(gens))
+            draws = _stream_gaussians(cfg.seed, range(start, stop), [(n,)] * (stop - start))
             psi = np.array([v / np.linalg.norm(v) for v in draws])
             reports += relations.monogamy_report(psi, dims, mubs, tol)
     else:
@@ -211,9 +210,13 @@ def cmd_sweep(cfg: RunConfig) -> int:
     designs.mub_family(d)  # reject dimensions without a complete MUB set
     if cfg.grid < 2:
         raise EntguessError(f"grid size must be >= 2, got {cfg.grid}")
+    try:
+        grid = np.linspace(0.0, 1.0, cfg.grid)
+    except (MemoryError, ValueError) as exc:
+        raise EntguessError(f"a grid of {cfg.grid} points cannot be allocated: {exc}") from exc
     rows = []
     for n in range(1, d + 2):
-        for fpg in np.linspace(0.0, 1.0, cfg.grid):
+        for fpg in grid:
             lower, upper = relations.guessing_bounds(float(fpg), d, n)
             rows.append({"fpg": float(fpg), "n": n, "lower": lower, "upper": upper})
     if cfg.fmt == "csv":

@@ -13,10 +13,18 @@ effect vector of setting t (a column of the setting's d x n_outcomes
 matrix ``vectors[t]``) and ``scales[t, k]`` its weight, so the effects are
 ``scales[t, k] * |v><v|``; for an orthonormal-basis setting the scales are
 all 1, for a SIC they are 1/d.
+
+A family holds read-only copies of the arrays it is given, so the defect
+and the tables cached on it cannot go stale.  The built-in constructors
+`mub_family`, `sic_povm` and `clifford_orbit_family` return one shared
+family per argument per process, kept until the process ends: the first
+call builds it, and the first `design_defect` of it certifies it, once.
+Their argument must be an int, so that 5 and 5.0 cannot share an entry.
+Families read from files, and subsets, are built anew on every request.
 """
 
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cache, cached_property
 
 import numpy as np
 
@@ -43,7 +51,9 @@ class MeasurementFamily:
     (n_settings, n_outcomes).  Settings share a uniform sampling weight
     1/n_settings.  ``d`` is read from ``vectors`` and the constant of the
     guessing-probability equality from ``kind``: d+1 for complete-MUB and
-    Clifford-orbit families, d(d+1) for SICs, None otherwise.
+    Clifford-orbit families, d(d+1) for SICs, None otherwise.  The family
+    keeps read-only copies of both arrays: a write to them raises
+    ValueError, and a later write to the caller's arrays cannot reach it.
     """
 
     kind: str
@@ -51,6 +61,10 @@ class MeasurementFamily:
     scales: np.ndarray
 
     def __post_init__(self):
+        for name in ("vectors", "scales"):
+            copy = np.array(getattr(self, name))
+            copy.flags.writeable = False
+            object.__setattr__(self, name, copy)
         v, scales = self.vectors, self.scales
         if v.ndim != 3 or scales.shape != (v.shape[0], v.shape[2]) or scales.size == 0:
             raise DimensionError(
@@ -117,7 +131,8 @@ class MeasurementFamily:
 
         The family is recognised by its content, not its kind, so a family
         document that claims MUB-complete with other vectors, a subset or
-        rephased copy of the bases, and every other family give None.  The
+        rephased copy of the bases, and every other family give None.  It is
+        compared with the shared `mub_family(d)`, not with a new copy.  The
         tables are the DFT matrix w^(a m), the chirp w^(a delta^2) indexed
         [a, delta], and the block indices (rows, cols) of the gather that
         `entropies` explains.
@@ -125,7 +140,7 @@ class MeasurementFamily:
         d = self.d
         if d == 2 or not _is_prime(d) or self.vectors.shape != (d + 1, d, d):
             return None
-        if not (np.array_equal(self.vectors, _gauss_sum_bases(d)) and np.all(self.scales == 1)):
+        if not (np.array_equal(self.vectors, mub_family(d).vectors) and np.all(self.scales == 1)):
             return None
         roots = np.exp(2j * np.pi * np.arange(d) / d)
         i = np.arange(d)
@@ -191,7 +206,16 @@ def mub_family(d: int) -> MeasurementFamily:
     the computational basis plus, for each a in 0..d-1, the quadratic
     Gauss-sum basis with k-th vector (1/sqrt(d)) sum_j w^(a j^2 + k j) |j>,
     w = exp(2 pi i / d).
+
+    d must be an int (TypeError otherwise, also for 5.0).  The family for
+    each d is built on the first call and kept for the life of the process;
+    its vectors take 16 (d+1) d^2 bytes, about 17 MB at d = 101.
     """
+    return _mub_family(exact_int(d))
+
+
+@cache
+def _mub_family(d: int) -> MeasurementFamily:
     if not _is_prime(d):
         raise UnsupportedDimensionError(
             f"complete MUB sets are only constructed for prime d, got {d}"
@@ -239,8 +263,14 @@ def sic_povm(d: int) -> MeasurementFamily:
     Fiducials are hard-coded (the Bloch-tetrahedron state for d = 2,
     (0, 1, -1)/sqrt(2) for d = 3) and orbited under the Weyl-Heisenberg
     displacements.  The symmetric-overlap and completeness properties are
-    certified by the construction tests, not assumed.
+    certified by the construction tests, not assumed.  d must be an int
+    (TypeError otherwise); each family is built once per process.
     """
+    return _sic_povm(exact_int(d))
+
+
+@cache
+def _sic_povm(d: int) -> MeasurementFamily:
     if d == 2:
         theta = np.arccos(1 / np.sqrt(3))
         fid = np.array([np.cos(theta / 2), np.exp(1j * np.pi / 4) * np.sin(theta / 2)])
@@ -283,6 +313,7 @@ def single_qubit_cliffords() -> list:
     return order
 
 
+@cache
 def clifford_orbit_family() -> MeasurementFamily:
     """Qubit bases {U|0>, U|1>} over the 24 Clifford unitaries, weight 1/24 each."""
     cliffords = np.array(single_qubit_cliffords())
@@ -294,7 +325,9 @@ def design_defect(family: MeasurementFamily) -> float:
 
     The uniform average of |v><v| tensor |v><v| over all pooled effect
     vectors is compared against the 2-design target; 0 means the family
-    generates an exact complex projective 2-design.  Computed once per family.
+    generates an exact complex projective 2-design.  Computed once per
+    family: its arrays are read-only, so the value cannot go stale, and a
+    built-in family is shared, so it is certified once per process.
     """
     return family._design_defect
 

@@ -28,16 +28,15 @@ class SeedSpec:
         return np.random.Generator(np.random.Philox(key=key))
 
 
-def _complex_gaussians(gens, shapes) -> list:
-    """One complex Gaussian array per (generator, shape), in order.
+def _box_muller(draws, shapes) -> list:
+    """One complex Gaussian array per (uniforms, shape), in order.
 
     An array of n entries takes 2n standard normals, the real parts and then
-    the imaginary parts, from n Box-Muller pairs: its generator draws the n
+    the imaginary parts, from n Box-Muller pairs: its 2n uniforms are the n
     radius uniforms and then the n angle uniforms.  The transform runs once
-    over the draws of every generator.
+    over every array's uniforms.
     """
     sizes = [math.prod(shape) for shape in shapes]
-    draws = [gen.random(2 * n) for gen, n in zip(gens, sizes)]
     # 1 - u keeps the log argument in (0, 1].
     r = np.sqrt(-2.0 * np.log(1.0 - np.concatenate([u[:n] for u, n in zip(draws, sizes)])))
     phi = 2.0 * np.pi * np.concatenate([u[n:] for u, n in zip(draws, sizes)])
@@ -52,7 +51,25 @@ def _complex_gaussians(gens, shapes) -> list:
 
 
 def _complex_gaussian(gen: np.random.Generator, shape: tuple) -> np.ndarray:
-    return _complex_gaussians([gen], [shape])[0]
+    return _box_muller([gen.random(2 * math.prod(shape))], [shape])[0]
+
+
+def _stream_gaussians(seed: int, streams, shapes) -> list:
+    """`_complex_gaussian(SeedSpec(seed, k).generator(), shape)` for each (k, shape).
+
+    One generator serves every stream: its Philox is re-keyed to (seed, k)
+    with counter 0 and an empty buffer, which is the state a new keyed
+    Philox starts in, without the OS-entropy SeedSequence that building one
+    first makes.
+    """
+    gen = SeedSpec(seed).generator()
+    state = gen.bit_generator.state
+    draws = []
+    for k, shape in zip(streams, shapes):
+        state["state"]["key"] = np.array([seed % (1 << 64), k % (1 << 64)], dtype=np.uint64)
+        gen.bit_generator.state = state
+        draws.append(gen.random(2 * math.prod(shape)))
+    return _box_muller(draws, shapes)
 
 
 def _has_cholesky(m: np.ndarray) -> bool:
@@ -89,12 +106,16 @@ class DensityMatrix:
         n = int(np.prod(dims))
         if m.ndim not in (2, 3) or m.shape[-2:] != (n, n):
             raise DimensionError(f"matrix shape {m.shape} does not match dims {dims}")
+        # `stack` views the caller's matrix, so it is only read; the one
+        # full-size buffer holds m^dag, then m - m^dag, then the shifted h
         stack = m.reshape(-1, n, n)
-        stack_dag = stack.conj().swapaxes(1, 2)
+        stack_dag = stack.swapaxes(1, 2)
+        buf = np.conjugate(stack_dag, out=np.empty(stack.shape, complex))
         # m - m^dag is NaN or infinite wherever m is, so a non-finite entry
         # fails the first check before it can reach the factorisation
         with np.errstate(invalid="ignore"):
-            herm_gap = np.abs(stack - stack_dag).max(axis=(1, 2))
+            np.subtract(stack, buf, out=buf)
+            herm_gap = np.abs(buf).max(axis=(1, 2))
         bad = ~(herm_gap <= STATE_HERM_TOL)
         if bad.any():
             raise ParameterError(f"matrix deviates from Hermitian by {herm_gap[bad.argmax()]:.3e}")
@@ -103,11 +124,16 @@ class DensityMatrix:
         if bad.any():
             raise ParameterError(f"trace {trace[bad.argmax()]} differs from 1")
         # h + EIG_TOL 1 has a Cholesky factor iff h has no eigenvalue below
-        # -EIG_TOL, up to rounding of about n eps |h|, far inside EIG_TOL
-        h = (stack + stack_dag) / 2
-        shifted = h + EIG_TOL * np.eye(n)
-        if not _has_cholesky(shifted):
-            first = next(one for one, s in zip(h, shifted) if not _has_cholesky(s))
+        # -EIG_TOL, up to rounding of about n eps |h|, far inside EIG_TOL.
+        # Halving and a shift of the diagonal alone give (m + m^dag)/2 +
+        # EIG_TOL 1 bit for bit, up to the sign of a zero.
+        np.conjugate(stack_dag, out=buf)
+        np.add(stack, buf, out=buf)
+        buf *= 0.5
+        buf.reshape(len(buf), -1)[:, :: n + 1] += EIG_TOL
+        if not _has_cholesky(buf):
+            h = (stack + stack_dag.conj()) / 2
+            first = next(one for one, s in zip(h, buf) if not _has_cholesky(s))
             raise ParameterError(f"negative eigenvalue {np.linalg.eigvalsh(first)[0]:.3e}")
 
     def __getitem__(self, i) -> "DensityMatrix":
@@ -197,8 +223,7 @@ def mixed_rank_states(d_a: int, d_b: int, count: int, seed: int, start: int = 0)
         raise ParameterError(f"dimensions must be >= 1, got ({d_a}, {d_b})")
     n = d_a * d_b
     streams = range(start, start + count)
-    gens = [SeedSpec(seed, stream=k).generator() for k in streams]
     out = np.empty((count, n, n), dtype=complex)
-    for i, g in enumerate(_complex_gaussians(gens, [(n, k % n + 1) for k in streams])):
+    for i, g in enumerate(_stream_gaussians(seed, streams, [(n, k % n + 1) for k in streams])):
         out[i] = _ginibre(g)
     return DensityMatrix(out, (d_a, d_b))

@@ -1,5 +1,3 @@
-from functools import lru_cache
-
 import numpy as np
 import pytest
 
@@ -15,14 +13,9 @@ from entguess import (
 )
 
 
-@lru_cache(maxsize=None)
-def cached_mubs(d):
-    return mub_family(d)
-
-
 @pytest.fixture
 def mubs():
-    return cached_mubs
+    return mub_family
 
 
 def max_entangled_state(d) -> DensityMatrix:

@@ -9,7 +9,7 @@ import json
 from functools import lru_cache
 
 import numpy as np
-from conftest import cached_mubs, max_entangled_state, measure_in_basis
+from conftest import max_entangled_state, measure_in_basis
 from oracles import haar_unitary
 
 from entguess import (
@@ -24,6 +24,7 @@ from entguess import (
     max_entangled,
     mixed_rank_states,
     monogamy_report,
+    mub_family,
     pg_recovery_fidelity,
     classical_h2_cond,
     random_pure,
@@ -62,7 +63,7 @@ def corpus(d_a, d_b):
 @lru_cache(maxsize=None)
 def corpus_guessing(d_a, d_b):
     """(per-setting P^pg list, F^pg) for every state of corpus(d_a, d_b)."""
-    fam = cached_mubs(d_a)
+    fam = mub_family(d_a)
     out = []
     for rho in corpus(d_a, d_b):
         per, _ = family_guess_prob(rho, fam)
@@ -73,7 +74,7 @@ def corpus_guessing(d_a, d_b):
 def test_criterion_01_main_equality():
     worst = 0.0
     for d_a, d_b in DIM_PAIRS:
-        fam = cached_mubs(d_a)
+        fam = mub_family(d_a)
         for nu in NUS:
             for report in equality_report(corpus_stack(d_a, d_b), fam, nu):
                 worst = max(worst, report.defect)
@@ -81,12 +82,12 @@ def test_criterion_01_main_equality():
 
 
 def test_criterion_02_design_certification():
-    design_worst = max(design_defect(cached_mubs(d)) for d in (2, 3, 5, 7, 11))
+    design_worst = max(design_defect(mub_family(d)) for d in (2, 3, 5, 7, 11))
     design_worst = max(design_worst, design_defect(sic_povm(2)), design_defect(sic_povm(3)))
     design_worst = max(design_worst, design_defect(clifford_orbit_family()))
     from entguess import unbiasedness_defect
 
-    unbias_worst = max(unbiasedness_defect(cached_mubs(d)) for d in (2, 3, 5, 7, 11))
+    unbias_worst = max(unbiasedness_defect(mub_family(d)) for d in (2, 3, 5, 7, 11))
     ok = design_worst < 1e-11 and unbias_worst < 1e-11
     verdict(2, "2-design and unbiasedness certification", ok,
             f"design {design_worst:.2e}, unbiasedness {unbias_worst:.2e}")
@@ -126,7 +127,7 @@ def test_criterion_04_bound_curves_and_containment(tmp_path, capsys):
     contained = True
     for i in range(500):
         rho = list(mixed_rank_states(d, d, 1, seed=4000 + i))[0]
-        per, _ = family_guess_prob(rho, cached_mubs(d))
+        per, _ = family_guess_prob(rho, mub_family(d))
         fpg = pg_recovery_fidelity(rho)
         for n in range(1, d + 2):
             p_n = float(np.mean(per[:n]))
@@ -138,7 +139,7 @@ def test_criterion_04_bound_curves_and_containment(tmp_path, capsys):
 
 def test_criterion_05_achiever_tightness():
     d = 5
-    mubs = cached_mubs(d)
+    mubs = mub_family(d)
     worst = 0.0
     for regime, which, n_max in (
         (EPR, "upper", d + 1),
@@ -181,7 +182,7 @@ def test_criterion_07_guessing_floor_lemma():
 def test_criterion_08_witness_soundness_and_power():
     false_positives = 0
     for d_a in (2, 3):
-        fam = cached_mubs(d_a)
+        fam = mub_family(d_a)
         for i in range(100):
             rho = random_separable(d_a, d_a, terms=3, seed=SeedSpec(8000 + d_a, stream=i))
             n = 2 + (i % d_a)  # partial and full MUB sets
@@ -192,7 +193,7 @@ def test_criterion_08_witness_soundness_and_power():
 
     fires = True
     for d_a in (2, 3):
-        fam = cached_mubs(d_a)
+        fam = mub_family(d_a)
         rho = max_entangled_state(d_a)
         for n in range(2, d_a + 2):
             thetas = list(range(n))
@@ -206,7 +207,7 @@ def test_criterion_08_witness_soundness_and_power():
 def test_criterion_09_monogamy():
     worst = 0.0
     for block, dims in enumerate(((2, 2, 2), (3, 3, 3), (2, 3, 4))):
-        mubs = cached_mubs(dims[0])
+        mubs = mub_family(dims[0])
         for i in range(100):
             psi = random_pure(int(np.prod(dims)), SeedSpec(9000, stream=1000 * block + i))
             worst = max(worst, monogamy_report(psi, dims, mubs).defect)
@@ -214,9 +215,9 @@ def test_criterion_09_monogamy():
     # analytic cases: perfectly guessing Bob, then fully decoupled Alice
     d = 3
     psi1 = np.kron(max_entangled(d), np.eye(1, 2, 0)[0].astype(complex))
-    rep1 = monogamy_report(psi1, (d, d, 2), cached_mubs(d))
+    rep1 = monogamy_report(psi1, (d, d, 2), mub_family(d))
     psi2 = np.kron(random_pure(d, SeedSpec(9102)), max_entangled(2))
-    rep2 = monogamy_report(psi2, (d, 2, 2), cached_mubs(d))
+    rep2 = monogamy_report(psi2, (d, 2, 2), mub_family(d))
     analytic_ok = (
         abs(rep1.lhs) < 1e-10 and abs(rep1.rhs) < 1e-10
         and abs(rep2.lhs - np.log2(d)) < 1e-10 and abs(rep2.rhs - np.log2(d)) < 1e-10
@@ -230,7 +231,7 @@ def test_criterion_10_monte_carlo_game():
     trials = 100_000
     run = 0
     for d, n_random in ((2, 6), (3, 6), (5, 5)):
-        fam = cached_mubs(d)
+        fam = mub_family(d)
         # maximally entangled round must win every single trial
         res = simulate_game(max_entangled_state(d), fam, trials, SeedSpec(10_500 + d))
         ok &= res.empirical_rate == 1.0
@@ -247,7 +248,7 @@ def test_criterion_11_data_processing():
     ok = True
     for i in range(100):
         d_a = (2, 3, 5)[i % 3]
-        fam = cached_mubs(d_a)
+        fam = mub_family(d_a)
         rho = list(mixed_rank_states(d_a, 3, 1, seed=11_000 + i))[0]
         theta = i % (d_a + 1)
         conds = measure_in_basis(rho, fam.vectors[theta])
@@ -262,7 +263,7 @@ def test_criterion_11_data_processing():
 def test_criterion_12_two_to_all_bound():
     ok = True
     for d in (2, 3, 5):
-        fam = cached_mubs(d)
+        fam = mub_family(d)
         for i in range(50):
             rho = list(mixed_rank_states(d, d, 1, seed=12_000 + 10 * d + i))[0]
             per, avg = family_guess_prob(rho, fam)

@@ -2,7 +2,7 @@
 
 import numpy as np
 import pytest
-from conftest import cached_mubs, near_cutoff_tripartite
+from conftest import near_cutoff_tripartite
 from oracles import d0_relative_oracle
 
 from entguess import (
@@ -21,6 +21,7 @@ from entguess import (
     measure_family,
     mixed_rank_states,
     monogamy_report,
+    mub_family,
     partial_trace,
     random_pure,
     sic_povm,
@@ -30,8 +31,8 @@ TOL = 1e-14
 
 # the DFT route (odd prime d) and the dense route (everything else)
 FAMILIES = {
-    "mub-7": lambda: cached_mubs(7),
-    "mub-2": lambda: cached_mubs(2),
+    "mub-7": lambda: mub_family(7),
+    "mub-2": lambda: mub_family(2),
     "sic-3": lambda: sic_povm(3),
     "clifford": clifford_orbit_family,
 }
@@ -110,11 +111,11 @@ class TestRelations:
     def test_monogamy_report_flags_only_its_own_state(self):
         psi = [random_pure(8, SeedSpec(5, stream=i)) for i in range(3)]
         psi.insert(NEAR, near_cutoff_tripartite())
-        reports = monogamy_report(np.array(psi), (2, 2, 2), cached_mubs(2))
+        reports = monogamy_report(np.array(psi), (2, 2, 2), mub_family(2))
         flags = [r.metadata["rank_tol_sensitive"] for r in reports]
         assert flags == [i == NEAR for i in range(4)]
         for report, one in zip(reports, psi):
-            single = monogamy_report(one, (2, 2, 2), cached_mubs(2))
+            single = monogamy_report(one, (2, 2, 2), mub_family(2))
             assert abs(report.lhs - single.lhs) < TOL
             assert abs(report.rhs - single.rhs) < TOL
             assert (report.verdict, report.metadata) == (single.verdict, single.metadata)

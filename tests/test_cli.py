@@ -5,20 +5,39 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from conftest import cached_mubs, max_entangled_state
+from conftest import max_entangled_state
 from oracles import json_text_oracle
 
 from entguess import (
     EntguessError,
     SeedSpec,
+    designs,
     joint_from_state,
     mixed_rank_states,
+    mub_family,
     random_pure,
     relations,
 )
 from entguess.cli import RunConfig, _json_text, build_parser, config_from_args, main
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
+
+
+# argv of the verify runs whose outputs at seed 3 are recorded under GOLDEN
+GOLDEN_VERIFY = [
+    (["--relation", "main", "--d", "5", "--db", "2", "--nu", "0.3", "--samples", "4"],
+     "verify-main"),
+    (["--relation", "monogamy", "--d", "3", "--db", "2", "--de", "2", "--samples", "3"],
+     "verify-monogamy"),
+]
+
+
+def golden_verify_matches(capsys, tmp_path, argv, name, fmt) -> bool:
+    out_file = tmp_path / f"out.{fmt}"
+    code, _, _ = run_cli(
+        ["verify", *argv, "--seed", "3", "--format", fmt, "--output", str(out_file)], capsys
+    )
+    return code == 0 and out_file.read_bytes() == (GOLDEN / f"{name}.{fmt}").read_bytes()
 
 
 def run_cli(args, capsys):
@@ -28,11 +47,11 @@ def run_cli(args, capsys):
 
 
 def mub_family_doc(d):
-    return json.loads(json.dumps(cached_mubs(d).to_json_dict()))
+    return json.loads(json.dumps(mub_family(d).to_json_dict()))
 
 
 def write_ideal_witness_file(path, d=2, n=2):
-    fam = cached_mubs(d)
+    fam = mub_family(d)
     rho = max_entangled_state(d)
     thetas = list(range(n))
     bob = [fam.vectors[t].conj() for t in thetas]
@@ -138,7 +157,7 @@ class TestVerify:
 
     def test_family_from_file(self, capsys, tmp_path):
         fam_file = tmp_path / "mub3.json"
-        fam_file.write_text(json.dumps(cached_mubs(3).to_json_dict()))
+        fam_file.write_text(json.dumps(mub_family(3).to_json_dict()))
         code, out, _ = run_cli(
             ["verify", "--relation", "main", "--d", "3", "--samples", "2",
              "--family", f"file:{fam_file}"],
@@ -147,9 +166,24 @@ class TestVerify:
         assert code == 0
         assert all(r["verdict"] == "holds" for r in json.loads(out))
 
+    def test_family_file_is_certified_on_every_load(self, capsys, tmp_path):
+        # a complete set of bases with one basis twice: not a 2-design
+        fam_file = tmp_path / "family.json"
+        argv = ["verify", "--relation", "main", "--d", "3", "--samples", "2",
+                "--family", f"file:{fam_file}"]
+        doc = mub_family_doc(3)
+        fam_file.write_text(json.dumps(doc))
+        assert run_cli(argv, capsys)[0] == 0
+        doc["settings"][1] = doc["settings"][0]
+        fam_file.write_text(json.dumps(doc))
+        for _ in range(2):
+            code, _, err = run_cli(argv, capsys)
+            assert code == 2
+            assert "design defect" in err
+
     def test_family_file_dimension_mismatch(self, capsys, tmp_path):
         fam_file = tmp_path / "mub3.json"
-        fam_file.write_text(json.dumps(cached_mubs(3).to_json_dict()))
+        fam_file.write_text(json.dumps(mub_family(3).to_json_dict()))
         code, _, err = run_cli(
             ["verify", "--relation", "main", "--d", "2", "--samples", "2",
              "--family", f"file:{fam_file}"],
@@ -341,6 +375,14 @@ class TestSweep:
     def test_rejects_non_prime(self, capsys):
         code, _, _ = run_cli(["sweep", "--d", "6"], capsys)
         assert code == 2
+
+    @pytest.mark.parametrize("grid", [2**62, 10**30], ids=["2^62", "10^30"])
+    def test_grid_too_large_to_allocate_is_usage_error(self, capsys, grid):
+        # numpy refuses both sizes before it allocates anything
+        code, out, err = run_cli(["sweep", "--d", "3", "--grid", str(grid)], capsys)
+        assert code == 2
+        assert out == ""
+        assert err.startswith(f"error: a grid of {grid} points cannot be allocated")
 
 
 class TestWitnessCommand:
@@ -712,24 +754,26 @@ class TestDeterminismAndConfig:
         assert back == cfg
 
     @pytest.mark.parametrize("fmt", ["json", "csv"])
-    @pytest.mark.parametrize(
-        "argv, name",
-        [
-            (["--relation", "main", "--d", "5", "--db", "2", "--nu", "0.3", "--samples", "4"],
-             "verify-main"),
-            (["--relation", "monogamy", "--d", "3", "--db", "2", "--de", "2", "--samples", "3"],
-             "verify-monogamy"),
-        ],
-        ids=["main", "monogamy"],
-    )
+    @pytest.mark.parametrize("argv, name", GOLDEN_VERIFY, ids=["main", "monogamy"])
     def test_verify_output_matches_recorded_bytes(self, capsys, tmp_path, argv, name, fmt):
         # recorded with the round12 + json.dumps writer, which the one-walk writer replaced
-        out_file = tmp_path / f"out.{fmt}"
-        code, _, _ = run_cli(
-            ["verify", *argv, "--seed", "3", "--format", fmt, "--output", str(out_file)], capsys
-        )
-        assert code == 0
-        assert out_file.read_bytes() == (GOLDEN / f"{name}.{fmt}").read_bytes()
+        assert golden_verify_matches(capsys, tmp_path, argv, name, fmt)
+
+    def test_repeated_verify_reuses_the_certified_family(self, capsys, tmp_path, monkeypatch):
+        built = []
+        bases = designs._gauss_sum_bases
+        monkeypatch.setattr(designs, "_gauss_sum_bases", lambda d: built.append(d) or bases(d))
+        designs._mub_family.cache_clear()
+        calls = []
+        for _ in range(2):
+            before = len(built)
+            for argv, name in GOLDEN_VERIFY:
+                for fmt in ("json", "csv"):
+                    assert golden_verify_matches(capsys, tmp_path, argv, name, fmt)
+            calls.append(len(built) - before)
+        # mub_family(5) and mub_family(3) are built once each, and the DFT
+        # route recognises each by comparing it with the shared family
+        assert calls == [2, 0]
 
     def test_json_text_matches_standard_encoder(self):
         doc = [

@@ -3,7 +3,6 @@ import json
 
 import numpy as np
 import pytest
-from conftest import cached_mubs
 from oracles import design_defect_oracle, gauss_sum_bases_loop, moment_oracle, swap_operator
 
 from entguess import (
@@ -23,12 +22,12 @@ from entguess import (
 
 # certified designs plus two partial MUB sets, which are not designs
 ORACLE_FAMILIES = {
-    **{f"mub-{d}": (lambda d=d: cached_mubs(d)) for d in (2, 3, 5, 7, 11)},
+    **{f"mub-{d}": (lambda d=d: mub_family(d)) for d in (2, 3, 5, 7, 11)},
     "sic-2": lambda: sic_povm(2),
     "sic-3": lambda: sic_povm(3),
     "clifford": clifford_orbit_family,
-    "mub-5-subset-3": lambda: cached_mubs(5).subset(3),
-    "mub-7-subset-7": lambda: cached_mubs(7).subset(7),
+    "mub-5-subset-3": lambda: mub_family(5).subset(3),
+    "mub-7-subset-7": lambda: mub_family(7).subset(7),
 }
 
 
@@ -50,7 +49,7 @@ class TestMubFamily:
         assert unbiasedness_defect(fam) < 1e-15
 
     def test_d5_complete_design(self):
-        fam = cached_mubs(5)
+        fam = mub_family(5)
         assert fam.n_settings == 6
         assert design_defect(fam) < 1e-11
 
@@ -60,11 +59,11 @@ class TestMubFamily:
             mub_family(d)
 
     def test_unbiasedness_d7(self):
-        assert unbiasedness_defect(cached_mubs(7)) < 1e-12
+        assert unbiasedness_defect(mub_family(7)) < 1e-12
 
     @pytest.mark.parametrize("d", [2, 3, 5, 7, 11])
     def test_pooled_two_design(self, d):
-        assert design_defect(cached_mubs(d)) < 1e-11
+        assert design_defect(mub_family(d)) < 1e-11
 
     @pytest.mark.parametrize("d", [13, 17, 19, 23, 29, 31, 37])
     def test_large_prime_certified(self, d):
@@ -73,11 +72,11 @@ class TestMubFamily:
         assert unbiasedness_defect(fam) < 1e-11
 
     def test_equality_constant(self):
-        assert cached_mubs(3).equality_constant == 4.0
+        assert mub_family(3).equality_constant == 4.0
 
     @pytest.mark.parametrize("d", [3, 7, 31, 37])
     def test_gauss_sum_bases_bit_identical_to_loop(self, d):
-        vectors = cached_mubs(d).vectors
+        vectors = mub_family(d).vectors
         reference = gauss_sum_bases_loop(d)
         assert vectors.shape == reference.shape
         assert vectors.tobytes() == reference.tobytes()
@@ -155,7 +154,7 @@ class TestCliffordOrbit:
 
 class TestDesignDefect:
     def test_mub3(self):
-        assert design_defect(cached_mubs(3)) < 1e-11
+        assert design_defect(mub_family(3)) < 1e-11
 
     def test_single_basis_defect_value(self):
         fam = MeasurementFamily(
@@ -178,6 +177,52 @@ class TestDesignDefect:
         assert design_defect(fam) is first
         with pytest.raises(dataclasses.FrozenInstanceError):
             fam.vectors = fam.vectors[:2]
+
+
+BUILT_IN_FAMILIES = {"mub-7": lambda: mub_family(7), "sic-2": lambda: sic_povm(2),
+                     "clifford": clifford_orbit_family}
+
+
+class TestReadOnlyFamilies:
+    @pytest.mark.parametrize("field", ["vectors", "scales"])
+    @pytest.mark.parametrize("name", BUILT_IN_FAMILIES)
+    def test_built_in_arrays_reject_writes(self, name, field):
+        array = getattr(BUILT_IN_FAMILIES[name](), field)
+        with pytest.raises(ValueError, match="read-only"):
+            array[0] = array[-1]
+
+    @pytest.mark.parametrize("name", BUILT_IN_FAMILIES)
+    def test_built_in_constructors_share_one_family(self, name):
+        assert BUILT_IN_FAMILIES[name]() is BUILT_IN_FAMILIES[name]()
+
+    @pytest.mark.parametrize("int_first", [False, True], ids=["alone", "after-int"])
+    @pytest.mark.parametrize("build,d", [(mub_family, 5), (sic_povm, 2)], ids=["mub", "sic"])
+    def test_non_int_dimension_rejected_whatever_the_call_order(self, build, d, int_first):
+        if int_first:
+            build(d)
+        for bad in (float(d), True):
+            with pytest.raises(TypeError, match="is not an integer"):
+                build(bad)
+
+    def test_certified_family_cannot_be_spoiled(self):
+        fam = mub_family(5)
+        defect = design_defect(fam)
+        with pytest.raises(ValueError, match="read-only"):
+            fam.vectors[1:] = fam.vectors[0]
+        assert design_defect(fam) == defect < 1e-11
+        assert np.array_equal(fam.vectors, gauss_sum_bases_loop(5))
+
+    def test_callers_arrays_stay_writable_and_apart(self):
+        vectors, scales = np.array(mub_family(5).vectors), np.ones((6, 5))
+        fam = MeasurementFamily("Custom", vectors, scales)
+        defect = design_defect(fam)
+        vectors[1:] = vectors[0]
+        scales[0] = 2.0
+        assert np.array_equal(fam.vectors, mub_family(5).vectors)
+        assert np.all(fam.scales == 1.0)
+        assert design_defect(fam) == defect < 1e-11
+        # the write itself took: a family built from the written array is no design
+        assert design_defect(MeasurementFamily("Custom", vectors, np.ones((6, 5)))) > 0.3
 
 
 class TestUnbiasednessDefect:
@@ -248,7 +293,7 @@ class TestFamilyStructure:
             MeasurementFamily(kind="Custom", vectors=vectors, scales=scales)
 
     def test_subset_has_no_constant(self):
-        sub = cached_mubs(3).subset(2)
+        sub = mub_family(3).subset(2)
         assert sub.n_settings == 2
         assert sub.equality_constant is None
         assert sub.kind == "MUB-complete-subset(2)"
@@ -256,7 +301,7 @@ class TestFamilyStructure:
         assert clifford_orbit_family().subset(3).kind == "CliffordOrbit-subset(3)"
 
     def test_json_roundtrip(self):
-        for fam in (cached_mubs(3), sic_povm(2), clifford_orbit_family()):
+        for fam in (mub_family(3), sic_povm(2), clifford_orbit_family()):
             doc = json.loads(json.dumps(fam.to_json_dict()))
             back = MeasurementFamily.from_json_dict(doc)
             assert back.kind == fam.kind

@@ -2,7 +2,7 @@ import json
 
 import numpy as np
 import pytest
-from conftest import cached_mubs, max_entangled_state, measure_in_basis, random_bipartite
+from conftest import max_entangled_state, measure_in_basis, random_bipartite
 from oracles import (
     cq_embedding,
     cq_state,
@@ -166,7 +166,7 @@ class TestMeasureInBasis:
 class TestPgmGuessProb:
     def test_max_entangled_any_basis(self):
         rho = max_entangled_state(3)
-        for basis in cached_mubs(3).vectors:
+        for basis in mub_family(3).vectors:
             conds = measure_in_basis(rho, basis)
             assert abs(cq_collision(conds, 0.0) - 1.0) < 1e-10
 
@@ -192,19 +192,19 @@ class TestPgmGuessProb:
 
 class TestFamilyGuessProb:
     def test_max_entangled_wins_everywhere(self):
-        per, avg = family_guess_prob(max_entangled_state(5), cached_mubs(5))
+        per, avg = family_guess_prob(max_entangled_state(5), mub_family(5))
         assert np.abs(np.array(per) - 1.0).max() < 1e-10
         assert abs(avg - 1.0) < 1e-10
 
     def test_two_qubit_maximally_mixed(self):
         rho = DensityMatrix(np.eye(4) / 4, (2, 2))
-        _, avg = family_guess_prob(rho, cached_mubs(2))
+        _, avg = family_guess_prob(rho, mub_family(2))
         assert abs(avg - 0.5) < 1e-12
 
     @pytest.mark.parametrize("d", [2, 3, 5])
     def test_average_is_affine_in_recovery_fidelity(self, d):
         # the averaged guessing probability equals (d F^pg + 1)/(d + 1)
-        fam = cached_mubs(d)
+        fam = mub_family(d)
         for i in range(34):
             rho = random_bipartite(d, 2, rank=(i % (2 * d)) + 1, seed=42, stream=i)
             _, avg = family_guess_prob(rho, fam)
@@ -213,7 +213,7 @@ class TestFamilyGuessProb:
 
     def test_average_is_weighted_mean(self):
         rho = random_bipartite(3, 3, rank=5, seed=43)
-        per, avg = family_guess_prob(rho, cached_mubs(3))
+        per, avg = family_guess_prob(rho, mub_family(3))
         assert abs(avg - np.mean(per)) < 1e-12
 
 
@@ -242,7 +242,7 @@ class TestSandwichLemma:
     def test_guess_prob_dominates_fidelity(self, d):
         # single-basis PGM guessing probability is at least F^pg, for every
         # basis of the complete MUB set
-        fam = cached_mubs(d)
+        fam = mub_family(d)
         for i in range(20):
             rho = random_bipartite(d, 2, rank=(i % (2 * d)) + 1, seed=46, stream=i)
             f = pg_recovery_fidelity(rho)
@@ -253,7 +253,7 @@ class TestSandwichLemma:
 
 class TestCqConsistency:
     def test_embedding_matches_average_guess_prob(self):
-        fam = cached_mubs(3)
+        fam = mub_family(3)
         for i in range(6):
             rho = random_bipartite(3, 2, rank=(i % 6) + 1, seed=47, stream=i)
             _, avg = family_guess_prob(rho, fam)
@@ -262,13 +262,13 @@ class TestCqConsistency:
 
     @pytest.mark.parametrize("nu", [0.0, 0.5, 1.0])
     def test_embedding_matches_outcome_entropy(self, nu):
-        fam = cached_mubs(2)
+        fam = mub_family(2)
         rho = random_bipartite(2, 3, rank=4, seed=48)
         assert abs(h2nu(cq_embedding(rho, fam), nu) - h2nu_outcomes(rho, fam, nu)) < 1e-10
 
     def test_ensemble_invariants(self):
         rho = random_bipartite(3, 2, 4, seed=49)
-        conds = measure_family(rho, cached_mubs(3))
+        conds = measure_family(rho, mub_family(3))
         assert conds.shape == (4 * 3, 2, 2)
         for setting in conds.reshape(4, 3, 2, 2):
             assert abs(sum(np.trace(c).real for c in setting) - 1.0) < 1e-11
@@ -279,7 +279,7 @@ class TestCqConsistency:
 
 FAMILIES = (
     [
-        pytest.param(cached_mubs(d), d_b, id=f"mub{d}x{d_b}")
+        pytest.param(mub_family(d), d_b, id=f"mub{d}x{d_b}")
         for d in (2, 3, 5, 7)
         for d_b in (1, 2, 3, 4)
     ]
@@ -315,10 +315,10 @@ class TestOneMeasuredPath:
 
         monkeypatch.setattr(np.linalg, "eigh", counting_eigh)
         rho = random_bipartite(5, 3, rank=7, seed=58)
-        h2nu_outcomes(rho, cached_mubs(5), 0.5)
+        h2nu_outcomes(rho, mub_family(5), 0.5)
         assert len(calls) == 1
         calls.clear()
-        equality_report(rho, cached_mubs(5), 0.5)
+        equality_report(rho, mub_family(5), 0.5)
         assert len(calls) == 2
 
 
@@ -354,7 +354,7 @@ class TestGaussSumRoute:
 
     @pytest.mark.parametrize("d", [3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37])
     def test_matches_dense_route(self, d, routes):
-        fam = cached_mubs(d)
+        fam = mub_family(d)
         for d_b in (1, 2, 4, 8):
             for rank in (1, d * d_b):
                 rho = random_bipartite(d, d_b, rank, seed=95, stream=rank)
@@ -368,7 +368,7 @@ class TestGaussSumRoute:
         # still a certified complete MUB set of kind MUB-complete, but not
         # the constructor's vectors, so the kind alone must not pick the route
         d = 7
-        fam = rephased(cached_mubs(d), np.exp(2j * np.pi * np.arange(d) ** 2 / 11))
+        fam = rephased(mub_family(d), np.exp(2j * np.pi * np.arange(d) ** 2 / 11))
         assert fam.kind == MUB_COMPLETE
         assert design_defect(fam) < 1e-11
         rho = random_bipartite(d, 3, rank=9, seed=96)
@@ -376,7 +376,7 @@ class TestGaussSumRoute:
             assert equality_report(rho, fam, nu).verdict == "holds"
         assert routes == ["dense"] * 3
         routes.clear()
-        equality_report(rho, cached_mubs(d), 0.5)
+        equality_report(rho, mub_family(d), 0.5)
         assert routes == ["dft"]
 
     @pytest.mark.parametrize(
@@ -386,8 +386,8 @@ class TestGaussSumRoute:
             lambda: sic_povm(2),
             lambda: sic_povm(3),
             clifford_orbit_family,
-            lambda: cached_mubs(5).subset(5),
-            lambda: phase_edited(cached_mubs(5)),
+            lambda: mub_family(5).subset(5),
+            lambda: phase_edited(mub_family(5)),
         ],
         ids=["mub-2", "sic-2", "sic-3", "clifford", "mub-5-subset-5", "mub-5-edited"],
     )
@@ -398,13 +398,13 @@ class TestGaussSumRoute:
 
     def test_phase_edited_family_measures_the_same(self, routes):
         rho = random_bipartite(5, 2, rank=3, seed=97)
-        edited = measure_family(rho, phase_edited(cached_mubs(5)))
-        assert np.abs(edited - measure_family(rho, cached_mubs(5))).max() < 1e-14
+        edited = measure_family(rho, phase_edited(mub_family(5)))
+        assert np.abs(edited - measure_family(rho, mub_family(5))).max() < 1e-14
         assert routes == ["dense", "dft"]
 
     @pytest.mark.parametrize("d", [3, 13])
     def test_json_roundtrip_gives_same_operators(self, d, routes):
-        fam = cached_mubs(d)
+        fam = mub_family(d)
         back = MeasurementFamily.from_json_dict(json.loads(json.dumps(fam.to_json_dict())))
         rho = random_bipartite(d, 3, rank=5, seed=98)
         assert np.array_equal(measure_family(rho, back), measure_family(rho, fam))
@@ -428,7 +428,7 @@ class TestClassicalH2:
     def test_data_processing(self):
         # decohering Bob can only make guessing harder:
         # 2^-H2(K|L) <= 2^-H2(K|B)
-        fam = cached_mubs(3)
+        fam = mub_family(3)
         for i in range(25):
             rho = random_bipartite(3, 3, rank=(i % 9) + 1, seed=50, stream=i)
             basis = fam.vectors[i % 4]
@@ -513,7 +513,7 @@ class TestJointDistribution:
             JointDistribution(d_a=2, d_b=2, settings=((0, t),))
 
     def test_ideal_max_entangled_tables(self):
-        fam = cached_mubs(2)
+        fam = mub_family(2)
         rho = max_entangled_state(2)
         bob_bases = [fam.vectors[t].conj() for t in (0, 1)]
         joints = joint_from_state(rho, fam, [0, 1], bob_bases)
@@ -523,7 +523,7 @@ class TestJointDistribution:
     @pytest.mark.parametrize("d_b", [1, 2, 3])
     @pytest.mark.parametrize("d", [2, 3, 5])
     def test_tables_match_einsum_oracle(self, d, d_b):
-        fam = cached_mubs(d)
+        fam = mub_family(d)
         thetas = list(range(fam.n_settings))
         bob_bases = [haar_unitary(d_b, SeedSpec(60, stream=t)) for t in thetas]
         for rho in mixed_rank_states(d, d_b, 3, seed=61):
@@ -535,4 +535,4 @@ class TestJointDistribution:
     @pytest.mark.parametrize("theta", [-1, 3])
     def test_rejects_setting_outside_family(self, theta):
         with pytest.raises(ParameterError):
-            joint_from_state(max_entangled_state(2), cached_mubs(2), [theta], [np.eye(2)])
+            joint_from_state(max_entangled_state(2), mub_family(2), [theta], [np.eye(2)])

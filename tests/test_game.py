@@ -3,7 +3,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from conftest import cached_mubs, max_entangled_state, psd, random_bipartite
+from conftest import max_entangled_state, psd, random_bipartite
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from oracles import categorical_oracle, game_counts_oracle
@@ -14,6 +14,7 @@ from entguess import (
     SeedSpec,
     family_guess_prob,
     game,
+    mub_family,
     sic_povm,
     simulate_game,
 )
@@ -21,41 +22,41 @@ from entguess import (
 
 class TestSimulateGame:
     def test_max_entangled_wins_always(self):
-        result = simulate_game(max_entangled_state(2), cached_mubs(2), 10_000, SeedSpec(80))
+        result = simulate_game(max_entangled_state(2), mub_family(2), 10_000, SeedSpec(80))
         assert result.empirical_rate == 1.0
         assert result.wins == result.trials == 10_000
 
     def test_two_qubit_maximally_mixed(self):
         rho = DensityMatrix(np.eye(4) / 4, (2, 2))
-        result = simulate_game(rho, cached_mubs(2), 100_000, SeedSpec(81))
+        result = simulate_game(rho, mub_family(2), 100_000, SeedSpec(81))
         assert abs(result.analytic_rate - 0.5) < 1e-12
         assert abs(result.empirical_rate - 0.5) <= 4 * result.std_error
 
     def test_random_qutrit_within_band(self):
         rho = random_bipartite(3, 3, 6, seed=82)
-        result = simulate_game(rho, cached_mubs(3), 100_000, SeedSpec(83))
-        _, expected = family_guess_prob(rho, cached_mubs(3))
+        result = simulate_game(rho, mub_family(3), 100_000, SeedSpec(83))
+        _, expected = family_guess_prob(rho, mub_family(3))
         assert abs(result.analytic_rate - expected) < 1e-12
         assert abs(result.empirical_rate - result.analytic_rate) <= 4 * result.std_error
 
     def test_per_setting_bands(self):
         rho = random_bipartite(3, 2, 4, seed=84)
-        result = simulate_game(rho, cached_mubs(3), 200_000, SeedSpec(85))
+        result = simulate_game(rho, mub_family(3), 200_000, SeedSpec(85))
         for entry in result.per_setting:
             gap = abs(entry["empirical_rate"] - entry["analytic_rate"])
             assert gap <= 5 * entry["std_error"], entry
 
     def test_bitwise_reproducible(self):
         rho = random_bipartite(2, 3, 4, seed=86)
-        a = simulate_game(rho, cached_mubs(2), 50_000, SeedSpec(87, stream=2))
-        b = simulate_game(rho, cached_mubs(2), 50_000, SeedSpec(87, stream=2))
+        a = simulate_game(rho, mub_family(2), 50_000, SeedSpec(87, stream=2))
+        b = simulate_game(rho, mub_family(2), 50_000, SeedSpec(87, stream=2))
         assert a.wins == b.wins
         assert a.empirical_rate == b.empirical_rate
         assert [e["wins"] for e in a.per_setting] == [e["wins"] for e in b.per_setting]
 
     def test_std_error_uses_analytic_rate(self):
         rho = DensityMatrix(np.eye(4) / 4, (2, 2))
-        result = simulate_game(rho, cached_mubs(2), 10_000, SeedSpec(88))
+        result = simulate_game(rho, mub_family(2), 10_000, SeedSpec(88))
         p = result.analytic_rate
         assert result.std_error == pytest.approx(np.sqrt(p * (1 - p) / 10_000))
 
@@ -65,10 +66,10 @@ class TestSimulateGame:
 
     def test_rejects_zero_trials(self):
         with pytest.raises(ParameterError):
-            simulate_game(max_entangled_state(2), cached_mubs(2), 0, SeedSpec(90))
+            simulate_game(max_entangled_state(2), mub_family(2), 0, SeedSpec(90))
 
     def test_result_serializes(self):
-        result = simulate_game(max_entangled_state(2), cached_mubs(2), 100, SeedSpec(91))
+        result = simulate_game(max_entangled_state(2), mub_family(2), 100, SeedSpec(91))
         doc = dataclasses.asdict(result)
         assert doc["trials"] == 100
         assert len(doc["per_setting"]) == 3
@@ -231,7 +232,7 @@ class TestChunkedSampling:
     @pytest.mark.parametrize("seed", sorted(RECORDED_GAMES))
     def test_matches_recorded_games(self, seed):
         rho = random_bipartite(5, 2, 6, seed=92)
-        result = simulate_game(rho, cached_mubs(5), 150_000, SeedSpec(seed, stream=1))
+        result = simulate_game(rho, mub_family(5), 150_000, SeedSpec(seed, stream=1))
         wins, per_setting = RECORDED_GAMES[seed]
         assert result.wins == wins
         assert [(e["trials"], e["wins"]) for e in result.per_setting] == per_setting
@@ -239,7 +240,7 @@ class TestChunkedSampling:
     @pytest.mark.parametrize("chunk", [1, 7, 1000])
     def test_independent_of_chunk_size(self, monkeypatch, chunk):
         rho = random_bipartite(3, 2, 4, seed=94)
-        args = (rho, cached_mubs(3), 5_000, SeedSpec(95))
+        args = (rho, mub_family(3), 5_000, SeedSpec(95))
         expected = simulate_game(*args)
         monkeypatch.setattr(game, "_CHUNK", chunk)
         assert simulate_game(*args) == expected
@@ -252,8 +253,8 @@ class TestChunkedSampling:
         rho = random_bipartite(3, 2, 4, seed=96)
         seed = SeedSpec(97, stream=1)
         monkeypatch.setattr(game, "_CHUNK", chunk)
-        result = simulate_game(rho, cached_mubs(3), trials, seed)
-        expected = game_counts_oracle(rho, cached_mubs(3), trials, seed)
+        result = simulate_game(rho, mub_family(3), trials, seed)
+        expected = game_counts_oracle(rho, mub_family(3), trials, seed)
         assert [(e["trials"], e["wins"]) for e in result.per_setting] == expected
         assert result.wins == sum(w for _, w in expected)
 
@@ -274,8 +275,8 @@ class TestChunkedSampling:
             rho = DensityMatrix(np.eye(2 * d) / (2 * d), (d, 2))
         seed = SeedSpec(102, stream=1)
         monkeypatch.setattr(game, "_CHUNK", 4096)
-        result = simulate_game(rho, cached_mubs(d), 5_003, seed)
-        expected = game_counts_oracle(rho, cached_mubs(d), 5_003, seed)
+        result = simulate_game(rho, mub_family(d), 5_003, seed)
+        expected = game_counts_oracle(rho, mub_family(d), 5_003, seed)
         assert [(e["trials"], e["wins"]) for e in result.per_setting] == expected
 
     def test_memory_does_not_grow_with_trials(self):
@@ -284,7 +285,7 @@ class TestChunkedSampling:
         for trials in (10**4, 10**6):
             tracemalloc.start()
             try:
-                simulate_game(rho, cached_mubs(3), trials, SeedSpec(99))
+                simulate_game(rho, mub_family(3), trials, SeedSpec(99))
                 peaks.append(tracemalloc.get_traced_memory()[1])
             finally:
                 tracemalloc.stop()

@@ -3,7 +3,7 @@ import inspect
 
 import numpy as np
 import pytest
-from conftest import cached_mubs, max_entangled_state, near_cutoff_tripartite, random_bipartite
+from conftest import max_entangled_state, near_cutoff_tripartite, random_bipartite
 from oracles import haar_unitary, monogamy_lhs_oracle
 
 from entguess import (
@@ -23,6 +23,7 @@ from entguess import (
     joint_from_state,
     max_entangled,
     monogamy_report,
+    mub_family,
     nbasis_bounds,
     pg_recovery_fidelity,
     random_density,
@@ -53,13 +54,13 @@ def test_no_argument_repeats_what_another_carries():
 
 class TestEqualityReport:
     def test_random_state_mub(self):
-        rep = equality_report(random_bipartite(3, 2, 5, seed=60), cached_mubs(3), 0.0)
+        rep = equality_report(random_bipartite(3, 2, 5, seed=60), mub_family(3), 0.0)
         assert rep.defect < 1e-9
         assert rep.holds
 
     @pytest.mark.parametrize("d", [2, 3, 5])
     def test_max_entangled_zero_uncertainty(self, d):
-        rep = equality_report(max_entangled_state(d), cached_mubs(d), 0.0)
+        rep = equality_report(max_entangled_state(d), mub_family(d), 0.0)
         assert abs(rep.lhs) < 1e-9
         assert abs(rep.rhs) < 1e-9
 
@@ -76,22 +77,22 @@ class TestEqualityReport:
 
     @pytest.mark.parametrize("nu", [0.0, 0.5, 1.0])
     def test_nu_family(self, nu):
-        rep = equality_report(random_bipartite(5, 2, 7, seed=63), cached_mubs(5), nu)
+        rep = equality_report(random_bipartite(5, 2, 7, seed=63), mub_family(5), nu)
         assert rep.defect < 1e-9
 
     def test_trivial_side_information(self):
         # d_B = 1 reduces to the unconditional collision identity
-        rep = equality_report(random_bipartite(3, 1, 2, seed=64), cached_mubs(3), 0.0)
+        rep = equality_report(random_bipartite(3, 1, 2, seed=64), mub_family(3), 0.0)
         assert rep.defect < 1e-9
 
     def test_uncertified_family_rejected(self):
         with pytest.raises(DesignDefectError):
-            equality_report(random_bipartite(3, 2, 5, seed=65), cached_mubs(3).subset(2), 0.0)
+            equality_report(random_bipartite(3, 2, 5, seed=65), mub_family(3).subset(2), 0.0)
 
 
 class TestNbasisBounds:
     def test_max_entangled_forces_one(self):
-        lo, up = nbasis_bounds(max_entangled_state(5), cached_mubs(5), 2)
+        lo, up = nbasis_bounds(max_entangled_state(5), mub_family(5), 2)
         assert abs(lo.lhs - 1.0) < 1e-9  # lower bound value
         assert abs(up.rhs - 1.0) < 1e-9  # upper bound value
         assert abs(up.lhs - 1.0) < 1e-9  # measured P(2)
@@ -99,7 +100,7 @@ class TestNbasisBounds:
 
     def test_complete_set_bounds_coincide(self):
         rho = random_bipartite(5, 3, 6, seed=66)
-        lo, up = nbasis_bounds(rho, cached_mubs(5), 6)
+        lo, up = nbasis_bounds(rho, mub_family(5), 6)
         f = pg_recovery_fidelity(rho)
         pinned = (5 * f + 1) / 6
         assert abs(lo.lhs - pinned) < 1e-12
@@ -107,7 +108,7 @@ class TestNbasisBounds:
         assert lo.holds and up.holds
 
     def test_containment_sweep(self):
-        mubs = cached_mubs(5)
+        mubs = mub_family(5)
         for i in range(40):
             rank = (i % 25) + 1
             rho = random_bipartite(5, 5, rank, seed=67, stream=i)
@@ -118,11 +119,11 @@ class TestNbasisBounds:
 
     def test_rejects_bad_n(self):
         with pytest.raises(ParameterError):
-            nbasis_bounds(max_entangled_state(3), cached_mubs(3), 5)
+            nbasis_bounds(max_entangled_state(3), mub_family(3), 5)
 
     def test_rejects_partial_family(self):
         with pytest.raises(ParameterError):
-            nbasis_bounds(max_entangled_state(3), cached_mubs(3).subset(2), 1)
+            nbasis_bounds(max_entangled_state(3), mub_family(3).subset(2), 1)
 
 
 def tune_mix_to_fidelity(mubs, regime, which, n, target):
@@ -141,7 +142,7 @@ def tune_mix_to_fidelity(mubs, regime, which, n, target):
 class TestAchieverStates:
     def test_epr_upper_at_half_fidelity(self):
         d, n = 5, 2
-        mubs = cached_mubs(d)
+        mubs = mub_family(d)
         mix = tune_mix_to_fidelity(mubs, EPR, "upper", n, 0.5)
         rho = achiever_state(mubs, EPR, "upper", n, mix)
         per, _ = family_guess_prob(rho, mubs)
@@ -151,7 +152,7 @@ class TestAchieverStates:
 
     def test_heisenberg_upper_pure_marginal(self):
         d = 5
-        mubs = cached_mubs(d)
+        mubs = mub_family(d)
         rho = achiever_state(mubs, HEISENBERG, "upper", 1, mix=1.0)
         f = pg_recovery_fidelity(rho)
         per, _ = family_guess_prob(rho, mubs)
@@ -160,7 +161,7 @@ class TestAchieverStates:
 
     def test_epr_lower_excluded_basis(self):
         d, n = 5, 5
-        mubs = cached_mubs(d)
+        mubs = mub_family(d)
         rho = achiever_state(mubs, EPR, "lower", n, mix=0.6)
         f = pg_recovery_fidelity(rho)
         per, _ = family_guess_prob(rho, mubs)
@@ -171,7 +172,7 @@ class TestAchieverStates:
     ])
     def test_saturation(self, regime, which):
         d = 5
-        mubs = cached_mubs(d)
+        mubs = mub_family(d)
         n = 3
         for mix in np.linspace(0.1, 1.0, 5):
             rho = achiever_state(mubs, regime, which, n, float(mix))
@@ -184,11 +185,11 @@ class TestAchieverStates:
 
     def test_lower_needs_excluded_basis(self):
         with pytest.raises(ParameterError):
-            achiever_state(cached_mubs(5), EPR, "lower", 6, 0.5)
+            achiever_state(mub_family(5), EPR, "lower", 6, 0.5)
 
     def test_rejects_bad_mix(self):
         with pytest.raises(ParameterError):
-            achiever_state(cached_mubs(5), EPR, "upper", 2, 1.5)
+            achiever_state(mub_family(5), EPR, "upper", 2, 1.5)
 
 
 class TestTwoToFullBound:
@@ -209,7 +210,7 @@ class TestTwoToFullBound:
             two_to_full_bound(0.1, 5)
 
     def test_holds_on_random_states(self):
-        mubs = cached_mubs(3)
+        mubs = mub_family(3)
         for i in range(20):
             rho = random_bipartite(3, 3, rank=(i % 9) + 1, seed=68, stream=i)
             per, avg = family_guess_prob(rho, mubs)
@@ -218,7 +219,7 @@ class TestTwoToFullBound:
 
 
 def ideal_max_entangled_joints(d, n):
-    fam = cached_mubs(d)
+    fam = mub_family(d)
     rho = max_entangled_state(d)
     thetas = list(range(n))
     bob = [fam.vectors[t].conj() for t in thetas]
@@ -242,7 +243,7 @@ class TestWitness:
 
     @pytest.mark.parametrize("d", [2, 3])
     def test_sound_on_separable_states(self, d):
-        fam = cached_mubs(d)
+        fam = mub_family(d)
         fired = 0
         for i in range(40):
             rho = random_separable(d, d, terms=3, seed=SeedSpec(69, stream=i))
@@ -274,7 +275,7 @@ class TestMonogamy:
         e = np.zeros(2, dtype=complex)
         e[0] = 1.0
         psi = np.kron(phi, e)
-        rep = monogamy_report(psi, (d, d, 2), cached_mubs(d))
+        rep = monogamy_report(psi, (d, d, 2), mub_family(d))
         assert abs(rep.lhs) < 1e-10
         assert abs(rep.rhs) < 1e-10
 
@@ -283,13 +284,13 @@ class TestMonogamy:
         d_a, d = 3, 4
         a = random_pure(d_a, SeedSpec(71))
         psi = np.kron(a, max_entangled(d))
-        rep = monogamy_report(psi, (d_a, d, d), cached_mubs(d_a))
+        rep = monogamy_report(psi, (d_a, d, d), mub_family(d_a))
         assert abs(rep.lhs - np.log2(d_a)) < 1e-10
         assert abs(rep.rhs - np.log2(d_a)) < 1e-10
 
     @pytest.mark.parametrize("dims", [(2, 2, 2), (3, 3, 3), (2, 3, 4)])
     def test_random_tripartite(self, dims):
-        mubs = cached_mubs(dims[0])
+        mubs = mub_family(dims[0])
         for i in range(20):
             psi = random_pure(int(np.prod(dims)), SeedSpec(72, stream=i))
             rep = monogamy_report(psi, dims, mubs)
@@ -297,7 +298,7 @@ class TestMonogamy:
 
     def test_report_serializes(self):
         psi = random_pure(8, SeedSpec(73))
-        rep = monogamy_report(psi, (2, 2, 2), cached_mubs(2))
+        rep = monogamy_report(psi, (2, 2, 2), mub_family(2))
         doc = dataclasses.asdict(rep)
         assert set(doc) == {"lhs", "rhs", "defect", "tolerance", "verdict", "metadata"}
         assert isinstance(doc["metadata"]["rank_tol_sensitive"], bool)
@@ -309,7 +310,7 @@ class TestMonogamy:
         psi = np.zeros(8, dtype=complex)
         psi[0] = np.sqrt(1 - lam2)
         psi[7] = np.sqrt(lam2)
-        rep = monogamy_report(psi, (2, 2, 2), cached_mubs(2))
+        rep = monogamy_report(psi, (2, 2, 2), mub_family(2))
         assert rep.metadata["rank_tol_sensitive"]
 
     def test_one_decomposition_of_rho_ae(self, monkeypatch):
@@ -329,12 +330,12 @@ class TestMonogamy:
         for k in (1, 3, 20):
             calls.clear()
             psi = np.array([random_pure(60, SeedSpec(75, stream=i)) for i in range(k)])
-            monogamy_report(psi, (5, 3, 4), cached_mubs(5))
+            monogamy_report(psi, (5, 3, 4), mub_family(5))
             assert sorted(calls) == [
                 ("cholesky", (k, 15, 15)), ("eigh", (k, 3, 3)), ("eigh", (k, 3, 3))
             ]
         calls.clear()
-        monogamy_report(random_pure(60, SeedSpec(75)), (5, 3, 4), cached_mubs(5))
+        monogamy_report(random_pure(60, SeedSpec(75)), (5, 3, 4), mub_family(5))
         assert sorted(calls) == [("cholesky", (1, 15, 15)), ("eigh", (3, 3)), ("eigh", (3, 3))]
 
     @pytest.mark.parametrize(
@@ -349,7 +350,7 @@ class TestMonogamy:
     def test_lhs_matches_rho_ae_oracle(self, dims, states, flagged):
         # the lhs from the d_B x d_B Gram of the amplitudes against the
         # support projector of the built rho_AE, flag included
-        mubs = cached_mubs(dims[0])
+        mubs = mub_family(dims[0])
         for psi in states():
             rep = monogamy_report(psi, dims, mubs)
             lhs, flag = monogamy_lhs_oracle(psi, dims)
@@ -361,5 +362,5 @@ class TestMonogamy:
 
     def test_clean_spectrum_not_flagged(self):
         psi = random_pure(8, SeedSpec(74))
-        rep = monogamy_report(psi, (2, 2, 2), cached_mubs(2))
+        rep = monogamy_report(psi, (2, 2, 2), mub_family(2))
         assert not rep.metadata["rank_tol_sensitive"]

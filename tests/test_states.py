@@ -9,11 +9,13 @@ from entguess import (
     ParameterError,
     SeedSpec,
     h2nu,
+    mixed_rank_states,
     partial_trace,
     random_density,
     random_pure,
     random_separable,
 )
+from entguess.states import _complex_gaussian, _stream_gaussians
 from entguess.tolerances import EIG_TOL
 
 
@@ -27,6 +29,24 @@ class TestSeedSpec:
         a = SeedSpec(42, stream=0).generator().random(16)
         b = SeedSpec(42, stream=1).generator().random(16)
         assert not np.array_equal(a, b)
+
+
+class TestStreamGaussians:
+    # a 3 x 3 state of rank r takes 18 r uniforms, so a stream can end inside
+    # one of Philox's four-word blocks, and chunks start at streams 0, 3, 9, 30
+    @pytest.mark.parametrize("seed", [0, 2**63, 2**64 + 5, -3], ids=str)
+    def test_match_a_new_generator_per_stream(self, seed):
+        shapes = [(9, k % 9 + 1) for k in range(41)]
+        expected = [
+            _complex_gaussian(SeedSpec(seed, k).generator(), shape) for k, shape in enumerate(shapes)
+        ]
+        for start, stop in [(0, 3), (3, 9), (9, 30), (30, 41)]:
+            got = _stream_gaussians(seed, range(start, stop), shapes[start:stop])
+            assert all(np.array_equal(a, b) for a, b in zip(got, expected[start:stop], strict=True))
+            stack = mixed_rank_states(3, 3, stop - start, seed, start).matrix
+            for i, k in enumerate(range(start, stop)):
+                single = random_density((3, 3), k % 9 + 1, SeedSpec(seed, k)).matrix
+                assert np.array_equal(stack[i], single)
 
 
 class TestRandomPure:
@@ -204,6 +224,22 @@ class TestDensityMatrixInvariants:
                 DensityMatrix(m, (n,))
         else:
             DensityMatrix(m, (n,))
+
+    @pytest.mark.parametrize("defect", ["none", "non-hermitian", "negative"])
+    def test_leaves_the_callers_matrix_unchanged(self, defect):
+        m = np.array(mixed_rank_states(2, 3, 5, seed=4).matrix)
+        if defect == "non-hermitian":
+            m[2, 0, 1] += 1e-3
+        elif defect == "negative":
+            m[3] = np.diag([1.5, -0.5, 0, 0, 0, 0])
+        before = m.tobytes()
+        if defect == "none":
+            DensityMatrix(m, (2, 3))
+        else:
+            message = "Hermitian" if defect == "non-hermitian" else "negative"
+            with pytest.raises(ParameterError, match=message):
+                DensityMatrix(m, (2, 3))
+        assert m.tobytes() == before
 
     def test_rejects_dimension_mismatch(self):
         with pytest.raises(DimensionError):
