@@ -16,7 +16,6 @@ from .designs import (
     design_defect,
     mub_family,
     sic_povm,
-    unbiasedness_defect,
 )
 from .entropies import (
     JointDistribution,
@@ -25,7 +24,6 @@ from .entropies import (
     family_guess_prob,
     h2nu,
     h2nu_outcomes,
-    joint_from_state,
     measure_family,
     pg_recovery_fidelity,
 )
@@ -38,7 +36,6 @@ from .errors import (
     NotPositiveError,
     ParameterError,
     UnsupportedDimensionError,
-    UnsupportedFamilyError,
 )
 from .game import GameResult, simulate_game
 from .linops import (

@@ -21,7 +21,7 @@ import numpy as np
 
 from . import designs, game, relations
 from .entropies import JointDistribution
-from .errors import EntguessError, FormatError, exact_int
+from .errors import EntguessError, FormatError, _require_addressable, exact_int
 from .linops import max_entangled
 from .states import (
     DensityMatrix,
@@ -75,7 +75,11 @@ _CHUNK_BYTES = 1 << 17
 
 
 def _chunks(count: int, n: int):
-    """(start, stop) ranges covering `count` states whose largest matrix is n x n."""
+    """(start, stop) ranges covering `count` states whose largest matrix is n x n.
+
+    UnsupportedDimensionError if numpy could not address one such matrix.
+    """
+    _require_addressable((n, n), f"a {n} x {n} matrix")
     step = max(1, _CHUNK_BYTES // (16 * n * n))
     return [(start, min(start + step, count)) for start in range(0, count, step)]
 
@@ -212,7 +216,7 @@ def cmd_sweep(cfg: RunConfig) -> int:
         raise EntguessError(f"grid size must be >= 2, got {cfg.grid}")
     try:
         grid = np.linspace(0.0, 1.0, cfg.grid)
-    except (MemoryError, ValueError) as exc:
+    except ValueError as exc:  # more points than numpy can address
         raise EntguessError(f"a grid of {cfg.grid} points cannot be allocated: {exc}") from exc
     rows = []
     for n in range(1, d + 2):
@@ -244,17 +248,6 @@ def cmd_witness(cfg: RunConfig) -> int:
 
 def _load_state(cfg: RunConfig) -> DensityMatrix:
     d, d_b = cfg.d, cfg.d_b
-    spec = SeedSpec(cfg.seed, stream=0)
-    if cfg.state == "max-entangled":
-        return DensityMatrix.from_pure(max_entangled(d), (d, d))
-    if cfg.state == "maximally-mixed":
-        n = d * d_b
-        return DensityMatrix(np.eye(n) / n, (d, d_b))
-    if cfg.state == "random":
-        n = d * d_b
-        return random_density((d, d_b), n if cfg.rank is None else cfg.rank, spec)
-    if cfg.state == "separable":
-        return random_separable(d, d_b, terms=4, seed=spec)
     if cfg.state and cfg.state.startswith("file:"):
         doc = _load_json(cfg.state[5:], "density-matrix")
         try:
@@ -265,6 +258,18 @@ def _load_state(cfg: RunConfig) -> DensityMatrix:
         if rho.d_a != d:
             raise EntguessError(f"state file is for d_A = {rho.d_a}, run asked for d = {d}")
         return rho
+    # every built-in state is n x n (max-entangled rejects --db, so its d_b is d)
+    n = d * d_b
+    _require_addressable((n, n), f"a {n} x {n} state")
+    spec = SeedSpec(cfg.seed, stream=0)
+    if cfg.state == "max-entangled":
+        return DensityMatrix.from_pure(max_entangled(d), (d, d))
+    if cfg.state == "maximally-mixed":
+        return DensityMatrix(np.eye(n) / n, (d, d_b))
+    if cfg.state == "random":
+        return random_density((d, d_b), n if cfg.rank is None else cfg.rank, spec)
+    if cfg.state == "separable":
+        return random_separable(d, d_b, terms=4, seed=spec)
     raise EntguessError(f"unknown state specifier {cfg.state!r}")
 
 
@@ -379,6 +384,9 @@ def main(argv=None) -> int:
         return _COMMANDS[cfg.command](cfg)
     except (EntguessError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except MemoryError as exc:
+        print(f"error: out of memory: {exc}", file=sys.stderr)
         return 2
 
 

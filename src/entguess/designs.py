@@ -4,8 +4,7 @@ Three certified constructions are provided: complete sets of mutually
 unbiased bases in prime dimension, SIC-POVMs for d = 2 and 3, and the
 computational-basis orbit of the single-qubit Clifford group.  None of the
 constructions is trusted: every family can be checked after the fact with
-`design_defect` (distance of the pooled second moment from (1+F)/(d(d+1)))
-and, for basis families, `unbiasedness_defect`.
+`design_defect` (distance of the pooled second moment from (1+F)/(d(d+1))).
 
 A family is an array of measurement settings of equal sampling weight,
 all with the same number of outcomes.  ``vectors[t, :, k]`` is the k-th
@@ -20,7 +19,7 @@ and the tables cached on it cannot go stale.  The built-in constructors
 family per argument per process, kept until the process ends: the first
 call builds it, and the first `design_defect` of it certifies it, once.
 Their argument must be an int, so that 5 and 5.0 cannot share an entry.
-Families read from files, and subsets, are built anew on every request.
+Families read from files are built anew on every request.
 """
 
 from dataclasses import dataclass
@@ -33,7 +32,7 @@ from .errors import (
     FormatError,
     ParameterError,
     UnsupportedDimensionError,
-    UnsupportedFamilyError,
+    _require_addressable,
     exact_int,
 )
 from .tolerances import BASIS_SCALE_TOL, COMPLETENESS_TOL, NORM_TOL
@@ -102,12 +101,6 @@ class MeasurementFamily:
     def is_basis_family(self) -> bool:
         return self.vectors.shape[2] == self.d and np.allclose(self.scales, 1, atol=BASIS_SCALE_TOL)
 
-    def subset(self, n: int) -> "MeasurementFamily":
-        """First n settings, as an uncertified partial family."""
-        if not 1 <= n <= self.n_settings:
-            raise ParameterError(f"n {n} out of range [1, {self.n_settings}]")
-        return MeasurementFamily(f"{self.kind}-subset({n})", self.vectors[:n], self.scales[:n])
-
     @cached_property
     def _design_defect(self) -> float:
         # The moment (1/N) sum |vv><vv| and the target (1+F)/(d(d+1)) =
@@ -130,7 +123,7 @@ class MeasurementFamily:
         """Tables of the DFT route if this family is exactly `mub_family(d)`, odd prime d.
 
         The family is recognised by its content, not its kind, so a family
-        document that claims MUB-complete with other vectors, a subset or
+        document that claims MUB-complete with other vectors, a partial or
         rephased copy of the bases, and every other family give None.  It is
         compared with the shared `mub_family(d)`, not with a new copy.  The
         tables are the DFT matrix w^(a m), the chirp w^(a delta^2) indexed
@@ -209,13 +202,15 @@ def mub_family(d: int) -> MeasurementFamily:
 
     d must be an int (TypeError otherwise, also for 5.0).  The family for
     each d is built on the first call and kept for the life of the process;
-    its vectors take 16 (d+1) d^2 bytes, about 17 MB at d = 101.
+    its vectors take 16 (d+1) d^2 bytes, about 17 MB at d = 101.  A d whose
+    vectors numpy could not address is rejected before the primality test.
     """
     return _mub_family(exact_int(d))
 
 
 @cache
 def _mub_family(d: int) -> MeasurementFamily:
+    _require_addressable((d + 1, d, d), f"a complete MUB set for d = {d}")
     if not _is_prime(d):
         raise UnsupportedDimensionError(
             f"complete MUB sets are only constructed for prime d, got {d}"
@@ -330,20 +325,3 @@ def design_defect(family: MeasurementFamily) -> float:
     built-in family is shared, so it is certified once per process.
     """
     return family._design_defect
-
-
-def unbiasedness_defect(family: MeasurementFamily) -> float:
-    """Worst deviation of cross-basis overlaps-squared from 1/d.
-
-    Only defined for families whose settings are orthonormal bases; SIC
-    (or otherwise non-basis) families raise UnsupportedFamilyError.
-    """
-    if not family.is_basis_family():
-        raise UnsupportedFamilyError("unbiasedness is defined for basis families only")
-    worst = 0.0
-    target = 1.0 / family.d
-    for i, vi in enumerate(family.vectors):
-        for vj in family.vectors[i + 1 :]:
-            overlaps = np.abs(vi.conj().T @ vj) ** 2
-            worst = max(worst, float(np.abs(overlaps - target).max()))
-    return worst

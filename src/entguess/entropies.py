@@ -17,11 +17,12 @@ kind) is measured by two length-d DFT GEMMs over the blocks of rho, in
 O(d^3 d_B^2); every other family by one GEMM per setting, in O(d^4 d_B^2),
 which the tests keep as the reference.  Everything computed from the
 measured ensemble reads that array and decomposes rho_B once per state.
-One collision kernel serves every ensemble; `cq_collision` applies it to a
-single one and returns sum_k Tr[rho_B^k M1 rho_B^k M2].  At nu = 0 that
-sum is 2^(-H_2) of the classical-quantum state, i.e. the probability of
+One collision kernel serves every ensemble: the term Tr[rho_B^k M1 rho_B^k
+M2] of each conditional operator.  At nu = 0 a setting's sum of its terms
+is 2^(-H_2) of its classical-quantum state, i.e. the probability of
 guessing the outcome with the pretty good measurement
-Pi^k = rho_B^(-1/2) rho_B^k rho_B^(-1/2); there is no separate PGM routine.
+Pi^k = rho_B^(-1/2) rho_B^k rho_B^(-1/2), which `family_guess_prob`
+returns per setting; there is no separate PGM routine.
 
 Every input state is a `DensityMatrix`, whose positivity was certified at
 construction by a Cholesky factorisation of rho + EIG_TOL 1, not by its
@@ -153,17 +154,6 @@ def _collision_terms(conds: np.ndarray, rho_b: np.ndarray, nu: float):
     return np.real(np.einsum("...kij,...kji->...k", x, y))
 
 
-def cq_collision(conds, nu: float) -> float:
-    """The nu-family collision sum sum_k Tr[rho_B^k M1 rho_B^k M2] of an ensemble.
-
-    M1 = rho_B^(-(1-nu)/2) and M2 = rho_B^(-(1+nu)/2) with rho_B = sum_k
-    rho_B^k.  At nu = 0 this is exactly the success probability of the
-    pretty good measurement Pi^k = rho_B^(-1/2) rho_B^k rho_B^(-1/2).
-    """
-    conds = np.asarray(conds)
-    return float(_collision_terms(conds, conds.sum(axis=0), nu).sum())
-
-
 def _measured_collisions(rho: DensityMatrix, family: MeasurementFamily, nu: float) -> np.ndarray:
     """Collision term of every effect of the family measured on A.
 
@@ -262,16 +252,6 @@ class JointDistribution:
             if not abs(t.sum() - 1.0) <= TABLE_SUM_TOL:
                 raise FormatError(f"settings[{i}].table sums to {t.sum()}, not 1")
 
-    def to_json_dict(self) -> dict:
-        return {
-            "d_a": self.d_a,
-            "d_b": self.d_b,
-            "settings": [
-                {"theta": int(theta), "table": np.asarray(t).tolist()}
-                for theta, t in self.settings
-            ],
-        }
-
     @classmethod
     def from_json_dict(cls, doc: dict) -> "JointDistribution":
         try:
@@ -282,31 +262,3 @@ class JointDistribution:
             return cls(d_a=exact_int(doc["d_a"]), d_b=exact_int(doc["d_b"]), settings=settings)
         except (KeyError, TypeError, ValueError, OverflowError) as exc:
             raise FormatError(f"malformed joint-distribution document: {exc}") from exc
-
-
-def joint_from_state(
-    rho: DensityMatrix,
-    alice_family: MeasurementFamily,
-    thetas,
-    bob_bases,
-) -> JointDistribution:
-    """Joint outcome tables from measuring basis pairs on a bipartite state.
-
-    For each requested Alice setting index theta (taken from `alice_family`)
-    and the corresponding Bob basis (columns), the table is
-    p(k, l) = <K_k (x) L_l| rho |K_k (x) L_l>.
-    """
-    if len(thetas) != len(bob_bases):
-        raise ParameterError("need one Bob basis per Alice setting")
-    if not all(0 <= theta < alice_family.n_settings for theta in thetas):
-        raise ParameterError(f"setting indices {list(thetas)} outside the family")
-    conds = measure_family(rho, alice_family)
-    conds = conds.reshape(alice_family.n_settings, -1, rho.d_b, rho.d_b)
-    settings = []
-    for theta, bob in zip(thetas, bob_bases):
-        block = conds[theta]
-        bob = np.asarray(bob)
-        # table[k, l] = <L_l| rho_B^k |L_l>
-        table = np.real((bob.conj() * (block @ bob)).sum(axis=1))
-        settings.append((theta, np.maximum(table, 0.0)))
-    return JointDistribution(d_a=rho.d_a, d_b=rho.d_b, settings=tuple(settings))

@@ -1,6 +1,9 @@
-"""Exception types, and the integer check of outside input, shared across the package."""
+"""Exception types, and the integer and size checks of outside input, shared across the package."""
 
+import math
 import operator
+
+import numpy as np
 
 
 class EntguessError(Exception):
@@ -23,10 +26,6 @@ class UnsupportedDimensionError(EntguessError):
     """No construction is available for the requested dimension."""
 
 
-class UnsupportedFamilyError(EntguessError):
-    """The measurement family does not have the structure the operation needs."""
-
-
 class DesignDefectError(EntguessError):
     """The measurement family failed 2-design certification."""
 
@@ -47,3 +46,16 @@ def exact_int(x) -> int:
         except TypeError:
             pass
     raise TypeError(f"{x!r} is not an integer")
+
+
+def _require_addressable(shape, what: str) -> None:
+    """UnsupportedDimensionError if a complex array of `shape` is too large for numpy to address.
+
+    numpy sizes an array in bytes by a signed pointer-sized integer, so an
+    array beyond np.iinfo(np.intp).max bytes cannot exist whatever the memory.
+    """
+    limit = np.iinfo(np.intp).max
+    if np.dtype(complex).itemsize * math.prod(shape) > limit:
+        raise UnsupportedDimensionError(
+            f"{what} takes more than the {limit} bytes numpy can address"
+        )

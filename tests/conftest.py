@@ -31,11 +31,15 @@ def near_cutoff_tripartite() -> np.ndarray:
     return psi
 
 
-def measure_in_basis(rho: DensityMatrix, basis) -> np.ndarray:
-    """Conditional operators of measuring A in one basis (columns), as a one-setting family."""
+def basis_family(basis) -> MeasurementFamily:
+    """Measuring A in one basis (columns), as a one-setting family."""
     basis = np.asarray(basis)
-    family = MeasurementFamily("Custom", basis[None], np.ones((1, len(basis))))
-    return measure_family(rho, family)
+    return MeasurementFamily("Custom", basis[None], np.ones((1, len(basis))))
+
+
+def measure_in_basis(rho: DensityMatrix, basis) -> np.ndarray:
+    """Conditional operators of measuring A in one basis (columns)."""
+    return measure_family(rho, basis_family(basis))
 
 
 def random_bipartite(d_a, d_b, rank, seed, stream=0) -> DensityMatrix:

@@ -9,11 +9,15 @@ the second tensor moment written out as a sum of d^2 x d^2 Kronecker
 products, index summations (`np.einsum`) or Kronecker products in place of
 the package's matrix products, an inverse-CDF draw by comparing against
 every CDF entry, the guessing game with all of its uniforms drawn up front,
-or the standard library's JSON encoder.  The state helpers at the
-end (`purify`, `schmidt_values`, `haar_unitary`) are used only by tests.
+the worst cross-basis overlap taken pair by pair, a Gaussian draw with its
+own keyed Philox generator and Box-Muller transform, or the standard
+library's JSON encoder.  The state helpers at the end (`purify`,
+`schmidt_values`, `haar_unitary`) and the witness statistics
+(`joint_statistics`) are used only by tests.
 """
 
 import json
+import math
 
 import numpy as np
 
@@ -21,6 +25,7 @@ from entguess import (
     DensityMatrix,
     DimensionError,
     InfiniteDivergence,
+    JointDistribution,
     MeasurementFamily,
     ParameterError,
     SeedSpec,
@@ -29,7 +34,6 @@ from entguess import (
     measure_family,
 )
 from entguess.game import _game_tables
-from entguess.states import _complex_gaussian
 from entguess.tolerances import RANK_TOL, UNIT_NORM_TOL
 
 
@@ -106,6 +110,13 @@ def joint_tables_oracle(rho: DensityMatrix, family: MeasurementFamily, thetas, b
         np.einsum("bl,kbd,dl->kl", np.conj(bob), conds[theta], bob).real
         for theta, bob in zip(thetas, bob_bases)
     ]
+
+
+def joint_statistics(rho: DensityMatrix, family: MeasurementFamily, thetas, bob_bases):
+    """Witness statistics: `joint_tables_oracle`'s tables, clipped at 0, as a JointDistribution."""
+    tables = joint_tables_oracle(rho, family, thetas, bob_bases)
+    settings = tuple((theta, np.maximum(table, 0.0)) for theta, table in zip(thetas, tables))
+    return JointDistribution(d_a=rho.d_a, d_b=rho.d_b, settings=settings)
 
 
 def categorical_oracle(cdf_rows, u) -> np.ndarray:
@@ -237,6 +248,23 @@ def design_defect_oracle(family: MeasurementFamily) -> float:
     return float(np.linalg.norm(moment_oracle(pooled) - target))
 
 
+def unbiasedness_defect(family: MeasurementFamily) -> float:
+    """Worst deviation of a cross-basis overlap squared from 1/d, basis pair by basis pair.
+
+    Defined for families whose settings are orthonormal bases; ValueError for
+    any other, such as a SIC, which as one setting would have no pair to check.
+    """
+    if not family.is_basis_family():
+        raise ValueError("unbiasedness is defined for basis families only")
+    worst = 0.0
+    target = 1.0 / family.d
+    for i, vi in enumerate(family.vectors):
+        for vj in family.vectors[i + 1 :]:
+            overlaps = np.abs(vi.conj().T @ vj) ** 2
+            worst = max(worst, float(np.abs(overlaps - target).max()))
+    return worst
+
+
 def purify(rho: DensityMatrix) -> np.ndarray:
     """Pure vector on (dim rho) x (numerical rank) whose new-system trace is rho.
 
@@ -261,9 +289,27 @@ def schmidt_values(psi: np.ndarray, d_a: int, d_b: int) -> np.ndarray:
     return s**2
 
 
+def complex_gaussian_oracle(seed: int, stream: int, shape) -> np.ndarray:
+    """The package's complex Gaussian array of Philox stream (seed, stream), drawn here.
+
+    The generator is a Philox keyed [seed mod 2^64, stream mod 2^64].  An
+    array of n entries takes 2n uniforms: n radius uniforms, then n angle
+    uniforms.  Box-Muller pair j gives the normals r_j cos(phi_j) and
+    r_j sin(phi_j); the 2n normals in pair order are the n real parts, then
+    the n imaginary parts.
+    """
+    n = math.prod(shape)
+    key = np.array([seed % 2**64, stream % 2**64], dtype=np.uint64)
+    u = np.random.Generator(np.random.Philox(key=key)).random(2 * n)
+    r = np.sqrt(-2.0 * np.log(1.0 - u[:n]))
+    phi = 2.0 * np.pi * u[n:]
+    normals = np.stack([r * np.cos(phi), r * np.sin(phi)], axis=1).ravel()
+    return (normals[:n] + 1j * normals[n:]).reshape(shape)
+
+
 def haar_unitary(d: int, seed: SeedSpec) -> np.ndarray:
     """Haar-random unitary via phase-fixed QR of a complex Gaussian matrix."""
-    g = _complex_gaussian(seed.generator(), (d, d))
+    g = complex_gaussian_oracle(seed.seed, seed.stream, (d, d))
     q, r = np.linalg.qr(g)
     ph = np.diagonal(r).copy()
     ph /= np.abs(ph)

@@ -9,8 +9,8 @@ import json
 from functools import lru_cache
 
 import numpy as np
-from conftest import max_entangled_state, measure_in_basis
-from oracles import haar_unitary
+from conftest import max_entangled_state
+from oracles import haar_unitary, joint_statistics, unbiasedness_defect
 
 from entguess import (
     SeedSpec,
@@ -20,7 +20,6 @@ from entguess import (
     equality_report,
     family_guess_prob,
     guessing_bounds,
-    joint_from_state,
     max_entangled,
     mixed_rank_states,
     monogamy_report,
@@ -35,7 +34,6 @@ from entguess import (
     witness,
 )
 from entguess.cli import main as cli_main
-from entguess.entropies import cq_collision
 from entguess.relations import EPR, HEISENBERG
 
 DIM_PAIRS = [(d_a, d_b) for d_a in (2, 3, 5, 7) for d_b in (1, 2, 3, 4)]
@@ -85,8 +83,6 @@ def test_criterion_02_design_certification():
     design_worst = max(design_defect(mub_family(d)) for d in (2, 3, 5, 7, 11))
     design_worst = max(design_worst, design_defect(sic_povm(2)), design_defect(sic_povm(3)))
     design_worst = max(design_worst, design_defect(clifford_orbit_family()))
-    from entguess import unbiasedness_defect
-
     unbias_worst = max(unbiasedness_defect(mub_family(d)) for d in (2, 3, 5, 7, 11))
     ok = design_worst < 1e-11 and unbias_worst < 1e-11
     verdict(2, "2-design and unbiasedness certification", ok,
@@ -188,7 +184,7 @@ def test_criterion_08_witness_soundness_and_power():
             n = 2 + (i % d_a)  # partial and full MUB sets
             thetas = list(range(n))
             bob = [haar_unitary(d_a, SeedSpec(8100 + d_a, stream=100 * i + t)) for t in thetas]
-            rep = witness(joint_from_state(rho, fam, thetas, bob))
+            rep = witness(joint_statistics(rho, fam, thetas, bob))
             false_positives += rep.metadata["entangled"]
 
     fires = True
@@ -198,7 +194,7 @@ def test_criterion_08_witness_soundness_and_power():
         for n in range(2, d_a + 2):
             thetas = list(range(n))
             bob = [fam.vectors[t].conj() for t in thetas]
-            rep = witness(joint_from_state(rho, fam, thetas, bob))
+            rep = witness(joint_statistics(rho, fam, thetas, bob))
             fires &= rep.metadata["entangled"]
     verdict(8, "witness: sound on separable, fires on maximally entangled",
             false_positives == 0 and fires, f"{false_positives} false positives")
@@ -251,10 +247,9 @@ def test_criterion_11_data_processing():
         fam = mub_family(d_a)
         rho = list(mixed_rank_states(d_a, 3, 1, seed=11_000 + i))[0]
         theta = i % (d_a + 1)
-        conds = measure_in_basis(rho, fam.vectors[theta])
-        quantum = cq_collision(conds, 0.0)
+        quantum = family_guess_prob(rho, fam)[0][theta]
         bob = haar_unitary(3, SeedSpec(11_500, stream=i))
-        joints = joint_from_state(rho, fam, [theta], [bob])
+        joints = joint_statistics(rho, fam, [theta], [bob])
         classical = 2.0 ** (-classical_h2_cond(joints.settings[0][1]))
         ok &= classical <= quantum + 1e-10
     verdict(11, "classical side information never beats quantum", ok)

@@ -6,13 +6,12 @@ from pathlib import Path
 import numpy as np
 import pytest
 from conftest import max_entangled_state
-from oracles import json_text_oracle
+from oracles import joint_tables_oracle, json_text_oracle
 
 from entguess import (
     EntguessError,
     SeedSpec,
     designs,
-    joint_from_state,
     mixed_rank_states,
     mub_family,
     random_pure,
@@ -55,8 +54,11 @@ def write_ideal_witness_file(path, d=2, n=2):
     rho = max_entangled_state(d)
     thetas = list(range(n))
     bob = [fam.vectors[t].conj() for t in thetas]
-    joints = joint_from_state(rho, fam, thetas, bob)
-    path.write_text(json.dumps(joints.to_json_dict()))
+    tables = joint_tables_oracle(rho, fam, thetas, bob)
+    settings = [
+        {"theta": t, "table": np.maximum(table, 0.0).tolist()} for t, table in zip(thetas, tables)
+    ]
+    path.write_text(json.dumps({"d_a": d, "d_b": d, "settings": settings}))
 
 
 class TestVerify:
@@ -700,6 +702,37 @@ def test_ignored_option_is_usage_error(capsys, argv):
     option = argv[-2]
     mode = " ".join(argv[:3])
     assert (code, out, err) == (2, "", f"error: {option} has no effect on {mode}\n")
+
+
+@pytest.mark.parametrize(
+    "argv,message",
+    [
+        # numpy could not address the family or the state: rejected from the dimensions
+        (["verify", "--relation", "main", "--d", "7", "--db", "1000000000", "--samples", "1"],
+         "error: a 7000000000 x 7000000000 matrix takes more than"),
+        (["verify", "--relation", "main", "--d", "2305843009213693951", "--samples", "1"],
+         "error: a complete MUB set for d = 2305843009213693951 takes more than"),
+        (["sweep", "--d", "2305843009213693951"],
+         "error: a complete MUB set for d = 2305843009213693951 takes more than"),
+        (["game", "--d", "7", "--db", "1000000000", "--trials", "10"],
+         "error: a 7000000000 x 7000000000 state takes more than"),
+        # addressable, but each first array is above 2^47 bytes, beyond a 47-bit
+        # address space, so the allocation fails before any page is touched
+        (["verify", "--relation", "main", "--d", "7", "--db", "1000000", "--samples", "1"],
+         "error: out of memory: "),
+        (["game", "--d", "7", "--db", "1000000", "--trials", "10"],
+         "error: out of memory: "),
+        (["verify", "--relation", "monogamy", "--d", "5", "--db", "4194304", "--de", "4194304",
+          "--samples", "1"],
+         "error: out of memory: "),
+    ],
+    ids=["main-db-1e9", "main-d-2^61-1", "sweep-d-2^61-1", "game-db-1e9",
+         "main-db-1e6", "game-db-1e6", "monogamy-db-de-2^22"],
+)
+def test_oversized_dimension_is_usage_error(capsys, argv, message):
+    code, out, err = run_cli(argv, capsys)
+    assert (code, out) == (2, "")
+    assert err.startswith(message)
 
 
 class TestDeterminismAndConfig:

@@ -2,7 +2,7 @@ import json
 
 import numpy as np
 import pytest
-from conftest import max_entangled_state, measure_in_basis, random_bipartite
+from conftest import basis_family, max_entangled_state, measure_in_basis, random_bipartite
 from oracles import (
     cq_embedding,
     cq_state,
@@ -11,7 +11,7 @@ from oracles import (
     h2nu_kron_oracle,
     h2nu_outcomes_per_setting,
     haar_unitary,
-    joint_tables_oracle,
+    joint_statistics,
     pg_recovery_fidelity_explicit,
     pgm_guess_prob,
 )
@@ -33,7 +33,6 @@ from entguess import (
     family_guess_prob,
     h2nu,
     h2nu_outcomes,
-    joint_from_state,
     measure_family,
     mixed_rank_states,
     mub_family,
@@ -44,7 +43,6 @@ from entguess import (
 )
 from entguess import entropies
 from entguess.designs import MUB_COMPLETE
-from entguess.entropies import cq_collision
 
 
 class TestH2nu:
@@ -164,30 +162,33 @@ class TestMeasureInBasis:
 
 
 class TestPgmGuessProb:
+    # the PGM value of one basis is family_guess_prob's on its one-setting family
     def test_max_entangled_any_basis(self):
         rho = max_entangled_state(3)
         for basis in mub_family(3).vectors:
-            conds = measure_in_basis(rho, basis)
-            assert abs(cq_collision(conds, 0.0) - 1.0) < 1e-10
+            _, p = family_guess_prob(rho, basis_family(basis))
+            assert abs(p - 1.0) < 1e-10
 
     def test_trivial_side_information_uniform(self):
         d = 4
-        conds = [np.array([[1.0 / d]]) for _ in range(d)]
-        assert abs(cq_collision(conds, 0.0) - 1.0 / d) < 1e-12
+        rho = DensityMatrix(np.eye(d) / d, (d, 1))  # 1/d (x) |0><0|
+        _, p = family_guess_prob(rho, basis_family(np.eye(d)))
+        assert abs(p - 1.0 / d) < 1e-12
 
     def test_matches_embedded_cq_entropy(self):
         for i in range(10):
             rho = random_bipartite(3, 2, rank=(i % 6) + 1, seed=38, stream=i)
             basis = haar_unitary(3, SeedSpec(39, stream=i))
             conds = measure_in_basis(rho, basis)
-            p = cq_collision(conds, 0.0)
+            _, p = family_guess_prob(rho, basis_family(basis))
             assert abs(2.0 ** (-h2nu(cq_state(conds), 0.0)) - p) < 1e-10
 
     def test_floor(self):
         for i in range(20):
             rho = random_bipartite(2, 4, rank=(i % 8) + 1, seed=40, stream=i)
             basis = haar_unitary(2, SeedSpec(41, stream=i))
-            assert cq_collision(measure_in_basis(rho, basis), 0.0) >= 0.5 - 1e-9
+            _, p = family_guess_prob(rho, basis_family(basis))
+            assert p >= 0.5 - 1e-9
 
 
 class TestFamilyGuessProb:
@@ -298,12 +299,13 @@ class TestOneMeasuredPath:
             ref = h2nu_outcomes_per_setting(rho, family, nu)
             assert abs(h2nu_outcomes(rho, family, nu) - ref) < 1e-12
 
-    def test_cq_collision_is_pgm_guess_prob(self):
+    def test_family_guess_prob_is_pgm_guess_prob(self):
         for i in range(20):
             d_a, d_b = (2, 3, 5, 7)[i % 4], (i % 4) + 1
             rho = random_bipartite(d_a, d_b, rank=(i % (d_a * d_b)) + 1, seed=56, stream=i)
-            conds = measure_in_basis(rho, haar_unitary(d_a, SeedSpec(57, stream=i)))
-            assert abs(cq_collision(conds, 0.0) - pgm_guess_prob(list(conds))) < 1e-12
+            basis = haar_unitary(d_a, SeedSpec(57, stream=i))
+            _, p = family_guess_prob(rho, basis_family(basis))
+            assert abs(p - pgm_guess_prob(list(measure_in_basis(rho, basis)))) < 1e-12
 
     def test_one_decomposition_per_side(self, monkeypatch):
         calls = []
@@ -386,7 +388,9 @@ class TestGaussSumRoute:
             lambda: sic_povm(2),
             lambda: sic_povm(3),
             clifford_orbit_family,
-            lambda: mub_family(5).subset(5),
+            lambda: MeasurementFamily(
+                "Custom", mub_family(5).vectors[:5], mub_family(5).scales[:5]
+            ),
             lambda: phase_edited(mub_family(5)),
         ],
         ids=["mub-2", "sic-2", "sic-3", "clifford", "mub-5-subset-5", "mub-5-edited"],
@@ -431,11 +435,9 @@ class TestClassicalH2:
         fam = mub_family(3)
         for i in range(25):
             rho = random_bipartite(3, 3, rank=(i % 9) + 1, seed=50, stream=i)
-            basis = fam.vectors[i % 4]
-            conds = measure_in_basis(rho, basis)
-            quantum = cq_collision(conds, 0.0)
+            quantum = family_guess_prob(rho, fam)[0][i % 4]
             bob = haar_unitary(3, SeedSpec(51, stream=i))
-            joints = joint_from_state(rho, fam, [i % 4], [bob])
+            joints = joint_statistics(rho, fam, [i % 4], [bob])
             classical = 2.0 ** (-classical_h2_cond(joints.settings[0][1]))
             assert classical <= quantum + 1e-10
 
@@ -482,12 +484,15 @@ class TestD0Relative:
 
 
 class TestJointDistribution:
-    def test_roundtrip(self):
-        table = np.full((2, 2), 0.25)
-        jd = JointDistribution(d_a=2, d_b=2, settings=((0, table), (1, table)))
-        back = JointDistribution.from_json_dict(jd.to_json_dict())
-        assert back.d_a == 2 and back.d_b == 2
-        assert np.array_equal(back.settings[0][1], table)
+    def test_parses_document(self):
+        doc = {"d_a": 2, "d_b": 2,
+               "settings": [{"theta": 0, "table": [[0.25, 0.25], [0.25, 0.25]]},
+                            {"theta": 1, "table": [[0.5, 0.0], [0.0, 0.5]]}]}
+        jd = JointDistribution.from_json_dict(doc)
+        assert (jd.d_a, jd.d_b) == (2, 2)
+        assert [theta for theta, _ in jd.settings] == [0, 1]
+        assert np.array_equal(jd.settings[0][1], np.full((2, 2), 0.25))
+        assert np.array_equal(jd.settings[1][1], np.diag([0.5, 0.5]))
 
     def test_rejects_bad_shape(self):
         with pytest.raises(FormatError):
@@ -516,23 +521,22 @@ class TestJointDistribution:
         fam = mub_family(2)
         rho = max_entangled_state(2)
         bob_bases = [fam.vectors[t].conj() for t in (0, 1)]
-        joints = joint_from_state(rho, fam, [0, 1], bob_bases)
+        joints = joint_statistics(rho, fam, [0, 1], bob_bases)
         for _, table in joints.settings:
             assert np.abs(table - np.diag([0.5, 0.5])).max() < 1e-12
 
     @pytest.mark.parametrize("d_b", [1, 2, 3])
     @pytest.mark.parametrize("d", [2, 3, 5])
     def test_tables_match_einsum_oracle(self, d, d_b):
+        # the witness statistics read measure_family; the Born rule
+        # p(k, l) = <v_k w_l| rho |v_k w_l> reads rho itself
         fam = mub_family(d)
         thetas = list(range(fam.n_settings))
         bob_bases = [haar_unitary(d_b, SeedSpec(60, stream=t)) for t in thetas]
         for rho in mixed_rank_states(d, d_b, 3, seed=61):
-            joints = joint_from_state(rho, fam, thetas, bob_bases)
-            refs = joint_tables_oracle(rho, fam, thetas, bob_bases)
-            for (_, table), ref in zip(joints.settings, refs):
-                assert np.abs(table - np.maximum(ref, 0.0)).max() < 1e-14
-
-    @pytest.mark.parametrize("theta", [-1, 3])
-    def test_rejects_setting_outside_family(self, theta):
-        with pytest.raises(ParameterError):
-            joint_from_state(max_entangled_state(2), mub_family(2), [theta], [np.eye(2)])
+            joints = joint_statistics(rho, fam, thetas, bob_bases)
+            m4 = rho.matrix.reshape(d, d_b, d, d_b)
+            for (theta, table), bob in zip(joints.settings, bob_bases, strict=True):
+                v = fam.vectors[theta]
+                born = np.einsum("ak,bl,abcd,ck,dl->kl", v.conj(), bob.conj(), m4, v, bob).real
+                assert np.abs(table - np.maximum(born, 0.0)).max() < 1e-14

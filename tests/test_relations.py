@@ -1,11 +1,13 @@
 import dataclasses
 import inspect
+import types
 
 import numpy as np
 import pytest
 from conftest import max_entangled_state, near_cutoff_tripartite, random_bipartite
-from oracles import haar_unitary, monogamy_lhs_oracle
+from oracles import haar_unitary, joint_statistics, monogamy_lhs_oracle
 
+import entguess
 from entguess import (
     DesignDefectError,
     EPR,
@@ -20,7 +22,6 @@ from entguess import (
     family_guess_prob,
     guessing_bounds,
     h2nu,
-    joint_from_state,
     max_entangled,
     monogamy_report,
     mub_family,
@@ -34,6 +35,26 @@ from entguess import (
     witness,
 )
 from entguess.entropies import JointDistribution
+
+
+def test_public_names_are_pinned():
+    # a change to the package's API has to edit this list on purpose
+    public = sorted(
+        name
+        for name, value in vars(entguess).items()
+        if not name.startswith("_") and not isinstance(value, types.ModuleType)
+    )
+    assert public == [
+        "DensityMatrix", "DesignDefectError", "DimensionError", "EPR", "EntguessError",
+        "FormatError", "GameResult", "HEISENBERG", "InfiniteDivergence", "JointDistribution",
+        "MeasurementFamily", "NotPositiveError", "ParameterError", "RANK_TOL", "RelationReport",
+        "SeedSpec", "UnsupportedDimensionError", "achiever_state", "classical_h2_cond",
+        "clifford_orbit_family", "d0_relative", "design_defect", "equality_report",
+        "family_guess_prob", "func_on_support", "guessing_bounds", "h2nu", "h2nu_outcomes",
+        "max_entangled", "measure_family", "mixed_rank_states", "monogamy_report", "mub_family",
+        "nbasis_bounds", "partial_trace", "pg_recovery_fidelity", "random_density", "random_pure",
+        "random_separable", "sic_povm", "simulate_game", "two_to_full_bound", "witness",
+    ]
 
 
 def test_no_argument_repeats_what_another_carries():
@@ -86,8 +107,10 @@ class TestEqualityReport:
         assert rep.defect < 1e-9
 
     def test_uncertified_family_rejected(self):
+        mubs = mub_family(3)
+        partial = MeasurementFamily("Custom", mubs.vectors[:2], mubs.scales[:2])
         with pytest.raises(DesignDefectError):
-            equality_report(random_bipartite(3, 2, 5, seed=65), mub_family(3).subset(2), 0.0)
+            equality_report(random_bipartite(3, 2, 5, seed=65), partial, 0.0)
 
 
 class TestNbasisBounds:
@@ -122,8 +145,10 @@ class TestNbasisBounds:
             nbasis_bounds(max_entangled_state(3), mub_family(3), 5)
 
     def test_rejects_partial_family(self):
+        mubs = mub_family(3)
+        partial = MeasurementFamily("Custom", mubs.vectors[:2], mubs.scales[:2])
         with pytest.raises(ParameterError):
-            nbasis_bounds(max_entangled_state(3), mub_family(3).subset(2), 1)
+            nbasis_bounds(max_entangled_state(3), partial, 1)
 
 
 def tune_mix_to_fidelity(mubs, regime, which, n, target):
@@ -223,7 +248,7 @@ def ideal_max_entangled_joints(d, n):
     rho = max_entangled_state(d)
     thetas = list(range(n))
     bob = [fam.vectors[t].conj() for t in thetas]
-    return joint_from_state(rho, fam, thetas, bob)
+    return joint_statistics(rho, fam, thetas, bob)
 
 
 class TestWitness:
@@ -250,7 +275,7 @@ class TestWitness:
             n = 2 + (i % d)  # both partial and full sets
             thetas = list(range(n))
             bob = [haar_unitary(d, SeedSpec(70, stream=100 * i + t)) for t in thetas]
-            rep = witness(joint_from_state(rho, fam, thetas, bob))
+            rep = witness(joint_statistics(rho, fam, thetas, bob))
             fired += rep.metadata["entangled"]
         assert fired == 0
 
