@@ -211,22 +211,23 @@ def cmd_verify(cfg: RunConfig) -> int:
 
 def cmd_sweep(cfg: RunConfig) -> int:
     d = cfg.d
-    designs.mub_family(d)  # reject dimensions without a complete MUB set
+    designs._require_mub_dimension(d)  # the sweep's d has a complete MUB set
     if cfg.grid < 2:
         raise EntguessError(f"grid size must be >= 2, got {cfg.grid}")
     try:
         grid = np.linspace(0.0, 1.0, cfg.grid)
     except ValueError as exc:  # more points than numpy can address
         raise EntguessError(f"a grid of {cfg.grid} points cannot be allocated: {exc}") from exc
-    rows = []
-    for n in range(1, d + 2):
-        for fpg in grid:
-            lower, upper = relations.guessing_bounds(float(fpg), d, n)
-            rows.append({"fpg": float(fpg), "n": n, "lower": lower, "upper": upper})
+    header = ["fpg", "n", "lower", "upper"]
+    rows = (
+        (fpg, n, *relations.guessing_bounds(fpg, d, n))
+        for n in range(1, d + 2)
+        for fpg in map(float, grid)
+    )
     if cfg.fmt == "csv":
-        text = _csv_text(["fpg", "n", "lower", "upper"], (r.values() for r in rows))
+        text = _csv_text(header, rows)
     else:
-        text = _json_text(rows)
+        text = _json_text([dict(zip(header, row)) for row in rows])
     _emit(text, cfg.output_path)
     return 0
 

@@ -19,7 +19,8 @@ and the tables cached on it cannot go stale.  The built-in constructors
 family per argument per process, kept until the process ends: the first
 call builds it, and the first `design_defect` of it certifies it, once.
 Their argument must be an int, so that 5 and 5.0 cannot share an entry.
-Families read from files are built anew on every request.
+Families read from files are built anew on every request.  Only
+`_require_mub_dimension` decides which d has a MUB set, and it builds none.
 """
 
 from dataclasses import dataclass
@@ -131,7 +132,7 @@ class MeasurementFamily:
         `entropies` explains.
         """
         d = self.d
-        if d == 2 or not _is_prime(d) or self.vectors.shape != (d + 1, d, d):
+        if d == 2 or self.vectors.shape != (d + 1, d, d) or not _is_prime(d):
             return None
         if not (np.array_equal(self.vectors, mub_family(d).vectors) and np.all(self.scales == 1)):
             return None
@@ -208,13 +209,21 @@ def mub_family(d: int) -> MeasurementFamily:
     return _mub_family(exact_int(d))
 
 
-@cache
-def _mub_family(d: int) -> MeasurementFamily:
+def _require_mub_dimension(d: int):
+    """UnsupportedDimensionError unless int d has a complete MUB set; builds nothing.
+
+    The address check caps d near 832,000 before the trial division runs.
+    """
     _require_addressable((d + 1, d, d), f"a complete MUB set for d = {d}")
     if not _is_prime(d):
         raise UnsupportedDimensionError(
             f"complete MUB sets are only constructed for prime d, got {d}"
         )
+
+
+@cache
+def _mub_family(d: int) -> MeasurementFamily:
+    _require_mub_dimension(d)
     if d == 2:
         s = 1.0 / np.sqrt(2)
         bases = np.array([

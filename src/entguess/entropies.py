@@ -51,7 +51,7 @@ import numpy as np
 
 from .designs import MeasurementFamily
 from .errors import DimensionError, FormatError, InfiniteDivergence, ParameterError, exact_int
-from .linops import func_on_support
+from .linops import func_on_support, partial_trace
 from .states import DensityMatrix
 from .tolerances import RANK_TOL, TABLE_NEG_TOL, TABLE_SUM_TOL
 
@@ -62,10 +62,11 @@ def _require_nu(nu: float) -> None:
 
 
 def h2nu(rho: DensityMatrix, nu: float):
-    """Conditional collision entropy H_{2,nu}(A|B) of a bipartite state, or of each in a stack."""
+    """H_{2,nu}(A|B) of a bipartite state or of each in a stack, rho_B from `partial_trace`."""
     _require_nu(nu)
     d_a, d_b = rho.d_a, rho.d_b
-    (left, right), _ = func_on_support(rho.marginal("B"), (-(1.0 - nu) / 4.0, -(1.0 + nu) / 4.0))
+    rho_b = partial_trace(rho.matrix, d_a, d_b)
+    (left, right), _ = func_on_support(rho_b, (-(1.0 - nu) / 4.0, -(1.0 + nu) / 4.0))
     lead = rho.matrix.shape[:-2]
     n = d_a * d_b
     # left acts on the row index b of rho[(a, b), (c, d)], right on the column index d

@@ -12,10 +12,10 @@ on the support (pseudoinverse convention) and exponent 0 is the support
 projector.  It also holds the one near-cutoff rule: it flags an eigenvalue
 within a factor 10 of the cutoff, on either side.
 
-`partial_trace` and `func_on_support` take a stack of matrices with
-leading batch axes, (..., n, n), and act on each matrix as on a single
-one; a single matrix is the stack with no leading axes, through the same
-code.
+`partial_trace` traces out A, the only subsystem the package discards.
+It and `func_on_support` take a stack of matrices with leading batch axes,
+(..., n, n), and act on each matrix as on a single one; a single matrix is
+the stack with no leading axes, through the same code.
 """
 
 import numpy as np
@@ -24,16 +24,10 @@ from .errors import DimensionError, NotPositiveError, ParameterError
 from .tolerances import FUNC_HERM_TOL, RANK_TOL
 
 
-def partial_trace(m: np.ndarray, dim_a: int, dim_b: int, keep: str) -> np.ndarray:
-    """Trace out one subsystem of a bipartite operator, or of each in a stack.
+def partial_trace(m: np.ndarray, dim_a: int, dim_b: int) -> np.ndarray:
+    """Trace out A of a (dim_a*dim_b)-square operator, A major, or of each in a stack.
 
-    Args:
-        m: (dim_a*dim_b)-square matrix, or a stack of them with leading axes.
-        dim_a, dim_b: subsystem dimensions, A major.
-        keep: "A" to trace out B, "B" to trace out A.
-
-    Returns:
-        The reduced operator on the kept subsystem, with m's leading axes.
+    Returns the reduced operator on B, with m's leading axes.
     """
     m = np.asarray(m)
     n = dim_a * dim_b
@@ -42,11 +36,7 @@ def partial_trace(m: np.ndarray, dim_a: int, dim_b: int, keep: str) -> np.ndarra
             f"matrix is {m.shape}, expected (..., {n}, {n}) for dims ({dim_a}, {dim_b})"
         )
     m4 = m.reshape(*m.shape[:-2], dim_a, dim_b, dim_a, dim_b)
-    if keep == "A":
-        return np.einsum("...ibjb->...ij", m4)
-    if keep == "B":
-        return np.einsum("...iaib->...ab", m4)
-    raise ParameterError(f"keep must be 'A' or 'B', got {keep!r}")
+    return np.einsum("...iaib->...ab", m4)
 
 
 def func_on_support(m: np.ndarray, exponents):

@@ -12,7 +12,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DimensionError, ParameterError, exact_int
-from .linops import partial_trace
 from .tolerances import EIG_TOL, STATE_HERM_TOL, TRACE_TOL
 
 
@@ -157,11 +156,6 @@ class DensityMatrix:
     def _require_bipartite(self):
         if len(self.dims) != 2:
             raise DimensionError(f"expected bipartite dims, got {self.dims}")
-
-    def marginal(self, keep: str) -> np.ndarray:
-        """Reduced matrix on subsystem "A" or "B" of a bipartite state."""
-        self._require_bipartite()
-        return partial_trace(self.matrix, self.dims[0], self.dims[1], keep)
 
 
 def random_pure(d: int, seed: SeedSpec) -> np.ndarray:

@@ -11,9 +11,10 @@ the package's matrix products, an inverse-CDF draw by comparing against
 every CDF entry, the guessing game with all of its uniforms drawn up front,
 the worst cross-basis overlap taken pair by pair, a Gaussian draw with its
 own keyed Philox generator and Box-Muller transform, or the standard
-library's JSON encoder.  The state helpers at the end (`purify`,
-`schmidt_values`, `haar_unitary`) and the witness statistics
-(`joint_statistics`) are used only by tests.
+library's JSON encoder.  Partial traces, rho_B included, come from a
+brute-force index sum, and primes from a sieve.  The state helpers at the
+end (`purify`, `schmidt_values`, `haar_unitary`) and the witness
+statistics (`joint_statistics`) are used only by tests.
 """
 
 import json
@@ -35,6 +36,37 @@ from entguess import (
 )
 from entguess.game import _game_tables
 from entguess.tolerances import RANK_TOL, UNIT_NORM_TOL
+
+
+def ptrace_oracle(m, da, db, keep):
+    """Brute-force index-summation partial trace: keep "A" traces out B, "B" traces out A."""
+    if keep == "A":
+        out = np.zeros((da, da), dtype=complex)
+        for i in range(da):
+            for j in range(da):
+                out[i, j] = sum(m[i * db + b, j * db + b] for b in range(db))
+    else:
+        out = np.zeros((db, db), dtype=complex)
+        for a in range(db):
+            for b in range(db):
+                out[a, b] = sum(m[i * db + a, i * db + b] for i in range(da))
+    return out
+
+
+def rho_b_oracle(rho: DensityMatrix) -> np.ndarray:
+    """rho_B of a single bipartite state, by `ptrace_oracle`."""
+    return ptrace_oracle(rho.matrix, rho.d_a, rho.d_b, "B")
+
+
+def primes_below(n: int) -> set:
+    """The primes below n, by the sieve of Eratosthenes."""
+    composite = set()
+    primes = set()
+    for k in range(2, n):
+        if k not in composite:
+            primes.add(k)
+            composite.update(range(k * k, n, k))
+    return primes
 
 
 def cq_state(conds) -> DensityMatrix:
@@ -75,7 +107,7 @@ def pg_recovery_fidelity_explicit(rho: DensityMatrix) -> float:
     entangled vector is returned.
     """
     d_a, d_b = rho.d_a, rho.d_b
-    (inv_sqrt,), _ = func_on_support(rho.marginal("B"), (-0.5,))
+    (inv_sqrt,), _ = func_on_support(rho_b_oracle(rho), (-0.5,))
     m4 = rho.matrix.reshape(d_a, d_b, d_a, d_b)
     # Lambda(Y)[i, j] = sum_{m,x} rho4[j, m, i, x] (S Y S)[x, m], so applying
     # id (x) Lambda to rho itself gives
@@ -89,7 +121,7 @@ def pg_recovery_fidelity_explicit(rho: DensityMatrix) -> float:
 def h2nu_einsum_oracle(rho: DensityMatrix, nu: float) -> float:
     """H_{2,nu}(A|B) with rho_nu contracted in one index summation."""
     d_a, d_b = rho.d_a, rho.d_b
-    (left, right), _ = func_on_support(rho.marginal("B"), (-(1.0 - nu) / 4.0, -(1.0 + nu) / 4.0))
+    (left, right), _ = func_on_support(rho_b_oracle(rho), (-(1.0 - nu) / 4.0, -(1.0 + nu) / 4.0))
     m4 = rho.matrix.reshape(d_a, d_b, d_a, d_b)
     rho_nu = np.einsum("pb,abcd,dq->apcq", left, m4, right)
     return -np.log2(float(np.real(np.sum(np.abs(rho_nu) ** 2))))
@@ -97,7 +129,7 @@ def h2nu_einsum_oracle(rho: DensityMatrix, nu: float) -> float:
 
 def h2nu_kron_oracle(rho: DensityMatrix, nu: float) -> float:
     """H_{2,nu}(A|B) = -log Tr X^dag X with X = (1 (x) L) rho (1 (x) R) built by np.kron."""
-    (left, right), _ = func_on_support(rho.marginal("B"), (-(1.0 - nu) / 4.0, -(1.0 + nu) / 4.0))
+    (left, right), _ = func_on_support(rho_b_oracle(rho), (-(1.0 - nu) / 4.0, -(1.0 + nu) / 4.0))
     eye_a = np.eye(rho.d_a)
     x = np.kron(eye_a, left) @ rho.matrix @ np.kron(eye_a, right)
     return -np.log2(float(np.real(np.trace(x.conj().T @ x))))

@@ -6,11 +6,12 @@ from pathlib import Path
 import numpy as np
 import pytest
 from conftest import max_entangled_state
-from oracles import joint_tables_oracle, json_text_oracle
+from oracles import joint_tables_oracle, json_text_oracle, primes_below
 
 from entguess import (
     EntguessError,
     SeedSpec,
+    UnsupportedDimensionError,
     designs,
     mixed_rank_states,
     mub_family,
@@ -375,8 +376,34 @@ class TestSweep:
         assert "grid" in err
 
     def test_rejects_non_prime(self, capsys):
-        code, _, _ = run_cli(["sweep", "--d", "6"], capsys)
+        # exactly the primes pass, and the rest get mub_family's message
+        primes = primes_below(101)
+        for d in range(1, 101):
+            code, _, err = run_cli(["sweep", "--d", str(d), "--grid", "2"], capsys)
+            assert code == (0 if d in primes else 2), d
+            if d not in primes:
+                with pytest.raises(UnsupportedDimensionError) as info:
+                    mub_family(d)
+                assert err == f"error: {info.value}\n"
+
+    def test_large_prime_builds_no_family(self, capsys, monkeypatch):
+        def build(d):
+            raise AssertionError(f"the sweep built the MUB family for d = {d}")
+
+        monkeypatch.setattr(designs, "_gauss_sum_bases", build)
+        code, out, _ = run_cli(["sweep", "--d", "1009", "--grid", "2"], capsys)
+        assert code == 0
+        assert len(out.splitlines()) == 1 + 1010 * 2
+
+    def test_unaddressable_d_rejected_before_primality(self, capsys, monkeypatch):
+        def trial_division(n):
+            raise AssertionError("the primality test ran")
+
+        monkeypatch.setattr(designs, "_is_prime", trial_division)
+        code, out, err = run_cli(["sweep", "--d", str(2**61 - 1)], capsys)
         assert code == 2
+        assert out == ""
+        assert err.startswith("error: a complete MUB set for d = 2305843009213693951 takes more")
 
     @pytest.mark.parametrize("grid", [2**62, 10**30], ids=["2^62", "10^30"])
     def test_grid_too_large_to_allocate_is_usage_error(self, capsys, grid):

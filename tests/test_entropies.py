@@ -14,6 +14,7 @@ from oracles import (
     joint_statistics,
     pg_recovery_fidelity_explicit,
     pgm_guess_prob,
+    rho_b_oracle,
 )
 
 from entguess import (
@@ -273,7 +274,7 @@ class TestCqConsistency:
         assert conds.shape == (4 * 3, 2, 2)
         for setting in conds.reshape(4, 3, 2, 2):
             assert abs(sum(np.trace(c).real for c in setting) - 1.0) < 1e-11
-            assert np.abs(setting.sum(axis=0) - rho.marginal("B")).max() < 1e-12
+            assert np.abs(setting.sum(axis=0) - rho_b_oracle(rho)).max() < 1e-12
             for c in setting:
                 assert np.linalg.eigvalsh((c + c.conj().T) / 2).min() > -1e-10
 
