@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 from conftest import near_cutoff_tripartite
-from oracles import d0_relative_oracle, rho_b_oracle
+from oracles import d0_relative_oracle, ptrace_oracle, rho_b_oracle
 
 from entguess import (
     RANK_TOL,
@@ -22,6 +22,7 @@ from entguess import (
     mixed_rank_states,
     monogamy_report,
     mub_family,
+    partial_trace,
     random_pure,
     sic_povm,
 )
@@ -60,6 +61,15 @@ def close(batched, single) -> bool:
 
 
 class TestLinops:
+    @pytest.mark.parametrize("keep", ["B"])
+    def test_partial_trace(self, keep):
+        # partial_trace keeps B, the only subsystem the package traces down to
+        stack = stack_of(3, 2, seed=1)
+        batched = partial_trace(stack.matrix, 3, 2)
+        for i, m in enumerate(stack.matrix):
+            assert close(batched[i], partial_trace(m, 3, 2))
+            assert close(batched[i], ptrace_oracle(m, 3, 2, keep))
+
     def test_func_on_support_flags_only_its_own_matrix(self):
         rho_b = np.array([rho_b_oracle(rho) for rho in singles(stack_of(7, 2, seed=2))])
         exponents = (-0.25, -0.75, 0.0)

@@ -76,6 +76,12 @@ class TestPartialTrace:
         b /= np.trace(b)
         assert np.abs(partial_trace(np.kron(a, b), 2, 3) - b).max() < 1e-12
 
+    @pytest.mark.parametrize("keep", ["B"])
+    def test_random_against_index_sum_oracle(self, keep):
+        gen = np.random.default_rng(14)
+        m = gen.normal(size=(6, 6)) + 1j * gen.normal(size=(6, 6))
+        assert np.abs(partial_trace(m, 2, 3) - ptrace_oracle(m, 2, 3, keep)).max() < 1e-13
+
     @settings(derandomize=True, max_examples=60, deadline=None)
     @given(
         d_a=st.integers(1, 4),
@@ -83,7 +89,7 @@ class TestPartialTrace:
         lead=st.lists(st.integers(1, 3), max_size=2),
         seed=st.integers(0, 2**32 - 1),
     )
-    def test_random_against_index_sum_oracle(self, d_a, d_b, lead, seed):
+    def test_stacks_against_index_sum_oracle(self, d_a, d_b, lead, seed):
         # a stack with 0, 1 or 2 leading axes, each matrix traced as on its own
         gen = np.random.default_rng(seed)
         n = d_a * d_b
