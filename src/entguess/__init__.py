@@ -60,6 +60,7 @@ from .states import (
     DensityMatrix,
     SeedSpec,
     mixed_rank_states,
+    pure_states,
     random_density,
     random_pure,
     random_separable,

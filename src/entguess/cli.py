@@ -26,8 +26,8 @@ from .linops import max_entangled
 from .states import (
     DensityMatrix,
     SeedSpec,
-    _stream_gaussians,
     mixed_rank_states,
+    pure_states,
     random_density,
     random_separable,
 )
@@ -61,10 +61,6 @@ class RunConfig:
 
     def to_json(self) -> str:
         return json.dumps(asdict(self), sort_keys=True)
-
-    @classmethod
-    def from_json(cls, text: str) -> "RunConfig":
-        return cls(**json.loads(text))
 
 
 # `verify` evaluates its states in chunks sized so that a stack of the
@@ -196,11 +192,7 @@ def cmd_verify(cfg: RunConfig) -> int:
         dims = (cfg.d, cfg.d_b, cfg.d_e)
         n = cfg.d * cfg.d_b * cfg.d_e
         for start, stop in _chunks(cfg.samples, cfg.d * max(cfg.d_b, cfg.d_e)):
-            # random_pure(n, SeedSpec(seed, stream=i)) of every stream i of
-            # the chunk, with one Box-Muller transform; a norm per row keeps
-            # the bits of random_pure's
-            draws = _stream_gaussians(cfg.seed, range(start, stop), [(n,)] * (stop - start))
-            psi = np.array([v / np.linalg.norm(v) for v in draws])
+            psi = pure_states(n, stop - start, cfg.seed, start)
             reports += relations.monogamy_report(psi, dims, mubs, tol)
     else:
         raise EntguessError(f"unknown relation {cfg.relation!r}")

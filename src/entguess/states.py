@@ -1,8 +1,8 @@
 """Construction and seeded sampling of quantum states.
 
 All randomness flows through a counter-based Philox generator keyed by a
-(seed, stream) pair, with Gaussian variates produced by Box-Muller from its
-uniforms.  The same (seed, stream) therefore reproduces the same state
+(seed, stream) pair; Box-Muller turns 2n of its uniforms into n complex
+Gaussians.  The same (seed, stream) therefore reproduces the same state
 bit-for-bit on a given build, and distinct streams are independent.
 """
 
@@ -49,17 +49,14 @@ def _box_muller(draws, shapes) -> list:
     return out
 
 
-def _complex_gaussian(gen: np.random.Generator, shape: tuple) -> np.ndarray:
-    return _box_muller([gen.random(2 * math.prod(shape))], [shape])[0]
-
-
 def _stream_gaussians(seed: int, streams, shapes) -> list:
-    """`_complex_gaussian(SeedSpec(seed, k).generator(), shape)` for each (k, shape).
+    """One complex Gaussian array per (k, shape): for n entries, `_box_muller`
+    of the first 2n uniforms of stream k of `seed`.
 
     One generator serves every stream: its Philox is re-keyed to (seed, k)
-    with counter 0 and an empty buffer, which is the state a new keyed
-    Philox starts in, without the OS-entropy SeedSequence that building one
-    first makes.
+    with counter 0 and an empty buffer, which is the state
+    `SeedSpec(seed, k).generator()` starts in, without the OS-entropy
+    SeedSequence that building a new generator first makes.
     """
     gen = SeedSpec(seed).generator()
     state = gen.bit_generator.state
@@ -158,12 +155,23 @@ class DensityMatrix:
             raise DimensionError(f"expected bipartite dims, got {self.dims}")
 
 
-def random_pure(d: int, seed: SeedSpec) -> np.ndarray:
-    """Haar-distributed unit vector: normalized complex Gaussian."""
+def pure_states(d: int, count: int, seed: int, start: int = 0) -> np.ndarray:
+    """`count` seeded Haar-distributed unit vectors in C^d, as the rows of one array.
+
+    Row i is the normalized complex Gaussian of stream start + i of `seed`.
+    """
     if d < 1:
         raise ParameterError(f"d must be >= 1, got {d}")
-    v = _complex_gaussian(seed.generator(), (d,))
-    return v / np.linalg.norm(v)
+    out = np.empty((count, d), dtype=complex)
+    # a norm per row: a stacked norm(axis=-1) does not round the same
+    for i, v in enumerate(_stream_gaussians(seed, range(start, start + count), [(d,)] * count)):
+        out[i] = v / np.linalg.norm(v)
+    return out
+
+
+def random_pure(d: int, seed: SeedSpec) -> np.ndarray:
+    """Haar-distributed unit vector: `pure_states`' state of one stream."""
+    return pure_states(d, 1, seed.seed, seed.stream)[0]
 
 
 def _ginibre(g: np.ndarray) -> np.ndarray:
@@ -180,7 +188,7 @@ def random_density(dims: tuple, rank: int, seed: SeedSpec) -> DensityMatrix:
     d = math.prod(dims)
     if not 1 <= rank <= d:
         raise ParameterError(f"rank {rank} out of range [1, {d}]")
-    g = _complex_gaussian(seed.generator(), (d, rank))
+    (g,) = _stream_gaussians(seed.seed, [seed.stream], [(d, rank)])
     return DensityMatrix(_ginibre(g), tuple(dims))
 
 
@@ -195,13 +203,10 @@ def random_separable(d_a: int, d_b: int, terms: int, seed: SeedSpec) -> DensityM
     gen = seed.generator()
     weights = -np.log(1.0 - gen.random(terms))
     weights /= weights.sum()
-    out = np.zeros((d_a * d_b, d_a * d_b), dtype=complex)
-    for p in weights:
-        ga = _complex_gaussian(gen, (d_a, d_a))
-        gb = _complex_gaussian(gen, (d_b, d_b))
-        rho_a = ga @ ga.conj().T
-        rho_b = gb @ gb.conj().T
-        out += p * np.kron(rho_a / np.trace(rho_a).real, rho_b / np.trace(rho_b).real)
+    # the factors' Gaussians, A then B for each term, in one transform
+    shapes = [(d_a, d_a), (d_b, d_b)] * terms
+    g = _box_muller([gen.random(2 * math.prod(shape)) for shape in shapes], shapes)
+    out = sum(p * np.kron(_ginibre(a), _ginibre(b)) for p, a, b in zip(weights, g[::2], g[1::2]))
     return DensityMatrix(out, (d_a, d_b))
 
 

@@ -9,9 +9,10 @@ the second tensor moment written out as a sum of d^2 x d^2 Kronecker
 products, index summations (`np.einsum`) or Kronecker products in place of
 the package's matrix products, an inverse-CDF draw by comparing against
 every CDF entry, the guessing game with all of its uniforms drawn up front,
-the worst cross-basis overlap taken pair by pair, a Gaussian draw with its
-own keyed Philox generator and Box-Muller transform, or the standard
-library's JSON encoder.  Partial traces, rho_B included, come from a
+the worst cross-basis overlap taken pair by pair, Gaussian draws with their
+own keyed Philox generators and one Box-Muller transform per array (the
+seeded pure, Ginibre and separable states are built on them), or the
+standard library's JSON encoder.  Partial traces, rho_B included, come from a
 brute-force index sum, and primes from a sieve.  The state helpers at the
 end (`purify`, `schmidt_values`, `haar_unitary`) and the witness
 statistics (`joint_statistics`) are used only by tests.
@@ -321,22 +322,64 @@ def schmidt_values(psi: np.ndarray, d_a: int, d_b: int) -> np.ndarray:
     return s**2
 
 
-def complex_gaussian_oracle(seed: int, stream: int, shape) -> np.ndarray:
-    """The package's complex Gaussian array of Philox stream (seed, stream), drawn here.
+def philox_oracle(seed: int, stream: int) -> np.random.Generator:
+    """A new generator on the Philox keyed [seed mod 2^64, stream mod 2^64]."""
+    key = np.array([seed % 2**64, stream % 2**64], dtype=np.uint64)
+    return np.random.Generator(np.random.Philox(key=key))
 
-    The generator is a Philox keyed [seed mod 2^64, stream mod 2^64].  An
-    array of n entries takes 2n uniforms: n radius uniforms, then n angle
+
+def box_muller_oracle(gen: np.random.Generator, shape) -> np.ndarray:
+    """A complex Gaussian array of `shape` from the next uniforms of `gen`.
+
+    An array of n entries takes 2n uniforms: n radius uniforms, then n angle
     uniforms.  Box-Muller pair j gives the normals r_j cos(phi_j) and
     r_j sin(phi_j); the 2n normals in pair order are the n real parts, then
     the n imaginary parts.
     """
     n = math.prod(shape)
-    key = np.array([seed % 2**64, stream % 2**64], dtype=np.uint64)
-    u = np.random.Generator(np.random.Philox(key=key)).random(2 * n)
+    u = gen.random(2 * n)
     r = np.sqrt(-2.0 * np.log(1.0 - u[:n]))
     phi = 2.0 * np.pi * u[n:]
     normals = np.stack([r * np.cos(phi), r * np.sin(phi)], axis=1).ravel()
     return (normals[:n] + 1j * normals[n:]).reshape(shape)
+
+
+def complex_gaussian_oracle(seed: int, stream: int, shape) -> np.ndarray:
+    """The package's complex Gaussian array of Philox stream (seed, stream), drawn here.
+
+    It is `box_muller_oracle` on the stream's first uniforms.
+    """
+    return box_muller_oracle(philox_oracle(seed, stream), shape)
+
+
+def ginibre_oracle(g) -> np.ndarray:
+    """G G^dag / Tr, in the package's order of operations, so its bits match."""
+    m = g @ g.conj().T
+    return m / np.trace(m).real
+
+
+def pure_state_oracle(seed: int, stream: int, d: int) -> np.ndarray:
+    """The Haar vector of stream (seed, stream): its Gaussian over its `np.linalg.norm`."""
+    v = complex_gaussian_oracle(seed, stream, (d,))
+    return v / np.linalg.norm(v)
+
+
+def separable_oracle(d_a: int, d_b: int, terms: int, seed: SeedSpec) -> np.ndarray:
+    """`random_separable`'s matrix, drawn in sequence from one Philox stream.
+
+    The stream gives `terms` exponential weights, normalized, and then for
+    each term an A factor and then a B factor, each a Gaussian made into a
+    Ginibre state; the mixture is summed term by term.
+    """
+    gen = philox_oracle(seed.seed, seed.stream)
+    weights = -np.log(1.0 - gen.random(terms))
+    weights /= weights.sum()
+    out = np.zeros((d_a * d_b, d_a * d_b), dtype=complex)
+    for p in weights:
+        rho_a = ginibre_oracle(box_muller_oracle(gen, (d_a, d_a)))
+        rho_b = ginibre_oracle(box_muller_oracle(gen, (d_b, d_b)))
+        out += p * np.kron(rho_a, rho_b)
+    return out
 
 
 def haar_unitary(d: int, seed: SeedSpec) -> np.ndarray:

@@ -6,19 +6,17 @@ from pathlib import Path
 import numpy as np
 import pytest
 from conftest import max_entangled_state
-from oracles import joint_tables_oracle, json_text_oracle, primes_below
+from oracles import joint_tables_oracle, json_text_oracle, primes_below, pure_state_oracle
 
 from entguess import (
     EntguessError,
-    SeedSpec,
     UnsupportedDimensionError,
     designs,
     mixed_rank_states,
     mub_family,
-    random_pure,
     relations,
 )
-from entguess.cli import RunConfig, _json_text, build_parser, config_from_args, main
+from entguess.cli import _json_text, build_parser, config_from_args, main
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
 
@@ -203,8 +201,11 @@ class TestVerify:
             ({"kind": "SIC"}, "kind 'SIC' requires equality_constant 12.0"),
             ({"d": 2, "equality_constant": 3.0}, "family document has d = 2, vectors of length 3"),
             ({"d": 10**400}, f"family document has d = {10**400}, vectors of length 3"),
+            # consistent, and a 2-design, but its kind fixes no equality constant
+            ({"kind": "Custom", "equality_constant": "drop"},
+             "family 'Custom' carries no equality constant"),
         ],
-        ids=["wrong-constant", "no-constant", "other-kind", "wrong-d", "huge-d"],
+        ids=["wrong-constant", "no-constant", "other-kind", "wrong-d", "huge-d", "custom-kind"],
     )
     def test_family_file_contradicting_itself_is_usage_error(self, capsys, tmp_path, edit, message):
         # a "drop" value removes the key
@@ -217,6 +218,24 @@ class TestVerify:
             capsys,
         )
         assert (code, out, err) == (2, "", f"error: {message}\n")
+
+    @pytest.mark.parametrize(
+        "family, d, code, err",
+        [
+            ("clifford", "2", 0, ""),
+            ("clifford", "3", 2, "error: the Clifford-orbit family is qubit-only (d = 2)\n"),
+            ("nosuch", "3", 2, "error: unknown family 'nosuch'\n"),
+        ],
+        ids=["clifford-qubit", "clifford-qutrit", "unknown"],
+    )
+    def test_family_name(self, capsys, family, d, code, err):
+        got = run_cli(
+            ["verify", "--relation", "main", "--d", d, "--samples", "2", "--family", family],
+            capsys,
+        )
+        assert (got[0], got[2]) == (code, err)
+        if code == 0:
+            assert all(r["verdict"] == "holds" for r in json.loads(got[1]))
 
     @pytest.mark.parametrize("tolerance", ["-1", "nan", "inf"])
     def test_bad_tolerance_is_usage_error(self, capsys, tolerance):
@@ -328,8 +347,8 @@ class TestVerify:
                 assert abs(report.rhs - single.rhs) < 1e-14
 
     def test_monogamy_chunks_draw_random_pure_states(self, capsys, monkeypatch, tmp_path):
-        # 5 x 3 x 4 gives chunks of 20 states; each chunk draws its states in
-        # one batch, bit for bit the random_pure vector of each stream
+        # 5 x 3 x 4 gives chunks of 20 states; state i is, bit for bit, the
+        # normalized Gaussian of stream i
         batched = []
         original = relations.monogamy_report
 
@@ -345,7 +364,7 @@ class TestVerify:
         )
         assert code == 0
         assert [len(psi) for psi in batched] == [20, 20, 5]
-        expected = [random_pure(60, SeedSpec(9, stream=i)) for i in range(45)]
+        expected = [pure_state_oracle(9, i, 60) for i in range(45)]
         assert np.array_equal(np.concatenate(batched), np.array(expected))
 
 
@@ -435,6 +454,15 @@ class TestWitnessCommand:
         code, out, _ = run_cli(["witness", "--input", str(f)], capsys)
         assert code == 3
         assert "INCONCLUSIVE" in out
+
+    def test_output_file_holds_the_report(self, capsys, tmp_path):
+        f, report = tmp_path / "ideal.json", tmp_path / "report.json"
+        write_ideal_witness_file(f)
+        code, out, _ = run_cli(["witness", "--input", str(f), "--output", str(report)], capsys)
+        assert (code, out) == (0, "ENTANGLED (2.000 > 1.500)\n")
+        (doc,) = json.loads(report.read_text())
+        assert (doc["lhs"], doc["rhs"], doc["verdict"]) == (2.0, 1.5, "violated")
+        assert doc["metadata"] == {"n": 2, "d_a": 2, "thetas": [0, 1], "entangled": True}
 
     def test_unnormalized_table_is_schema_error(self, capsys, tmp_path):
         f = tmp_path / "bad.json"
@@ -539,6 +567,20 @@ class TestGameCommand:
         assert code == 0
         doc = json.loads(out)
         assert abs(doc["empirical_rate"] - 0.5) <= 4 * doc["std_error"]
+
+    @pytest.mark.parametrize(
+        "state, code, err",
+        [("separable", 0, ""), ("nosuch", 2, "error: unknown state specifier 'nosuch'\n")],
+    )
+    def test_state_name(self, capsys, state, code, err):
+        got = run_cli(
+            ["game", "--state", state, "--d", "3", "--db", "2", "--trials", "20000", "--seed", "5"],
+            capsys,
+        )
+        assert (got[0], got[2]) == (code, err)
+        if code == 0:
+            doc = json.loads(got[1])
+            assert abs(doc["empirical_rate"] - doc["analytic_rate"]) <= 4 * doc["std_error"]
 
     def test_random_reproducible(self, capsys, tmp_path):
         f1, f2 = tmp_path / "a.json", tmp_path / "b.json"
@@ -807,11 +849,6 @@ class TestDeterminismAndConfig:
     def test_runconfig_json_per_command(self, argv, expected):
         # defaults, renamed options and the d_b/d_e-default-to-d rule, pinned
         assert config_from_args(build_parser().parse_args(argv)).to_json() == expected
-
-    def test_runconfig_roundtrip(self):
-        cfg = RunConfig(command="verify", relation="main", d=3, d_b=2, samples=10, seed=4)
-        back = RunConfig.from_json(cfg.to_json())
-        assert back == cfg
 
     @pytest.mark.parametrize("fmt", ["json", "csv"])
     @pytest.mark.parametrize("argv, name", GOLDEN_VERIFY, ids=["main", "monogamy"])

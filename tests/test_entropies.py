@@ -503,6 +503,12 @@ class TestJointDistribution:
         with pytest.raises(FormatError):
             JointDistribution(d_a=2, d_b=2, settings=((0, np.full((2, 2), 0.3)),))
 
+    @pytest.mark.parametrize("d_a, d_b", [(1, 2), (2, 0)])
+    def test_rejects_bad_dimensions(self, d_a, d_b):
+        table = np.full((max(d_a, 1), max(d_b, 1)), 1 / (max(d_a, 1) * max(d_b, 1)))
+        with pytest.raises(FormatError, match=rf"^bad dimensions \({d_a}, {d_b}\)$"):
+            JointDistribution(d_a=d_a, d_b=d_b, settings=((0, table),))
+
     def test_rejects_negative(self):
         t = np.array([[0.6, 0.5], [-0.1, 0.0]])
         with pytest.raises(FormatError):

@@ -12,6 +12,7 @@ from entguess import (
     RANK_TOL,
     DimensionError,
     NotPositiveError,
+    ParameterError,
     func_on_support,
     max_entangled,
     partial_trace,
@@ -252,3 +253,8 @@ class TestMaxEntangled:
     def test_self_fidelity(self):
         phi = max_entangled(4)
         assert abs(np.vdot(phi, np.outer(phi, phi.conj()) @ phi) - 1.0) < 1e-12
+
+    @pytest.mark.parametrize("d", [1, 0])
+    def test_rejects_no_partner(self, d):
+        with pytest.raises(ParameterError, match=f"^d must be >= 2, got {d}$"):
+            max_entangled(d)

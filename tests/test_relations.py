@@ -52,8 +52,9 @@ def test_public_names_are_pinned():
         "clifford_orbit_family", "d0_relative", "design_defect", "equality_report",
         "family_guess_prob", "func_on_support", "guessing_bounds", "h2nu", "h2nu_outcomes",
         "max_entangled", "measure_family", "mixed_rank_states", "monogamy_report", "mub_family",
-        "nbasis_bounds", "partial_trace", "pg_recovery_fidelity", "random_density", "random_pure",
-        "random_separable", "sic_povm", "simulate_game", "two_to_full_bound", "witness",
+        "nbasis_bounds", "partial_trace", "pg_recovery_fidelity", "pure_states", "random_density",
+        "random_pure", "random_separable", "sic_povm", "simulate_game", "two_to_full_bound",
+        "witness",
     ]
 
 
@@ -290,6 +291,42 @@ class TestWitness:
         joints = JointDistribution(d_a=2, d_b=2, settings=((0, table), (5, table)))
         with pytest.raises(FormatError):
             witness(joints)
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda: guessing_bounds(0.5, 3, 0), r"^n 0 out of range \[1, 4\]$"),
+        (lambda: guessing_bounds(0.5, 3, 5), r"^n 5 out of range \[1, 4\]$"),
+        (lambda: achiever_state(sic_povm(3), EPR, "upper", 2, 0.5),
+         "^need a complete MUB family, got kind 'SIC'$"),
+        (lambda: achiever_state(mub_family(3), EPR, "middle", 2, 0.5),
+         "^which must be 'upper' or 'lower', got 'middle'$"),
+        (lambda: achiever_state(mub_family(3), "Bell", "upper", 2, 0.5),
+         "^regime must be 'Heisenberg' or 'EPR', got 'Bell'$"),
+        (lambda: achiever_state(mub_family(3), HEISENBERG, "lower", 2, -0.1),
+         r"^mix must lie in \[0, 1\], got -0.1$"),
+        (lambda: achiever_state(mub_family(3), EPR, "upper", 0, 0.5),
+         r"^n 0 out of range \[1, 4\]$"),
+        (lambda: achiever_state(mub_family(3), EPR, "upper", 5, 0.5),
+         r"^n 5 out of range \[1, 4\]$"),
+        (lambda: two_to_full_bound(1.0, 1), "^d must be >= 2, got 1$"),
+        (lambda: monogamy_report(np.full(7, 7**-0.5), (2, 2, 2), mub_family(2)),
+         r"^vector length \(7,\) does not match dims \(2, 2, 2\)$"),
+        (lambda: monogamy_report(np.full(8, 0.5), (2, 2, 2), mub_family(2)),
+         "^tripartite vector is not normalized$"),
+        (lambda: monogamy_report(np.full(8, 8**-0.5), (2, 2, 2), sic_povm(2)),
+         "^need the complete MUB family on the A system$"),
+        (lambda: monogamy_report(np.full(8, 8**-0.5), (2, 2, 2), mub_family(3)),
+         "^need the complete MUB family on the A system$"),
+    ],
+    ids=["bounds-n-0", "bounds-n-d+2", "achiever-sic", "achiever-which", "achiever-regime",
+         "achiever-mix", "achiever-n-0", "achiever-n-d+2", "two-to-full-d-1",
+         "monogamy-length", "monogamy-norm", "monogamy-sic", "monogamy-other-d"],
+)
+def test_rejects_bad_argument(call, message):
+    with pytest.raises(ParameterError, match=message):
+        call()
 
 
 class TestMonogamy:

@@ -1,7 +1,15 @@
 import numpy as np
 import pytest
 from conftest import random_bipartite
-from oracles import complex_gaussian_oracle, ptrace_oracle, purify, schmidt_values
+from oracles import (
+    complex_gaussian_oracle,
+    ginibre_oracle,
+    ptrace_oracle,
+    pure_state_oracle,
+    purify,
+    schmidt_values,
+    separable_oracle,
+)
 
 from entguess import (
     DensityMatrix,
@@ -10,6 +18,7 @@ from entguess import (
     SeedSpec,
     h2nu,
     mixed_rank_states,
+    pure_states,
     random_density,
     random_pure,
     random_separable,
@@ -32,7 +41,8 @@ class TestSeedSpec:
 
 class TestStreamGaussians:
     # a 3 x 3 state of rank r takes 18 r uniforms, so a stream can end inside
-    # one of Philox's four-word blocks, and chunks start at streams 0, 3, 9, 30
+    # one of Philox's four-word blocks, and chunks start at streams 0, 3, 9, 30;
+    # every sampler is checked against the oracle's draw, not against another
     @pytest.mark.parametrize("seed", [0, 2**63, 2**64 + 5, -3], ids=str)
     def test_match_a_new_generator_per_stream(self, seed):
         shapes = [(9, k % 9 + 1) for k in range(41)]
@@ -41,9 +51,16 @@ class TestStreamGaussians:
             got = _stream_gaussians(seed, range(start, stop), shapes[start:stop])
             assert all(np.array_equal(a, b) for a, b in zip(got, expected[start:stop], strict=True))
             stack = mixed_rank_states(3, 3, stop - start, seed, start).matrix
+            pure = pure_states(9, stop - start, seed, start)
+            assert pure.shape == (stop - start, 9)
             for i, k in enumerate(range(start, stop)):
+                rho = ginibre_oracle(expected[k])
+                assert np.array_equal(stack[i], rho)
                 single = random_density((3, 3), k % 9 + 1, SeedSpec(seed, k)).matrix
-                assert np.array_equal(stack[i], single)
+                assert np.array_equal(single, rho)
+                psi = pure_state_oracle(seed, k, 9)
+                assert np.array_equal(pure[i], psi)
+                assert np.array_equal(random_pure(9, SeedSpec(seed, k)), psi)
 
 
 class TestRandomPure:
@@ -57,16 +74,16 @@ class TestRandomPure:
 
     def test_haar_first_moment(self):
         # mean projector over 10^4 samples approximates the maximally mixed state
-        acc = np.zeros((2, 2), dtype=complex)
         n = 10_000
-        for i in range(n):
-            psi = random_pure(2, SeedSpec(123, stream=i))
-            acc += np.outer(psi, psi.conj())
+        psi = pure_states(2, n, 123)  # row i is random_pure(2, SeedSpec(123, stream=i))
+        acc = psi.T @ psi.conj()
         assert np.linalg.norm(acc / n - np.eye(2) / 2) < 0.02
 
     def test_rejects_bad_dimension(self):
         with pytest.raises(ParameterError):
             random_pure(0, SeedSpec(0))
+        with pytest.raises(ParameterError):
+            pure_states(0, 3, 0)
 
 
 class TestRandomDensity:
@@ -94,6 +111,11 @@ class TestRandomDensity:
         with pytest.raises(ParameterError):
             random_density((4,), rank, SeedSpec(0))
 
+    @pytest.mark.parametrize("d_a, d_b", [(0, 2), (2, 0)])
+    def test_mixed_rank_states_rejects_zero_dimension(self, d_a, d_b):
+        with pytest.raises(ParameterError, match=rf"^dimensions must be >= 1, got \({d_a}, {d_b}\)$"):
+            mixed_rank_states(d_a, d_b, 2, 0)
+
 
 class TestRandomSeparable:
     def test_validates_as_state(self):
@@ -110,6 +132,16 @@ class TestRandomSeparable:
         for i in range(100):
             rho = random_separable(d, d, terms=3, seed=SeedSpec(77, stream=i))
             assert h2nu(rho, 0.0) >= -1e-9
+
+    @pytest.mark.parametrize(
+        "d_a, d_b, terms, seed",
+        [(2, 3, 5, SeedSpec(10)), (3, 3, 3, SeedSpec(77, stream=4)), (5, 2, 4, SeedSpec(2**64 + 1)),
+         (1, 4, 1, SeedSpec(-3, stream=2))],
+        ids=["2x3", "3x3", "5x2", "1x4"],
+    )
+    def test_matches_a_sequential_draw(self, d_a, d_b, terms, seed):
+        got = random_separable(d_a, d_b, terms, seed).matrix
+        assert np.array_equal(got, separable_oracle(d_a, d_b, terms, seed))
 
     def test_rejects_no_terms(self):
         with pytest.raises(ParameterError):
@@ -241,6 +273,11 @@ class TestDensityMatrixInvariants:
     def test_rejects_dimension_mismatch(self):
         with pytest.raises(DimensionError):
             DensityMatrix(np.eye(4) / 4, (2, 3))
+
+    @pytest.mark.parametrize("dims", [(0, 4), (4, 0), (0,)], ids=str)
+    def test_rejects_zero_dimension(self, dims):
+        with pytest.raises(DimensionError, match="must be >= 1"):
+            DensityMatrix(np.eye(4) / 4, dims)
 
     @pytest.mark.parametrize("dims", [(True, 4), (np.True_, 4), (2.0, 2), (2.7, 2)], ids=str)
     def test_rejects_non_integer_dimensions(self, dims):
