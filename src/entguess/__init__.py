@@ -58,11 +58,9 @@ from .relations import (
 )
 from .states import (
     DensityMatrix,
-    SeedSpec,
     mixed_rank_states,
     pure_states,
     random_density,
-    random_pure,
     random_separable,
 )
 

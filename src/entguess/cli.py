@@ -25,7 +25,6 @@ from .errors import EntguessError, FormatError, _require_addressable, exact_int
 from .linops import max_entangled
 from .states import (
     DensityMatrix,
-    SeedSpec,
     mixed_rank_states,
     pure_states,
     random_density,
@@ -186,7 +185,7 @@ def cmd_verify(cfg: RunConfig) -> int:
         for start, stop in _chunks(cfg.samples, cfg.d * cfg.d_b):
             rho = mixed_rank_states(cfg.d, cfg.d_b, stop - start, cfg.seed, start)
             reports += relations.equality_report(rho, family, cfg.nu, tol)
-    elif cfg.relation == "monogamy":
+    else:
         mubs = designs.mub_family(cfg.d)
         tol = cfg.tolerance if cfg.tolerance is not None else relations.MONOGAMY_TOL
         dims = (cfg.d, cfg.d_b, cfg.d_e)
@@ -194,8 +193,6 @@ def cmd_verify(cfg: RunConfig) -> int:
         for start, stop in _chunks(cfg.samples, cfg.d * max(cfg.d_b, cfg.d_e)):
             psi = pure_states(n, stop - start, cfg.seed, start)
             reports += relations.monogamy_report(psi, dims, mubs, tol)
-    else:
-        raise EntguessError(f"unknown relation {cfg.relation!r}")
     text = _json_text(reports) if cfg.fmt == "json" else _reports_csv(reports)
     _emit(text, cfg.output_path)
     return 0 if all(r.holds for r in reports) else 1
@@ -254,22 +251,21 @@ def _load_state(cfg: RunConfig) -> DensityMatrix:
     # every built-in state is n x n (max-entangled rejects --db, so its d_b is d)
     n = d * d_b
     _require_addressable((n, n), f"a {n} x {n} state")
-    spec = SeedSpec(cfg.seed, stream=0)
     if cfg.state == "max-entangled":
         return DensityMatrix.from_pure(max_entangled(d), (d, d))
     if cfg.state == "maximally-mixed":
         return DensityMatrix(np.eye(n) / n, (d, d_b))
     if cfg.state == "random":
-        return random_density((d, d_b), n if cfg.rank is None else cfg.rank, spec)
+        return random_density((d, d_b), n if cfg.rank is None else cfg.rank, cfg.seed, stream=0)
     if cfg.state == "separable":
-        return random_separable(d, d_b, terms=4, seed=spec)
+        return random_separable(d, d_b, terms=4, seed=cfg.seed, stream=0)
     raise EntguessError(f"unknown state specifier {cfg.state!r}")
 
 
 def cmd_game(cfg: RunConfig) -> int:
     rho = _load_state(cfg)
     family = _family_for(cfg.family, rho.d_a)
-    result = game.simulate_game(rho, family, cfg.trials, SeedSpec(cfg.seed, stream=1))
+    result = game.simulate_game(rho, family, cfg.trials, cfg.seed, stream=1)
     _emit(_json_text(result), cfg.output_path)
     gap = abs(result.empirical_rate - result.analytic_rate)
     # the floor keeps a rounding gap from failing a band of width 0, where

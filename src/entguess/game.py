@@ -16,11 +16,13 @@ two entries).  Bob's guess is never materialised: only whether it equals
 Alice's outcome k counts, and that holds exactly when his uniform lies
 between entries k - 1 and k of his CDF row, so two compares decide it.  The
 uniforms are drawn one chunk at a time too, so the chunk bounds all of the
-sampling's memory, whatever the number of trials.  They stay bit-identical
-to drawing each of the three streams (settings, Alice's outcomes, Bob's
-guesses) whole, one after the other, from the seed's Philox generator: each
-stream has its own copy of that generator, placed once at the stream's
-offset.  The counts equal those of drawing every guess by inverse CDF.
+sampling's memory, whatever the number of trials.  A game is keyed, like
+every draw of the package, by two ints, a seed and a stream (the CLI plays
+stream 1 of its seed; its state comes from stream 0).  Its uniforms stay
+bit-identical to drawing the three parts of that Philox stream (settings,
+Alice's outcomes, Bob's guesses) whole, one after the other: each part has
+its own copy of the generator, placed once at the part's offset.  The
+counts equal those of drawing every guess by inverse CDF.
 """
 
 from dataclasses import dataclass
@@ -31,7 +33,7 @@ from .designs import MeasurementFamily
 from .entropies import measure_family
 from .errors import ParameterError
 from .linops import func_on_support
-from .states import DensityMatrix, SeedSpec
+from .states import DensityMatrix, _philox
 
 # Trials drawn per pass of the sampling loop; bounds the uniforms and the
 # per-trial temporaries (indices, gathered CDF entries, masks) to a fixed
@@ -140,27 +142,27 @@ class _BobWins:
         return (self.lo[rows] <= u) & (u < self.hi[rows])
 
 
-def _stream_generator(seed: SeedSpec, offset: int) -> np.random.Generator:
-    """The seed's generator placed so that its next uniform is draw `offset`.
+def _stream_generator(seed: int, stream: int, offset: int) -> np.random.Generator:
+    """Stream `stream` of `seed` placed so that its next uniform is draw `offset`.
 
     Philox makes its output in blocks of four 64-bit words, one per float64
     uniform; `advance` skips whole blocks, and the rest are drawn and dropped.
     """
-    gen = seed.generator()
+    gen = _philox(seed, stream)
     gen.bit_generator.advance(offset // 4)
     gen.random(offset % 4)
     return gen
 
 
 def simulate_game(
-    rho: DensityMatrix, family: MeasurementFamily, trials: int, seed: SeedSpec
+    rho: DensityMatrix, family: MeasurementFamily, trials: int, seed: int, stream: int = 0
 ) -> GameResult:
-    """Play `trials` rounds of the guessing game, deterministically in `seed`.
+    """Play `trials` rounds of the guessing game, deterministically in (seed, stream).
 
-    The seed's Philox stream holds all setting uniforms, then all Alice
+    Stream `stream` of `seed` holds all setting uniforms, then all Alice
     outcome uniforms, then all Bob guess uniforms.  Each of the three is
     read chunk by chunk from its own generator, advanced once to the
-    stream's start, so memory is bounded by the chunk and the result is
+    part's start, so memory is bounded by the chunk and the result is
     bit-reproducible and independent of the chunk size.  Per chunk, Alice's
     outcomes come from a guide-table draw and Bob's wins from comparing his
     uniforms with the bounds of the CDF interval that maps to her outcome;
@@ -176,8 +178,8 @@ def simulate_game(
     n_settings = family.n_settings
     d = family.d
 
-    # streams 0, 1, 2: the setting, Alice's outcome and Bob's guess uniforms
-    gens = [_stream_generator(seed, which * trials) for which in range(3)]
+    # parts 0, 1, 2: the setting, Alice's outcome and Bob's guess uniforms
+    gens = [_stream_generator(seed, stream, which * trials) for which in range(3)]
     uniforms = np.empty((3, min(trials, _CHUNK)))
 
     alice = _GuidedCdf(np.cumsum(outcome_probs, axis=1))

@@ -1,8 +1,10 @@
 """Construction and seeded sampling of quantum states.
 
-All randomness flows through a counter-based Philox generator keyed by a
-(seed, stream) pair; Box-Muller turns 2n of its uniforms into n complex
-Gaussians.  The same (seed, stream) therefore reproduces the same state
+Every draw is keyed by two ints, a seed and a stream, through a
+counter-based Philox generator; Box-Muller turns 2n of its uniforms into n
+complex Gaussians.  A sampler of one state takes `seed` and `stream`; a
+sampler of many takes `seed` and `start`, and draws state i from stream
+start + i.  The same (seed, stream) therefore reproduces the same state
 bit-for-bit on a given build, and distinct streams are independent.
 """
 
@@ -15,16 +17,10 @@ from .errors import DimensionError, ParameterError, exact_int
 from .tolerances import EIG_TOL, STATE_HERM_TOL, TRACE_TOL
 
 
-@dataclass(frozen=True)
-class SeedSpec:
-    """Key of the counter-based RNG: a 64-bit seed plus a sub-stream index."""
-
-    seed: int
-    stream: int = 0
-
-    def generator(self) -> np.random.Generator:
-        key = np.array([self.seed % (1 << 64), self.stream % (1 << 64)], dtype=np.uint64)
-        return np.random.Generator(np.random.Philox(key=key))
+def _philox(seed: int, stream: int) -> np.random.Generator:
+    """The generator of stream `stream` of `seed`: Philox keyed by both, mod 2^64."""
+    key = np.array([seed % (1 << 64), stream % (1 << 64)], dtype=np.uint64)
+    return np.random.Generator(np.random.Philox(key=key))
 
 
 def _box_muller(draws, shapes) -> list:
@@ -55,10 +51,10 @@ def _stream_gaussians(seed: int, streams, shapes) -> list:
 
     One generator serves every stream: its Philox is re-keyed to (seed, k)
     with counter 0 and an empty buffer, which is the state
-    `SeedSpec(seed, k).generator()` starts in, without the OS-entropy
-    SeedSequence that building a new generator first makes.
+    `_philox(seed, k)` starts in, without the OS-entropy SeedSequence that
+    building a new generator first makes.
     """
-    gen = SeedSpec(seed).generator()
+    gen = _philox(seed, 0)
     state = gen.bit_generator.state
     draws = []
     for k, shape in zip(streams, shapes):
@@ -162,16 +158,13 @@ def pure_states(d: int, count: int, seed: int, start: int = 0) -> np.ndarray:
     """
     if d < 1:
         raise ParameterError(f"d must be >= 1, got {d}")
+    if count < 1:
+        raise ParameterError(f"count must be >= 1, got {count}")
     out = np.empty((count, d), dtype=complex)
     # a norm per row: a stacked norm(axis=-1) does not round the same
     for i, v in enumerate(_stream_gaussians(seed, range(start, start + count), [(d,)] * count)):
         out[i] = v / np.linalg.norm(v)
     return out
-
-
-def random_pure(d: int, seed: SeedSpec) -> np.ndarray:
-    """Haar-distributed unit vector: `pure_states`' state of one stream."""
-    return pure_states(d, 1, seed.seed, seed.stream)[0]
 
 
 def _ginibre(g: np.ndarray) -> np.ndarray:
@@ -180,7 +173,7 @@ def _ginibre(g: np.ndarray) -> np.ndarray:
     return m / np.trace(m).real
 
 
-def random_density(dims: tuple, rank: int, seed: SeedSpec) -> DensityMatrix:
+def random_density(dims: tuple, rank: int, seed: int, stream: int = 0) -> DensityMatrix:
     """Ginibre-induced mixed state G G^dag / Tr on subsystems `dims`.
 
     G is a d x rank Gaussian, d = prod(dims); a single system is ``(d,)``.
@@ -188,11 +181,11 @@ def random_density(dims: tuple, rank: int, seed: SeedSpec) -> DensityMatrix:
     d = math.prod(dims)
     if not 1 <= rank <= d:
         raise ParameterError(f"rank {rank} out of range [1, {d}]")
-    (g,) = _stream_gaussians(seed.seed, [seed.stream], [(d, rank)])
+    (g,) = _stream_gaussians(seed, [stream], [(d, rank)])
     return DensityMatrix(_ginibre(g), tuple(dims))
 
 
-def random_separable(d_a: int, d_b: int, terms: int, seed: SeedSpec) -> DensityMatrix:
+def random_separable(d_a: int, d_b: int, terms: int, seed: int, stream: int = 0) -> DensityMatrix:
     """Convex mixture of `terms` random product states (separable by construction).
 
     Mixture weights come from the flat simplex distribution (normalized
@@ -200,7 +193,7 @@ def random_separable(d_a: int, d_b: int, terms: int, seed: SeedSpec) -> DensityM
     """
     if terms < 1:
         raise ParameterError(f"terms must be >= 1, got {terms}")
-    gen = seed.generator()
+    gen = _philox(seed, stream)
     weights = -np.log(1.0 - gen.random(terms))
     weights /= weights.sum()
     # the factors' Gaussians, A then B for each term, in one transform
@@ -220,6 +213,8 @@ def mixed_rank_states(d_a: int, d_b: int, count: int, seed: int, start: int = 0)
     """
     if d_a < 1 or d_b < 1:
         raise ParameterError(f"dimensions must be >= 1, got ({d_a}, {d_b})")
+    if count < 1:
+        raise ParameterError(f"count must be >= 1, got {count}")
     n = d_a * d_b
     streams = range(start, start + count)
     out = np.empty((count, n, n), dtype=complex)

@@ -5,7 +5,6 @@ from entguess import (
     RANK_TOL,
     DensityMatrix,
     MeasurementFamily,
-    SeedSpec,
     max_entangled,
     measure_family,
     mub_family,
@@ -43,7 +42,7 @@ def measure_in_basis(rho: DensityMatrix, basis) -> np.ndarray:
 
 
 def random_bipartite(d_a, d_b, rank, seed, stream=0) -> DensityMatrix:
-    return random_density((d_a, d_b), rank, SeedSpec(seed, stream))
+    return random_density((d_a, d_b), rank, seed, stream)
 
 
 def hermitian(gen, d) -> np.ndarray:

@@ -30,7 +30,6 @@ from entguess import (
     JointDistribution,
     MeasurementFamily,
     ParameterError,
-    SeedSpec,
     func_on_support,
     max_entangled,
     measure_family,
@@ -157,16 +156,16 @@ def categorical_oracle(cdf_rows, u) -> np.ndarray:
     return (np.asarray(u)[:, None] >= cdf_rows).sum(axis=1)
 
 
-def game_counts_oracle(rho: DensityMatrix, family: MeasurementFamily, trials, seed):
+def game_counts_oracle(rho: DensityMatrix, family: MeasurementFamily, trials, seed, stream=0):
     """Per setting, (trials, wins) of the guessing game drawn in one piece.
 
-    All 3 * trials uniforms come up front from one generator: the settings,
+    All 3 * trials uniforms come up front from Philox stream (seed, stream): the settings,
     then Alice's outcomes, then Bob's guesses, each inverted by
     `categorical_oracle`.
     """
     outcome_probs, bob_conds, _ = _game_tables(rho, family)
     n, d = outcome_probs.shape
-    u_setting, u_alice, u_bob = seed.generator().random(3 * trials).reshape(3, trials)
+    u_setting, u_alice, u_bob = philox_oracle(seed, stream).random(3 * trials).reshape(3, trials)
     thetas = np.minimum((u_setting * n).astype(np.intp), n - 1)
     ks = np.minimum(categorical_oracle(np.cumsum(outcome_probs, axis=1)[thetas], u_alice), d - 1)
     js = np.minimum(categorical_oracle(np.cumsum(bob_conds, axis=2)[thetas, ks], u_bob), d - 1)
@@ -364,14 +363,14 @@ def pure_state_oracle(seed: int, stream: int, d: int) -> np.ndarray:
     return v / np.linalg.norm(v)
 
 
-def separable_oracle(d_a: int, d_b: int, terms: int, seed: SeedSpec) -> np.ndarray:
+def separable_oracle(d_a: int, d_b: int, terms: int, seed: int, stream: int = 0) -> np.ndarray:
     """`random_separable`'s matrix, drawn in sequence from one Philox stream.
 
     The stream gives `terms` exponential weights, normalized, and then for
     each term an A factor and then a B factor, each a Gaussian made into a
     Ginibre state; the mixture is summed term by term.
     """
-    gen = philox_oracle(seed.seed, seed.stream)
+    gen = philox_oracle(seed, stream)
     weights = -np.log(1.0 - gen.random(terms))
     weights /= weights.sum()
     out = np.zeros((d_a * d_b, d_a * d_b), dtype=complex)
@@ -382,9 +381,9 @@ def separable_oracle(d_a: int, d_b: int, terms: int, seed: SeedSpec) -> np.ndarr
     return out
 
 
-def haar_unitary(d: int, seed: SeedSpec) -> np.ndarray:
+def haar_unitary(d: int, seed: int, stream: int = 0) -> np.ndarray:
     """Haar-random unitary via phase-fixed QR of a complex Gaussian matrix."""
-    g = complex_gaussian_oracle(seed.seed, seed.stream, (d, d))
+    g = complex_gaussian_oracle(seed, stream, (d, d))
     q, r = np.linalg.qr(g)
     ph = np.diagonal(r).copy()
     ph /= np.abs(ph)

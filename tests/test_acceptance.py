@@ -13,7 +13,6 @@ from conftest import max_entangled_state
 from oracles import haar_unitary, joint_statistics, unbiasedness_defect
 
 from entguess import (
-    SeedSpec,
     achiever_state,
     clifford_orbit_family,
     design_defect,
@@ -26,7 +25,7 @@ from entguess import (
     mub_family,
     pg_recovery_fidelity,
     classical_h2_cond,
-    random_pure,
+    pure_states,
     random_separable,
     sic_povm,
     simulate_game,
@@ -180,10 +179,10 @@ def test_criterion_08_witness_soundness_and_power():
     for d_a in (2, 3):
         fam = mub_family(d_a)
         for i in range(100):
-            rho = random_separable(d_a, d_a, terms=3, seed=SeedSpec(8000 + d_a, stream=i))
+            rho = random_separable(d_a, d_a, terms=3, seed=8000 + d_a, stream=i)
             n = 2 + (i % d_a)  # partial and full MUB sets
             thetas = list(range(n))
-            bob = [haar_unitary(d_a, SeedSpec(8100 + d_a, stream=100 * i + t)) for t in thetas]
+            bob = [haar_unitary(d_a, 8100 + d_a, stream=100 * i + t) for t in thetas]
             rep = witness(joint_statistics(rho, fam, thetas, bob))
             false_positives += rep.metadata["entangled"]
 
@@ -204,15 +203,14 @@ def test_criterion_09_monogamy():
     worst = 0.0
     for block, dims in enumerate(((2, 2, 2), (3, 3, 3), (2, 3, 4))):
         mubs = mub_family(dims[0])
-        for i in range(100):
-            psi = random_pure(int(np.prod(dims)), SeedSpec(9000, stream=1000 * block + i))
+        for psi in pure_states(int(np.prod(dims)), 100, 9000, 1000 * block):
             worst = max(worst, monogamy_report(psi, dims, mubs).defect)
 
     # analytic cases: perfectly guessing Bob, then fully decoupled Alice
     d = 3
     psi1 = np.kron(max_entangled(d), np.eye(1, 2, 0)[0].astype(complex))
     rep1 = monogamy_report(psi1, (d, d, 2), mub_family(d))
-    psi2 = np.kron(random_pure(d, SeedSpec(9102)), max_entangled(2))
+    psi2 = np.kron(pure_states(d, 1, 9102)[0], max_entangled(2))
     rep2 = monogamy_report(psi2, (d, 2, 2), mub_family(d))
     analytic_ok = (
         abs(rep1.lhs) < 1e-10 and abs(rep1.rhs) < 1e-10
@@ -229,12 +227,12 @@ def test_criterion_10_monte_carlo_game():
     for d, n_random in ((2, 6), (3, 6), (5, 5)):
         fam = mub_family(d)
         # maximally entangled round must win every single trial
-        res = simulate_game(max_entangled_state(d), fam, trials, SeedSpec(10_500 + d))
+        res = simulate_game(max_entangled_state(d), fam, trials, 10_500 + d)
         ok &= res.empirical_rate == 1.0
         run += 1
         for i in range(n_random):
             rho = list(mixed_rank_states(d, d, 1, seed=10_000 + 10 * d + i))[0]
-            res = simulate_game(rho, fam, trials, SeedSpec(10_600 + 10 * d + i))
+            res = simulate_game(rho, fam, trials, 10_600 + 10 * d + i)
             ok &= abs(res.empirical_rate - res.analytic_rate) <= 4 * res.std_error
             run += 1
     verdict(10, f"game: {run} runs of {trials} trials inside 4-sigma", ok and run == 20)
@@ -248,7 +246,7 @@ def test_criterion_11_data_processing():
         rho = list(mixed_rank_states(d_a, 3, 1, seed=11_000 + i))[0]
         theta = i % (d_a + 1)
         quantum = family_guess_prob(rho, fam)[0][theta]
-        bob = haar_unitary(3, SeedSpec(11_500, stream=i))
+        bob = haar_unitary(3, 11_500, stream=i)
         joints = joint_statistics(rho, fam, [theta], [bob])
         classical = 2.0 ** (-classical_h2_cond(joints.settings[0][1]))
         ok &= classical <= quantum + 1e-10

@@ -11,7 +11,6 @@ from entguess import (
     InfiniteDivergence,
     NotPositiveError,
     ParameterError,
-    SeedSpec,
     clifford_orbit_family,
     d0_relative,
     equality_report,
@@ -23,7 +22,7 @@ from entguess import (
     monogamy_report,
     mub_family,
     partial_trace,
-    random_pure,
+    pure_states,
     sic_povm,
 )
 
@@ -111,7 +110,7 @@ class TestRelations:
             assert (report.verdict, report.metadata) == (single.verdict, single.metadata)
 
     def test_monogamy_report_flags_only_its_own_state(self):
-        psi = [random_pure(8, SeedSpec(5, stream=i)) for i in range(3)]
+        psi = list(pure_states(8, 3, 5))
         psi.insert(NEAR, near_cutoff_tripartite())
         reports = monogamy_report(np.array(psi), (2, 2, 2), mub_family(2))
         flags = [r.metadata["rank_tol_sensitive"] for r in reports]

@@ -28,6 +28,12 @@ GOLDEN_VERIFY = [
     (["--relation", "monogamy", "--d", "3", "--db", "2", "--de", "2", "--samples", "3"],
      "verify-monogamy"),
 ]
+# argv of the game runs whose JSON at seed 3 is recorded under GOLDEN: they
+# draw through random_density, random_separable and simulate_game's streams
+GOLDEN_GAME = [
+    (["--state", "random", "--d", "3", "--db", "2", "--rank", "2"], "game-random"),
+    (["--state", "separable", "--d", "5", "--db", "2", "--trials", "100000"], "game-separable"),
+]
 
 
 def golden_verify_matches(capsys, tmp_path, argv, name, fmt) -> bool:
@@ -236,6 +242,15 @@ class TestVerify:
         assert (got[0], got[2]) == (code, err)
         if code == 0:
             assert all(r["verdict"] == "holds" for r in json.loads(got[1]))
+
+    def test_unknown_relation_is_usage_error(self, capsys):
+        # argparse's choices reject it before cmd_verify runs
+        with pytest.raises(SystemExit) as exc:
+            main(["verify", "--relation", "nosuch", "--d", "3"])
+        out, err = capsys.readouterr()
+        assert (exc.value.code, out) == (2, "")
+        assert "invalid choice: 'nosuch'" in err
+        assert "Traceback" not in err
 
     @pytest.mark.parametrize("tolerance", ["-1", "nan", "inf"])
     def test_bad_tolerance_is_usage_error(self, capsys, tolerance):
@@ -855,6 +870,12 @@ class TestDeterminismAndConfig:
     def test_verify_output_matches_recorded_bytes(self, capsys, tmp_path, argv, name, fmt):
         # recorded with the round12 + json.dumps writer, which the one-walk writer replaced
         assert golden_verify_matches(capsys, tmp_path, argv, name, fmt)
+
+    @pytest.mark.parametrize("argv, name", GOLDEN_GAME, ids=["random", "separable"])
+    def test_game_output_matches_recorded_bytes(self, capsys, argv, name):
+        code, out, err = run_cli(["game", *argv, "--seed", "3"], capsys)
+        assert (code, err) == (0, "")
+        assert out.encode() == (GOLDEN / f"{name}.json").read_bytes()
 
     def test_repeated_verify_reuses_the_certified_family(self, capsys, tmp_path, monkeypatch):
         built = []

@@ -25,7 +25,6 @@ from entguess import (
     JointDistribution,
     MeasurementFamily,
     ParameterError,
-    SeedSpec,
     classical_h2_cond,
     clifford_orbit_family,
     d0_relative,
@@ -38,7 +37,7 @@ from entguess import (
     mixed_rank_states,
     mub_family,
     pg_recovery_fidelity,
-    random_pure,
+    pure_states,
     random_separable,
     sic_povm,
 )
@@ -62,7 +61,7 @@ class TestH2nu:
         assert abs(h2nu(rho, nu) - 2.0) < 1e-10
 
     def test_pure_state_schmidt_form(self):
-        psi = random_pure(12, SeedSpec(31))
+        psi = pure_states(12, 1, 31)[0]
         rho = DensityMatrix.from_pure(psi, (3, 4))
         lam = np.linalg.svd(psi.reshape(3, 4), compute_uv=False) ** 2
         assert abs(h2nu(rho, 0.0) + 2 * np.log2(np.sum(np.sqrt(lam)))) < 1e-10
@@ -121,7 +120,7 @@ class TestH2nu:
         from entguess import random_density
 
         with pytest.raises(DimensionError):
-            h2nu(random_density((4,), 2, SeedSpec(0)), 0.0)
+            h2nu(random_density((4,), 2, 0), 0.0)
 
 
 class TestMeasureInBasis:
@@ -149,7 +148,7 @@ class TestMeasureInBasis:
     def test_trace_bookkeeping(self):
         for i in range(10):
             rho = random_bipartite(3, 2, rank=(i % 6) + 1, seed=36, stream=i)
-            basis = haar_unitary(3, SeedSpec(37, stream=i))
+            basis = haar_unitary(3, 37, stream=i)
             conds = measure_in_basis(rho, basis)
             assert abs(sum(np.trace(c).real for c in conds) - 1.0) < 1e-11
 
@@ -179,7 +178,7 @@ class TestPgmGuessProb:
     def test_matches_embedded_cq_entropy(self):
         for i in range(10):
             rho = random_bipartite(3, 2, rank=(i % 6) + 1, seed=38, stream=i)
-            basis = haar_unitary(3, SeedSpec(39, stream=i))
+            basis = haar_unitary(3, 39, stream=i)
             conds = measure_in_basis(rho, basis)
             _, p = family_guess_prob(rho, basis_family(basis))
             assert abs(2.0 ** (-h2nu(cq_state(conds), 0.0)) - p) < 1e-10
@@ -187,7 +186,7 @@ class TestPgmGuessProb:
     def test_floor(self):
         for i in range(20):
             rho = random_bipartite(2, 4, rank=(i % 8) + 1, seed=40, stream=i)
-            basis = haar_unitary(2, SeedSpec(41, stream=i))
+            basis = haar_unitary(2, 41, stream=i)
             _, p = family_guess_prob(rho, basis_family(basis))
             assert p >= 0.5 - 1e-9
 
@@ -227,7 +226,7 @@ class TestRecoveryFidelity:
     @pytest.mark.parametrize("d", [2, 3])
     def test_separable_capped(self, d):
         for i in range(100):
-            rho = random_separable(d, d, terms=3, seed=SeedSpec(44, stream=i))
+            rho = random_separable(d, d, terms=3, seed=44, stream=i)
             assert pg_recovery_fidelity(rho) <= 1 / d + 1e-9
 
     def test_routes_agree(self):
@@ -304,7 +303,7 @@ class TestOneMeasuredPath:
         for i in range(20):
             d_a, d_b = (2, 3, 5, 7)[i % 4], (i % 4) + 1
             rho = random_bipartite(d_a, d_b, rank=(i % (d_a * d_b)) + 1, seed=56, stream=i)
-            basis = haar_unitary(d_a, SeedSpec(57, stream=i))
+            basis = haar_unitary(d_a, 57, stream=i)
             _, p = family_guess_prob(rho, basis_family(basis))
             assert abs(p - pgm_guess_prob(list(measure_in_basis(rho, basis)))) < 1e-12
 
@@ -437,7 +436,7 @@ class TestClassicalH2:
         for i in range(25):
             rho = random_bipartite(3, 3, rank=(i % 9) + 1, seed=50, stream=i)
             quantum = family_guess_prob(rho, fam)[0][i % 4]
-            bob = haar_unitary(3, SeedSpec(51, stream=i))
+            bob = haar_unitary(3, 51, stream=i)
             joints = joint_statistics(rho, fam, [i % 4], [bob])
             classical = 2.0 ** (-classical_h2_cond(joints.settings[0][1]))
             assert classical <= quantum + 1e-10
@@ -457,7 +456,7 @@ class TestD0Relative:
 
     def test_pure_vs_maximally_mixed(self):
         d = 5
-        psi = random_pure(d, SeedSpec(53))
+        psi = pure_states(d, 1, 53)[0]
         value, flag = d0_relative(psi[:, None], np.eye(d) / d)
         assert abs(value - np.log2(d)) < 1e-12
         expected, expected_flag = d0_relative_oracle(np.outer(psi, psi.conj()), np.eye(d) / d)
@@ -539,7 +538,7 @@ class TestJointDistribution:
         # p(k, l) = <v_k w_l| rho |v_k w_l> reads rho itself
         fam = mub_family(d)
         thetas = list(range(fam.n_settings))
-        bob_bases = [haar_unitary(d_b, SeedSpec(60, stream=t)) for t in thetas]
+        bob_bases = [haar_unitary(d_b, 60, stream=t) for t in thetas]
         for rho in mixed_rank_states(d, d_b, 3, seed=61):
             joints = joint_statistics(rho, fam, thetas, bob_bases)
             m4 = rho.matrix.reshape(d, d_b, d, d_b)

@@ -11,7 +11,6 @@ from oracles import categorical_oracle, game_counts_oracle
 from entguess import (
     DensityMatrix,
     ParameterError,
-    SeedSpec,
     family_guess_prob,
     game,
     mub_family,
@@ -22,54 +21,54 @@ from entguess import (
 
 class TestSimulateGame:
     def test_max_entangled_wins_always(self):
-        result = simulate_game(max_entangled_state(2), mub_family(2), 10_000, SeedSpec(80))
+        result = simulate_game(max_entangled_state(2), mub_family(2), 10_000, 80)
         assert result.empirical_rate == 1.0
         assert result.wins == result.trials == 10_000
 
     def test_two_qubit_maximally_mixed(self):
         rho = DensityMatrix(np.eye(4) / 4, (2, 2))
-        result = simulate_game(rho, mub_family(2), 100_000, SeedSpec(81))
+        result = simulate_game(rho, mub_family(2), 100_000, 81)
         assert abs(result.analytic_rate - 0.5) < 1e-12
         assert abs(result.empirical_rate - 0.5) <= 4 * result.std_error
 
     def test_random_qutrit_within_band(self):
         rho = random_bipartite(3, 3, 6, seed=82)
-        result = simulate_game(rho, mub_family(3), 100_000, SeedSpec(83))
+        result = simulate_game(rho, mub_family(3), 100_000, 83)
         _, expected = family_guess_prob(rho, mub_family(3))
         assert abs(result.analytic_rate - expected) < 1e-12
         assert abs(result.empirical_rate - result.analytic_rate) <= 4 * result.std_error
 
     def test_per_setting_bands(self):
         rho = random_bipartite(3, 2, 4, seed=84)
-        result = simulate_game(rho, mub_family(3), 200_000, SeedSpec(85))
+        result = simulate_game(rho, mub_family(3), 200_000, 85)
         for entry in result.per_setting:
             gap = abs(entry["empirical_rate"] - entry["analytic_rate"])
             assert gap <= 5 * entry["std_error"], entry
 
     def test_bitwise_reproducible(self):
         rho = random_bipartite(2, 3, 4, seed=86)
-        a = simulate_game(rho, mub_family(2), 50_000, SeedSpec(87, stream=2))
-        b = simulate_game(rho, mub_family(2), 50_000, SeedSpec(87, stream=2))
+        a = simulate_game(rho, mub_family(2), 50_000, 87, stream=2)
+        b = simulate_game(rho, mub_family(2), 50_000, 87, stream=2)
         assert a.wins == b.wins
         assert a.empirical_rate == b.empirical_rate
         assert [e["wins"] for e in a.per_setting] == [e["wins"] for e in b.per_setting]
 
     def test_std_error_uses_analytic_rate(self):
         rho = DensityMatrix(np.eye(4) / 4, (2, 2))
-        result = simulate_game(rho, mub_family(2), 10_000, SeedSpec(88))
+        result = simulate_game(rho, mub_family(2), 10_000, 88)
         p = result.analytic_rate
         assert result.std_error == pytest.approx(np.sqrt(p * (1 - p) / 10_000))
 
     def test_rejects_non_basis_family(self):
         with pytest.raises(ParameterError):
-            simulate_game(max_entangled_state(2), sic_povm(2), 100, SeedSpec(89))
+            simulate_game(max_entangled_state(2), sic_povm(2), 100, 89)
 
     def test_rejects_zero_trials(self):
         with pytest.raises(ParameterError):
-            simulate_game(max_entangled_state(2), mub_family(2), 0, SeedSpec(90))
+            simulate_game(max_entangled_state(2), mub_family(2), 0, 90)
 
     def test_result_serializes(self):
-        result = simulate_game(max_entangled_state(2), mub_family(2), 100, SeedSpec(91))
+        result = simulate_game(max_entangled_state(2), mub_family(2), 100, 91)
         doc = dataclasses.asdict(result)
         assert doc["trials"] == 100
         assert len(doc["per_setting"]) == 3
@@ -232,7 +231,7 @@ class TestChunkedSampling:
     @pytest.mark.parametrize("seed", sorted(RECORDED_GAMES))
     def test_matches_recorded_games(self, seed):
         rho = random_bipartite(5, 2, 6, seed=92)
-        result = simulate_game(rho, mub_family(5), 150_000, SeedSpec(seed, stream=1))
+        result = simulate_game(rho, mub_family(5), 150_000, seed, stream=1)
         wins, per_setting = RECORDED_GAMES[seed]
         assert result.wins == wins
         assert [(e["trials"], e["wins"]) for e in result.per_setting] == per_setting
@@ -240,21 +239,20 @@ class TestChunkedSampling:
     @pytest.mark.parametrize("chunk", [1, 7, 1000])
     def test_independent_of_chunk_size(self, monkeypatch, chunk):
         rho = random_bipartite(3, 2, 4, seed=94)
-        args = (rho, mub_family(3), 5_000, SeedSpec(95))
+        args = (rho, mub_family(3), 5_000, 95)
         expected = simulate_game(*args)
         monkeypatch.setattr(game, "_CHUNK", chunk)
         assert simulate_game(*args) == expected
 
-    # Each stream starts at draw which * trials: trials 1, 3 and 5,003 put
-    # the Alice and Bob streams inside a Philox block of four draws.
+    # Each part starts at draw which * trials: trials 1, 3 and 5,003 put
+    # the Alice and Bob parts inside a Philox block of four draws.
     @pytest.mark.parametrize("chunk", [1, 7, 4096])
     @pytest.mark.parametrize("trials", [1, 3, 5_003])
     def test_matches_up_front_draw(self, monkeypatch, trials, chunk):
         rho = random_bipartite(3, 2, 4, seed=96)
-        seed = SeedSpec(97, stream=1)
         monkeypatch.setattr(game, "_CHUNK", chunk)
-        result = simulate_game(rho, mub_family(3), trials, seed)
-        expected = game_counts_oracle(rho, mub_family(3), trials, seed)
+        result = simulate_game(rho, mub_family(3), trials, 97, stream=1)
+        expected = game_counts_oracle(rho, mub_family(3), trials, 97, stream=1)
         assert [(e["trials"], e["wins"]) for e in result.per_setting] == expected
         assert result.wins == sum(w for _, w in expected)
 
@@ -273,10 +271,9 @@ class TestChunkedSampling:
             rho = DensityMatrix(np.kron(ket0, rho_b / np.trace(rho_b)), (d, 3))
         else:
             rho = DensityMatrix(np.eye(2 * d) / (2 * d), (d, 2))
-        seed = SeedSpec(102, stream=1)
         monkeypatch.setattr(game, "_CHUNK", 4096)
-        result = simulate_game(rho, mub_family(d), 5_003, seed)
-        expected = game_counts_oracle(rho, mub_family(d), 5_003, seed)
+        result = simulate_game(rho, mub_family(d), 5_003, 102, stream=1)
+        expected = game_counts_oracle(rho, mub_family(d), 5_003, 102, stream=1)
         assert [(e["trials"], e["wins"]) for e in result.per_setting] == expected
 
     def test_memory_does_not_grow_with_trials(self):
@@ -285,7 +282,7 @@ class TestChunkedSampling:
         for trials in (10**4, 10**6):
             tracemalloc.start()
             try:
-                simulate_game(rho, mub_family(3), trials, SeedSpec(99))
+                simulate_game(rho, mub_family(3), trials, 99)
                 peaks.append(tracemalloc.get_traced_memory()[1])
             finally:
                 tracemalloc.stop()

@@ -15,7 +15,6 @@ from entguess import (
     HEISENBERG,
     MeasurementFamily,
     ParameterError,
-    SeedSpec,
     achiever_state,
     clifford_orbit_family,
     equality_report,
@@ -27,8 +26,8 @@ from entguess import (
     mub_family,
     nbasis_bounds,
     pg_recovery_fidelity,
+    pure_states,
     random_density,
-    random_pure,
     random_separable,
     sic_povm,
     two_to_full_bound,
@@ -48,13 +47,12 @@ def test_public_names_are_pinned():
         "DensityMatrix", "DesignDefectError", "DimensionError", "EPR", "EntguessError",
         "FormatError", "GameResult", "HEISENBERG", "InfiniteDivergence", "JointDistribution",
         "MeasurementFamily", "NotPositiveError", "ParameterError", "RANK_TOL", "RelationReport",
-        "SeedSpec", "UnsupportedDimensionError", "achiever_state", "classical_h2_cond",
+        "UnsupportedDimensionError", "achiever_state", "classical_h2_cond",
         "clifford_orbit_family", "d0_relative", "design_defect", "equality_report",
         "family_guess_prob", "func_on_support", "guessing_bounds", "h2nu", "h2nu_outcomes",
         "max_entangled", "measure_family", "mixed_rank_states", "monogamy_report", "mub_family",
         "nbasis_bounds", "partial_trace", "pg_recovery_fidelity", "pure_states", "random_density",
-        "random_pure", "random_separable", "sic_povm", "simulate_game", "two_to_full_bound",
-        "witness",
+        "random_separable", "sic_povm", "simulate_game", "two_to_full_bound", "witness",
     ]
 
 
@@ -64,7 +62,7 @@ def test_no_argument_repeats_what_another_carries():
         MeasurementFamily: ["kind", "vectors", "scales"],
         witness: ["joints", "tolerance"],
         achiever_state: ["mubs", "regime", "which", "n", "mix"],
-        random_density: ["dims", "rank", "seed"],
+        random_density: ["dims", "rank", "seed", "stream"],
     }
     for func, expected in names.items():
         assert list(inspect.signature(func).parameters) == expected
@@ -272,10 +270,10 @@ class TestWitness:
         fam = mub_family(d)
         fired = 0
         for i in range(40):
-            rho = random_separable(d, d, terms=3, seed=SeedSpec(69, stream=i))
+            rho = random_separable(d, d, terms=3, seed=69, stream=i)
             n = 2 + (i % d)  # both partial and full sets
             thetas = list(range(n))
-            bob = [haar_unitary(d, SeedSpec(70, stream=100 * i + t)) for t in thetas]
+            bob = [haar_unitary(d, 70, stream=100 * i + t) for t in thetas]
             rep = witness(joint_statistics(rho, fam, thetas, bob))
             fired += rep.metadata["entangled"]
         assert fired == 0
@@ -344,7 +342,7 @@ class TestMonogamy:
     def test_pure_alice_with_entangled_bob_eve(self):
         # |a> (x) Phi_BE: Alice is uncorrelated with both
         d_a, d = 3, 4
-        a = random_pure(d_a, SeedSpec(71))
+        a = pure_states(d_a, 1, 71)[0]
         psi = np.kron(a, max_entangled(d))
         rep = monogamy_report(psi, (d_a, d, d), mub_family(d_a))
         assert abs(rep.lhs - np.log2(d_a)) < 1e-10
@@ -354,12 +352,12 @@ class TestMonogamy:
     def test_random_tripartite(self, dims):
         mubs = mub_family(dims[0])
         for i in range(20):
-            psi = random_pure(int(np.prod(dims)), SeedSpec(72, stream=i))
+            psi = pure_states(int(np.prod(dims)), 1, 72, i)[0]
             rep = monogamy_report(psi, dims, mubs)
             assert rep.defect < 1e-8, (dims, i, rep.defect)
 
     def test_report_serializes(self):
-        psi = random_pure(8, SeedSpec(73))
+        psi = pure_states(8, 1, 73)[0]
         rep = monogamy_report(psi, (2, 2, 2), mub_family(2))
         doc = dataclasses.asdict(rep)
         assert set(doc) == {"lhs", "rhs", "defect", "tolerance", "verdict", "metadata"}
@@ -391,20 +389,20 @@ class TestMonogamy:
             monkeypatch.setattr(np.linalg, name, counting)
         for k in (1, 3, 20):
             calls.clear()
-            psi = np.array([random_pure(60, SeedSpec(75, stream=i)) for i in range(k)])
+            psi = pure_states(60, k, 75)
             monogamy_report(psi, (5, 3, 4), mub_family(5))
             assert sorted(calls) == [
                 ("cholesky", (k, 15, 15)), ("eigh", (k, 3, 3)), ("eigh", (k, 3, 3))
             ]
         calls.clear()
-        monogamy_report(random_pure(60, SeedSpec(75)), (5, 3, 4), mub_family(5))
+        monogamy_report(pure_states(60, 1, 75)[0], (5, 3, 4), mub_family(5))
         assert sorted(calls) == [("cholesky", (1, 15, 15)), ("eigh", (3, 3)), ("eigh", (3, 3))]
 
     @pytest.mark.parametrize(
         "dims, states, flagged",
         [
-            ((3, 7, 2), lambda: [random_pure(42, SeedSpec(76, stream=i)) for i in range(10)], False),
-            ((3, 1, 4), lambda: [random_pure(12, SeedSpec(77, stream=i)) for i in range(10)], False),
+            ((3, 7, 2), lambda: pure_states(42, 10, 76), False),
+            ((3, 1, 4), lambda: pure_states(12, 10, 77), False),
             ((2, 2, 2), lambda: [near_cutoff_tripartite()], True),
         ],
         ids=["gram-rank-deficient", "d_b-1", "near-cutoff"],
@@ -423,6 +421,6 @@ class TestMonogamy:
                 assert abs(rep.lhs) < 1e-12
 
     def test_clean_spectrum_not_flagged(self):
-        psi = random_pure(8, SeedSpec(74))
+        psi = pure_states(8, 1, 74)[0]
         rep = monogamy_report(psi, (2, 2, 2), mub_family(2))
         assert not rep.metadata["rank_tol_sensitive"]

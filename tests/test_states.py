@@ -15,27 +15,25 @@ from entguess import (
     DensityMatrix,
     DimensionError,
     ParameterError,
-    SeedSpec,
     h2nu,
     mixed_rank_states,
     pure_states,
     random_density,
-    random_pure,
     random_separable,
 )
-from entguess.states import _stream_gaussians
+from entguess.states import _philox, _stream_gaussians
 from entguess.tolerances import EIG_TOL
 
 
-class TestSeedSpec:
+class TestPhilox:
     def test_reproducible_streams(self):
-        a = SeedSpec(42, stream=3).generator().random(16)
-        b = SeedSpec(42, stream=3).generator().random(16)
+        a = _philox(42, 3).random(16)
+        b = _philox(42, 3).random(16)
         assert np.array_equal(a, b)
 
     def test_streams_differ(self):
-        a = SeedSpec(42, stream=0).generator().random(16)
-        b = SeedSpec(42, stream=1).generator().random(16)
+        a = _philox(42, 0).random(16)
+        b = _philox(42, 1).random(16)
         assert not np.array_equal(a, b)
 
 
@@ -56,60 +54,71 @@ class TestStreamGaussians:
             for i, k in enumerate(range(start, stop)):
                 rho = ginibre_oracle(expected[k])
                 assert np.array_equal(stack[i], rho)
-                single = random_density((3, 3), k % 9 + 1, SeedSpec(seed, k)).matrix
+                single = random_density((3, 3), k % 9 + 1, seed, k).matrix
                 assert np.array_equal(single, rho)
                 psi = pure_state_oracle(seed, k, 9)
                 assert np.array_equal(pure[i], psi)
-                assert np.array_equal(random_pure(9, SeedSpec(seed, k)), psi)
+                assert np.array_equal(pure_states(9, 1, seed, k)[0], psi)
+
+    @pytest.mark.parametrize("count", [0, -1])
+    @pytest.mark.parametrize(
+        "sampler",
+        [lambda count: pure_states(3, count, 0), lambda count: mixed_rank_states(2, 2, count, 0)],
+        ids=["pure_states", "mixed_rank_states"],
+    )
+    def test_rejects_no_states(self, sampler, count):
+        # a check over no states must never pass
+        with pytest.raises(ParameterError, match=rf"^count must be >= 1, got {count}$"):
+            sampler(count)
 
 
 class TestRandomPure:
     def test_normalized(self):
         for i in range(20):
-            psi = random_pure(5, SeedSpec(7, stream=i))
+            psi = pure_states(5, 1, 7, i)[0]
             assert abs(np.linalg.norm(psi) - 1.0) < 1e-12
 
     def test_deterministic(self):
-        assert np.array_equal(random_pure(4, SeedSpec(1)), random_pure(4, SeedSpec(1)))
+        assert np.array_equal(pure_states(4, 1, 1)[0], pure_states(4, 1, 1)[0])
 
     def test_haar_first_moment(self):
         # mean projector over 10^4 samples approximates the maximally mixed state
         n = 10_000
-        psi = pure_states(2, n, 123)  # row i is random_pure(2, SeedSpec(123, stream=i))
+        psi = pure_states(2, n, 123)  # row i is the state of stream i
         acc = psi.T @ psi.conj()
         assert np.linalg.norm(acc / n - np.eye(2) / 2) < 0.02
 
     def test_rejects_bad_dimension(self):
         with pytest.raises(ParameterError):
-            random_pure(0, SeedSpec(0))
+            pure_states(0, 1, 0)
         with pytest.raises(ParameterError):
             pure_states(0, 3, 0)
 
 
 class TestRandomDensity:
     def test_rank_one_is_pure(self):
-        rho = random_density((4,), 1, SeedSpec(5))
+        rho = random_density((4,), 1, 5)
         purity = float(np.real(np.trace(rho.matrix @ rho.matrix)))
         assert abs(purity - 1.0) < 1e-11
 
     def test_full_rank_positive_spectrum(self):
-        rho = random_density((3,), 3, SeedSpec(6))
+        rho = random_density((3,), 3, 6)
         assert np.linalg.eigvalsh(rho.matrix).min() > 0
 
     def test_numerical_rank_matches(self):
-        rho = random_density((6,), 2, SeedSpec(8))
+        rho = random_density((6,), 2, 8)
         w = np.linalg.eigvalsh(rho.matrix)
         assert np.sum(w > 1e-10 * w.max()) == 2
 
     def test_deterministic(self):
-        a = random_density((4,), 2, SeedSpec(9))
-        b = random_density((4,), 2, SeedSpec(9))
+        a = random_density((4,), 2, 9)
+        b = random_density((4,), 2, 9)
         assert np.array_equal(a.matrix, b.matrix)
 
     @pytest.mark.parametrize("rank", [0, 5])
     def test_rank_out_of_range(self, rank):
         with pytest.raises(ParameterError):
-            random_density((4,), rank, SeedSpec(0))
+            random_density((4,), rank, 0)
 
     @pytest.mark.parametrize("d_a, d_b", [(0, 2), (2, 0)])
     def test_mixed_rank_states_rejects_zero_dimension(self, d_a, d_b):
@@ -119,7 +128,7 @@ class TestRandomDensity:
 
 class TestRandomSeparable:
     def test_validates_as_state(self):
-        rho = random_separable(2, 3, terms=5, seed=SeedSpec(10))
+        rho = random_separable(2, 3, terms=5, seed=10)
         assert rho.dims == (2, 3)
         assert abs(np.trace(rho.matrix).real - 1.0) < 1e-11
 
@@ -130,27 +139,26 @@ class TestRandomSeparable:
         # reaches a full-measure subset of them (random mixtures of
         # full-rank products), so passing here is evidence, not proof
         for i in range(100):
-            rho = random_separable(d, d, terms=3, seed=SeedSpec(77, stream=i))
+            rho = random_separable(d, d, terms=3, seed=77, stream=i)
             assert h2nu(rho, 0.0) >= -1e-9
 
     @pytest.mark.parametrize(
-        "d_a, d_b, terms, seed",
-        [(2, 3, 5, SeedSpec(10)), (3, 3, 3, SeedSpec(77, stream=4)), (5, 2, 4, SeedSpec(2**64 + 1)),
-         (1, 4, 1, SeedSpec(-3, stream=2))],
+        "d_a, d_b, terms, seed, stream",
+        [(2, 3, 5, 10, 0), (3, 3, 3, 77, 4), (5, 2, 4, 2**64 + 1, 0), (1, 4, 1, -3, 2)],
         ids=["2x3", "3x3", "5x2", "1x4"],
     )
-    def test_matches_a_sequential_draw(self, d_a, d_b, terms, seed):
-        got = random_separable(d_a, d_b, terms, seed).matrix
-        assert np.array_equal(got, separable_oracle(d_a, d_b, terms, seed))
+    def test_matches_a_sequential_draw(self, d_a, d_b, terms, seed, stream):
+        got = random_separable(d_a, d_b, terms, seed, stream).matrix
+        assert np.array_equal(got, separable_oracle(d_a, d_b, terms, seed, stream))
 
     def test_rejects_no_terms(self):
         with pytest.raises(ParameterError):
-            random_separable(2, 2, terms=0, seed=SeedSpec(0))
+            random_separable(2, 2, terms=0, seed=0)
 
 
 class TestPurify:
     def test_pure_input_trivial_purifier(self):
-        psi = random_pure(3, SeedSpec(11))
+        psi = pure_states(3, 1, 11)[0]
         rho = DensityMatrix.from_pure(psi, (3,))
         out = purify(rho)
         assert out.shape == (3,)  # purifying dimension 1
@@ -158,7 +166,7 @@ class TestPurify:
         assert abs(overlap - 1.0) < 1e-10
 
     def test_roundtrip_rank3(self):
-        rho = random_density((4,), 3, SeedSpec(12))
+        rho = random_density((4,), 3, 12)
         psi = purify(rho)
         assert psi.shape == (12,)  # purifying dimension = numerical rank
         rec = ptrace_oracle(np.outer(psi, psi.conj()), 4, 3, "A")
@@ -167,7 +175,7 @@ class TestPurify:
     def test_roundtrip_many(self):
         for i in range(50):
             rank = (i % 4) + 1
-            rho = random_density((4,), rank, SeedSpec(13, stream=i))
+            rho = random_density((4,), rank, 13, stream=i)
             psi = purify(rho)
             d_e = psi.shape[0] // 4
             rec = ptrace_oracle(np.outer(psi, psi.conj()), 4, d_e, "A")
@@ -182,27 +190,27 @@ class TestSchmidtValues:
         assert np.abs(vals - 1 / 3).max() < 1e-12
 
     def test_product_state(self):
-        psi = np.kron(random_pure(2, SeedSpec(14)), random_pure(3, SeedSpec(15)))
+        psi = np.kron(pure_states(2, 1, 14)[0], pure_states(3, 1, 15)[0])
         vals = schmidt_values(psi, 2, 3)
         assert abs(vals[0] - 1.0) < 1e-12
         assert np.abs(vals[1:]).max() < 1e-12
 
     def test_matches_marginal_eigenvalues(self):
-        psi = random_pure(6, SeedSpec(16))
+        psi = pure_states(6, 1, 16)[0]
         vals = schmidt_values(psi, 2, 3)
         eigs = np.linalg.eigvalsh(ptrace_oracle(np.outer(psi, psi.conj()), 2, 3, "A"))
         assert np.abs(np.sort(vals) - np.sort(eigs)).max() < 1e-11
 
     def test_collision_entropy_of_pure_state(self):
         # H_2(A|B) of a pure state reduces to -2 log2 sum_i sqrt(lambda_i)
-        psi = random_pure(6, SeedSpec(17))
+        psi = pure_states(6, 1, 17)[0]
         vals = schmidt_values(psi, 2, 3)
         rho = DensityMatrix.from_pure(psi, (2, 3))
         assert abs(h2nu(rho, 0.0) + 2 * np.log2(np.sum(np.sqrt(vals)))) < 1e-10
 
     def test_dimension_mismatch(self):
         with pytest.raises(DimensionError):
-            schmidt_values(random_pure(6, SeedSpec(18)), 2, 2)
+            schmidt_values(pure_states(6, 1, 18)[0], 2, 2)
 
 
 class TestDensityMatrixInvariants:
