@@ -9,6 +9,7 @@ error, 3 witness inconclusive.
 """
 
 import argparse
+import contextlib
 import csv
 import io
 import json
@@ -83,12 +84,19 @@ def _fmt(x: float) -> str:
     return f"{float(x):.12g}"
 
 
+@contextlib.contextmanager
+def _output(path):
+    """The file at `path`, opened for writing, or stdout when there is no path."""
+    if not path:
+        yield sys.stdout
+        return
+    with open(path, "w") as fh:
+        yield fh
+
+
 def _emit(text: str, path):
-    if path:
-        with open(path, "w") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+    with _output(path) as fh:
+        fh.write(text)
 
 
 def _json_value(x, pad: str) -> str:
@@ -132,12 +140,31 @@ def _json_text(doc) -> str:
         raise EntguessError(f"output holds a non-finite value: {exc}") from exc
 
 
-def _csv_text(header, rows) -> str:
-    """CSV of `rows` under `header`; a float cell is written as `_fmt` writes it."""
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
+def _write_json_list(fh, items):
+    """Write `_json_text(list(items))` to fh one item at a time, so that no
+    more than one item's text is held."""
+    sep = "[\n  "
+    try:
+        for item in items:
+            fh.write(sep + _json_value(item, "  "))
+            sep = ",\n  "
+    except ValueError as exc:
+        raise EntguessError(f"output holds a non-finite value: {exc}") from exc
+    fh.write("[]\n" if sep == "[\n  " else "\n]\n")
+
+
+def _write_csv(fh, header, rows):
+    """CSV of `rows` under `header`, written to fh row by row; a float cell is
+    written as `_fmt` writes it."""
+    writer = csv.writer(fh, lineterminator="\n")
     writer.writerow(header)
-    writer.writerows([_fmt(v) if isinstance(v, float) else str(v) for v in row] for row in rows)
+    for row in rows:
+        writer.writerow([_fmt(v) if isinstance(v, float) else str(v) for v in row])
+
+
+def _csv_text(header, rows) -> str:
+    buf = io.StringIO()
+    _write_csv(buf, header, rows)
     return buf.getvalue()
 
 
@@ -182,7 +209,12 @@ def cmd_verify(cfg: RunConfig) -> int:
     if cfg.relation == "main":
         family = _family_for(cfg.family, cfg.d)
         tol = cfg.tolerance if cfg.tolerance is not None else relations.EQUALITY_TOL
-        for start, stop in _chunks(cfg.samples, cfg.d * cfg.d_b):
+        chunks = _chunks(cfg.samples, cfg.d * cfg.d_b)
+        # A factor state is small, but measuring it makes every effect's
+        # d_B x d_B operator: allocating (not touching) that array first makes
+        # a --db too large for memory fail before any state is drawn
+        np.empty((family.scales.size, cfg.d_b, cfg.d_b), dtype=complex)
+        for start, stop in chunks:
             rho = mixed_rank_states(cfg.d, cfg.d_b, stop - start, cfg.seed, start)
             reports += relations.equality_report(rho, family, cfg.nu, tol)
     else:
@@ -213,11 +245,12 @@ def cmd_sweep(cfg: RunConfig) -> int:
         for n in range(1, d + 2)
         for fpg in map(float, grid)
     )
-    if cfg.fmt == "csv":
-        text = _csv_text(header, rows)
-    else:
-        text = _json_text([dict(zip(header, row)) for row in rows])
-    _emit(text, cfg.output_path)
+    # the rows are written as they are made, so the output is never held whole
+    with _output(cfg.output_path) as fh:
+        if cfg.fmt == "csv":
+            _write_csv(fh, header, rows)
+        else:
+            _write_json_list(fh, (dict(zip(header, row)) for row in rows))
     return 0
 
 

@@ -11,25 +11,38 @@ Renyi 2-entropy; nu = 1 is the variant -log Tr[rho_AB^2 (1 (x) rho_B^-1)].
 
 Measuring A goes through one primitive, `measure_family`, which returns
 the conditional operators rho_B^k of every effect as one array of shape
-(n_effects, d_B, d_B).  A family whose vectors are exactly the Gauss-sum
-bases `mub_family` builds for odd prime d (checked by content, not by its
-kind) is measured by two length-d DFT GEMMs over the blocks of rho, in
-O(d^3 d_B^2); every other family by one GEMM per setting, in O(d^4 d_B^2),
-which the tests keep as the reference.  Everything computed from the
-measured ensemble reads that array and decomposes rho_B once per state.
-One collision kernel serves every ensemble: the term Tr[rho_B^k M1 rho_B^k
-M2] of each conditional operator.  At nu = 0 a setting's sum of its terms
+(n_effects, d_B, d_B).  A factor state, rho = F F^dag with F of shape
+n x r, is measured by one GEMM of every effect vector, scaled by the square
+root of its weight, against F: effect k gives the d_B x r matrix X_k and
+rho_B^k = X_k X_k^dag, in O(d^3 d_B r) for d + 1 bases.  Of a dense state, a
+family whose vectors are exactly the Gauss-sum bases `mub_family` builds
+for odd prime d (checked by content, not by its kind) is measured by two
+length-d DFT GEMMs over the blocks of rho, in O(d^3 d_B^2); every other
+family by one GEMM per setting, in O(d^4 d_B^2), which the tests keep as
+the reference.  Everything computed from the measured ensemble reads that
+array and decomposes rho_B once per state.  One collision kernel serves
+every ensemble: the term Tr[rho_B^k M1 rho_B^k M2] of each conditional
+operator.  At nu = 0 a setting's sum of its terms
 is 2^(-H_2) of its classical-quantum state, i.e. the probability of
 guessing the outcome with the pretty good measurement
 Pi^k = rho_B^(-1/2) rho_B^k rho_B^(-1/2), which `family_guess_prob`
 returns per setting; there is no separate PGM routine.
 
 Every input state is a `DensityMatrix`, whose positivity was certified at
-construction by a Cholesky factorisation of rho + EIG_TOL 1, not by its
-spectrum (see `states`).  A `DensityMatrix` holding a stack of k states is
-evaluated as a batch: `measure_family`, `h2nu`, `h2nu_outcomes` and
-`d0_relative` keep the stack's leading axis in what they return, and
-decompose every rho_B of the stack in one stacked ``eigh``.  A single state
+construction, not by its spectrum (see `states`): a dense state by a
+Cholesky factorisation of rho + EIG_TOL 1, a factor state by one of the
+r x r matrix F^dag F + EIG_TOL 1.  `mixed_rank_states` makes a factor state
+when its largest rank r has r^2 <= n d_B (n = d_A d_B), where the factor
+kernels cost no more than the dense ones; `h2nu` then works with r x r
+matrices such as F^dag (1 (x) M) F in place of n x n ones such as
+(1 (x) M) rho.  The two sides of the equality stay independent paths,
+measure-then-sum against the bipartite formula, and both read F where a
+dense state has both read rho.
+
+A `DensityMatrix` holding a stack of k states is evaluated as a batch:
+`measure_family`, `h2nu`, `h2nu_outcomes` and `d0_relative` keep the
+stack's leading axis in what they return, and decompose every rho_B of the
+stack in one stacked ``eigh``.  A single state
 is the stack with no leading axis, through the same code.
 
 `d0_relative` takes rho in factor form, rho = t t^dag with t of shape
@@ -62,9 +75,28 @@ def _require_nu(nu: float) -> None:
 
 
 def h2nu(rho: DensityMatrix, nu: float):
-    """H_{2,nu}(A|B) of a bipartite state or of each in a stack, rho_B from `partial_trace`."""
+    """H_{2,nu}(A|B) of a bipartite state or of each in a stack.
+
+    A dense state takes rho_B from `partial_trace`.  A factor state,
+    rho = F F^dag, takes rho_B = sum_a F_a F_a^dag over the d_B x r blocks
+    F_a of F, and Tr[rho_nu^dag rho_nu] = Tr[(F^dag (1 (x) M2) F)
+    (F^dag (1 (x) M1) F)], with M1 = rho_B^(-(1-nu)/2) and
+    M2 = rho_B^(-(1+nu)/2): r x r products in place of n x n ones.
+    """
     _require_nu(nu)
     d_a, d_b = rho.d_a, rho.d_b
+    if rho.factor is not None:
+        f = rho.factor
+        lead, r = f.shape[:-2], f.shape[-1]
+        blocks = f.reshape(*lead, d_a, d_b, r)
+        cols = blocks.swapaxes(-3, -2).reshape(*lead, d_b, d_a * r)
+        rho_b = cols @ cols.conj().swapaxes(-1, -2)
+        (m1, m2), _ = func_on_support(rho_b, (-(1.0 - nu) / 2.0, -(1.0 + nu) / 2.0))
+        f_dag = f.conj().swapaxes(-1, -2)
+        # F^dag (1 (x) M) F, r x r, for M = M1 and M2
+        x, y = (f_dag @ (m[..., None, :, :] @ blocks).reshape(f.shape) for m in (m1, m2))
+        # Tr[y x] = sum_ij y_ij x_ji = sum_ij conj(x_ij) y_ij, x being Hermitian
+        return -np.log2(np.real(np.vecdot(x.reshape(*lead, -1), y.reshape(*lead, -1))))
     rho_b = partial_trace(rho.matrix, d_a, d_b)
     (left, right), _ = func_on_support(rho_b, (-(1.0 - nu) / 4.0, -(1.0 + nu) / 4.0))
     lead = rho.matrix.shape[:-2]
@@ -118,18 +150,35 @@ def _measure_gauss_sum(rho: DensityMatrix, dft, chirp, rows, cols) -> np.ndarray
     return out
 
 
+def _measure_factor(rho: DensityMatrix, vectors: np.ndarray, scales: np.ndarray) -> np.ndarray:
+    """`_measure` of a factor state rho = F F^dag, as one GEMM against F.
+
+    Effect k gives X_k = sqrt(scale_k) (<v_k| (x) 1) F, a d_B x r matrix, and
+    the operator X_k X_k^dag.
+    """
+    d_a, d_b = rho.d_a, rho.d_b
+    f = rho.factor
+    lead, r = f.shape[:-2], f.shape[-1]
+    rows = (vectors.conj() * np.sqrt(scales)[:, None, :]).swapaxes(1, 2).reshape(-1, d_a)
+    x = (rows @ f.reshape(*lead, d_a, d_b * r)).reshape(*lead, -1, d_b, r)
+    return x @ x.conj().swapaxes(-1, -2)
+
+
 def measure_family(rho: DensityMatrix, family: MeasurementFamily) -> np.ndarray:
     """Conditional operators rho_B^k = scale_k <v_k| rho |v_k>_A of every effect.
 
     Returns an array of shape (n_settings * n_outcomes, d_B, d_B), setting
     major, after the leading axis of a stack of states.  The rows of each
     setting sum to rho_B, and their traces are the setting's outcome
-    probabilities.  The bases `mub_family` builds for odd
-    prime d are measured by the DFT route, every other family by one GEMM
-    per setting.
+    probabilities.  A factor state is measured by one GEMM against its
+    factor, whatever the family; of a dense state, the bases `mub_family`
+    builds for odd prime d are measured by the DFT route, every other family
+    by one GEMM per setting.
     """
     if family.d != rho.d_a:
         raise DimensionError(f"family acts on dim {family.d}, state has d_A = {rho.d_a}")
+    if rho.factor is not None:
+        return _measure_factor(rho, family.vectors, family.scales)
     tables = family._gauss_sum_dft
     if tables is None:
         out = _measure(rho, family.vectors, family.scales)

@@ -6,6 +6,15 @@ complex Gaussians.  A sampler of one state takes `seed` and `stream`; a
 sampler of many takes `seed` and `start`, and draws state i from stream
 start + i.  The same (seed, stream) therefore reproduces the same state
 bit-for-bit on a given build, and distinct streams are independent.
+
+A state is a `DensityMatrix`.  One built from a matrix (a file, a caller,
+`from_pure`, `random_density`, `random_separable`) is certified by a
+Cholesky factorisation of rho + EIG_TOL 1.  One built by
+`DensityMatrix.from_factor` also keeps its normalized Ginibre factor F,
+rho = F F^dag, and is certified from F alone, by an r x r Cholesky:
+`mixed_rank_states` hands out a chunk that way when its largest rank r has
+r^2 <= d_A d_B^2, where reading F costs the kernels no more than reading
+rho.
 """
 
 import math
@@ -72,6 +81,17 @@ def _has_cholesky(m: np.ndarray) -> bool:
     return True
 
 
+def _checked_dims(dims, size: int) -> tuple:
+    """`dims` as a tuple of ints >= 1; () stands for one system of `size`."""
+    try:
+        dims = tuple(exact_int(d) for d in dims) or (size,)
+    except TypeError as exc:
+        raise DimensionError(f"subsystem dimensions must be integers: {exc}") from None
+    if min(dims) < 1:
+        raise DimensionError(f"subsystem dimensions must be >= 1, got {dims}")
+    return dims
+
+
 @dataclass(frozen=True)
 class DensityMatrix:
     """Trace-one PSD matrix with declared subsystem dimensions (A major).
@@ -80,22 +100,23 @@ class DensityMatrix:
     all with the same ``dims``; every check runs on the whole stack, and a
     rejection names the first matrix that fails it, in the words used for a
     single one.  ``rho[i]`` is state i of a stack.
+
+    ``factor`` is None, or for a state made by `from_factor` its normalized
+    Ginibre factor F, shape (n, r) or (k, n, r), with matrix = F F^dag up to
+    rounding; the entropy kernels then read F, and the matrix is formed only
+    when something reads it.
     """
 
     matrix: np.ndarray
     dims: tuple = field(default=())
+    factor: np.ndarray | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         m = np.asarray(self.matrix, dtype=complex)
         object.__setattr__(self, "matrix", m)
-        try:
-            dims = tuple(exact_int(d) for d in self.dims) or (m.shape[-1],)
-        except TypeError as exc:
-            raise DimensionError(f"subsystem dimensions must be integers: {exc}") from None
+        dims = _checked_dims(self.dims, m.shape[-1])
         object.__setattr__(self, "dims", dims)
-        if min(dims) < 1:
-            raise DimensionError(f"subsystem dimensions must be >= 1, got {dims}")
-        n = int(np.prod(dims))
+        n = math.prod(dims)
         if m.ndim not in (2, 3) or m.shape[-2:] != (n, n):
             raise DimensionError(f"matrix shape {m.shape} does not match dims {dims}")
         # `stack` views the caller's matrix, so it is only read; the one
@@ -129,7 +150,79 @@ class DensityMatrix:
             raise ParameterError(f"negative eigenvalue {np.linalg.eigvalsh(first)[0]:.3e}")
 
     def __getitem__(self, i) -> "DensityMatrix":
-        return DensityMatrix(self.matrix[i], self.dims)
+        if self.factor is None:
+            return DensityMatrix(self.matrix[i], self.dims)
+        # state i of a certified factor stack, from its own factor and G
+        return DensityMatrix._certified(self.dims, self.factor[i], self._ginibre_g[i])
+
+    @classmethod
+    def _certified(cls, dims, factor, g) -> "DensityMatrix":
+        """A factor state, without its matrix: `__getattr__` forms that on first read."""
+        state = cls.__new__(cls)
+        for name, value in (("dims", dims), ("factor", factor), ("_ginibre_g", g)):
+            object.__setattr__(state, name, value)
+        return state
+
+    def __getattr__(self, name):
+        # reached only for an attribute not set: the matrix of a factor state,
+        # which the kernels do not read
+        g = self.__dict__.get("_ginibre_g")
+        if name != "matrix" or g is None:
+            raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
+        matrix = _ginibre(g) if isinstance(g, np.ndarray) else np.array([_ginibre(one) for one in g])
+        object.__setattr__(self, "matrix", matrix)
+        return matrix
+
+    @classmethod
+    def from_factor(cls, g, dims) -> "DensityMatrix":
+        """The Ginibre-induced state G G^dag / Tr of an n x r matrix G, or a stack of them.
+
+        `g` is one (n, r) array, or a sequence of k such arrays whose r may
+        differ (a (k, n, r) array is one), which gives a stack.  The state
+        keeps a copy of each G, and ``matrix`` is `_ginibre` of it, formed on
+        first read: the matrix a dense state built from G holds, bit for
+        bit.  ``factor`` is G / sqrt(t), with t = ||G||_F^2, zero-padded on
+        the right to the largest r.
+
+        Certificate.  Every entry of G is finite, t > 0, and F = G / sqrt(t)
+        has Tr(F^dag F) within TRACE_TOL of 1 and F^dag F + EIG_TOL 1 a
+        Cholesky factor, an r x r check; F^dag F has the nonzero spectrum of
+        F F^dag.  The n x n Cholesky that a matrix from outside gets is not
+        needed: fl(G G^dag)/t differs from the exact G G^dag / t by at most
+        about r u in norm (u = 1.1e-16), so its smallest eigenvalue lies
+        above -r u, -2.8e-14 at r = 248, far inside EIG_TOL = 1e-10.  The
+        tests keep that Cholesky on the generated states as an oracle.
+        """
+        single = isinstance(g, np.ndarray) and g.ndim == 2
+        gs = [np.array(one, dtype=complex) for one in ([g] if single else g)]
+        if not gs or any(one.ndim != 2 for one in gs):
+            raise DimensionError("a factor is an (n, r) matrix or a non-empty sequence of them")
+        dims = _checked_dims(dims, gs[0].shape[0])
+        n = math.prod(dims)
+        if any(one.shape[0] != n or one.shape[1] < 1 for one in gs):
+            shapes = [one.shape for one in gs]
+            raise DimensionError(f"factor shapes {shapes} do not match dims {dims}")
+        f = np.zeros((len(gs), n, max(one.shape[1] for one in gs)), dtype=complex)
+        for i, one in enumerate(gs):
+            f[i, :, : one.shape[1]] = one
+        # a NaN or infinite entry would reach every later number, so it fails first
+        if not np.isfinite(f).all():
+            raise ParameterError("factor has a non-finite entry")
+        with np.errstate(over="ignore"):  # an infinite t fails the trace check
+            t = np.vecdot(f, f).real.sum(axis=-1)
+        if not (t > 0).all():
+            raise ParameterError("factor is zero: ||G||_F^2 = 0")
+        f /= np.sqrt(t)[:, None, None]
+        gram = f.conj().swapaxes(1, 2) @ f
+        trace = np.trace(gram, axis1=1, axis2=2).real
+        bad = ~(abs(trace - 1.0) <= TRACE_TOL)
+        if bad.any():
+            raise ParameterError(f"trace {trace[bad.argmax()]} differs from 1")
+        shifted = gram + EIG_TOL * np.eye(gram.shape[-1])
+        if not _has_cholesky(shifted):
+            first = next(one for one in shifted if not _has_cholesky(one))
+            raise ParameterError(f"negative eigenvalue {np.linalg.eigvalsh(first)[0] - EIG_TOL:.3e}")
+        return cls._certified(dims, f[0], gs[0]) if single else cls._certified(dims, f, gs)
 
     @classmethod
     def from_pure(cls, psi: np.ndarray, dims) -> "DensityMatrix":
@@ -210,6 +303,13 @@ def mixed_rank_states(d_a: int, d_b: int, count: int, seed: int, start: int = 0)
     stream start + i of `seed` with rank (start + i) % (d_a d_b) + 1, so any
     part of the sequence is reproducible independently of the rest, and the
     stack validates once.
+
+    The matrices are the same whichever way the stack is built.  With n =
+    d_a d_b and r the stack's largest rank, it is a factor state
+    (`DensityMatrix.from_factor`) when r^2 <= n d_b, and a dense one
+    otherwise.  That is where the kernels' r x r products over F, such as
+    F^dag (1 (x) M) F, cost no more than their n x n products over rho, such
+    as (1 (x) M) rho; above it the dense route is faster.
     """
     if d_a < 1 or d_b < 1:
         raise ParameterError(f"dimensions must be >= 1, got ({d_a}, {d_b})")
@@ -217,7 +317,11 @@ def mixed_rank_states(d_a: int, d_b: int, count: int, seed: int, start: int = 0)
         raise ParameterError(f"count must be >= 1, got {count}")
     n = d_a * d_b
     streams = range(start, start + count)
+    ranks = [k % n + 1 for k in streams]
+    shapes = [(n, r) for r in ranks]
+    if max(ranks) ** 2 <= n * d_b:
+        return DensityMatrix.from_factor(_stream_gaussians(seed, streams, shapes), (d_a, d_b))
     out = np.empty((count, n, n), dtype=complex)
-    for i, g in enumerate(_stream_gaussians(seed, streams, [(n, k % n + 1) for k in streams])):
+    for i, g in enumerate(_stream_gaussians(seed, streams, shapes)):
         out[i] = _ginibre(g)
     return DensityMatrix(out, (d_a, d_b))

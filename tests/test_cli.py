@@ -16,7 +16,7 @@ from entguess import (
     mub_family,
     relations,
 )
-from entguess.cli import _json_text, build_parser, config_from_args, main
+from entguess.cli import _json_text, _write_json_list, build_parser, config_from_args, main
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
 
@@ -903,6 +903,19 @@ class TestDeterminismAndConfig:
             "top",
         ]
         assert _json_text(doc) == json_text_oracle(doc)
+
+    @pytest.mark.parametrize(
+        "items", [[], [{"a": 1.0 / 3.0}], [{"b": [1, 2.5]}, 7, "x", []]], ids=["0", "1", "4"]
+    )
+    def test_streamed_json_list_matches_json_text(self, items):
+        # sweep writes its rows one at a time; the bytes are _json_text's
+        buf = io.StringIO()
+        _write_json_list(buf, iter(items))
+        assert buf.getvalue() == _json_text(items)
+
+    def test_streamed_json_list_rejects_non_finite(self):
+        with pytest.raises(EntguessError, match="non-finite"):
+            _write_json_list(io.StringIO(), iter([{"lhs": 1.0}, {"lhs": float("inf")}]))
 
     def test_json_text_rounds_to_12_digits(self):
         assert _json_text(0.1234567890123456) == "0.123456789012\n"
