@@ -5,6 +5,9 @@ unbiased bases in prime dimension, SIC-POVMs for d = 2 and 3, and the
 computational-basis orbit of the single-qubit Clifford group.  None of the
 constructions is trusted: every family can be checked after the fact with
 `design_defect` (distance of the pooled second moment from (1+F)/(d(d+1))).
+The check works on the symmetric subspace, dimension D = d(d+1)/2, and
+forms only the lower block triangle of a D x D Gram matrix, in row blocks;
+its working memory is about 16 D N bytes for N pooled effect vectors.
 
 A family is an array of measurement settings of equal sampling weight,
 all with the same number of outcomes.  ``vectors[t, :, k]`` is the k-th
@@ -41,6 +44,11 @@ from .tolerances import BASIS_SCALE_TOL, COMPLETENESS_TOL, NORM_TOL
 MUB_COMPLETE = "MUB-complete"
 SIC = "SIC"
 CLIFFORD_ORBIT = "CliffordOrbit"
+
+# Rows of the symmetric-subspace array per GEMM of the design defect: one
+# block's conjugate and Gram column take 16 * 64 * (N + D) bytes, about 1.5 MB
+# for mub_family(31), beside the 7.9 MB of the array itself.
+_DEFECT_BLOCK = 64
 
 
 @dataclass(frozen=True, eq=False)
@@ -104,20 +112,53 @@ class MeasurementFamily:
 
     @cached_property
     def _design_defect(self) -> float:
-        # The moment (1/N) sum |vv><vv| and the target (1+F)/(d(d+1)) =
-        # 2 P_sym/(d(d+1)) both live in the symmetric subspace.  Row (i, j),
-        # i <= j, of w is the coordinate of |v>|v> on its orthonormal basis
-        # vector |ii> or (|ij> + |ji>)/sqrt(2), so the Gram matrix of w over N
-        # is the moment there and the target is a multiple of the identity.
+        """Frobenius norm of W W^dag / N - 2/(d(d+1)) 1, taken in row blocks of W.
+
+        The moment (1/N) sum |vv><vv| and the target (1+F)/(d(d+1)) =
+        2 P_sym/(d(d+1)) both live in the symmetric subspace, of dimension
+        D = d(d+1)/2.  Row (i, j), i <= j, of the D x N array W is the
+        coordinate of each pooled |v>|v> on the orthonormal basis vector |ii>
+        or (|ij> + |ji>)/sqrt(2), so W W^dag / N is the moment there and the
+        target is a multiple of the identity.  W is built in place, the rows
+        of one i at a time.  The Hermitian gap is never formed whole: one
+        GEMM per block of `_DEFECT_BLOCK` rows gives that block's column of
+        the lower block triangle, and the squared norm sums the diagonal
+        blocks, less the target, and twice the blocks below them.  Working
+        memory is W, 16 D N bytes, and one block's conjugate and column.
+        """
         d = self.d
         pooled = self.vectors.transpose(1, 0, 2).reshape(d, -1)
-        i, j = np.triu_indices(d)
-        w = pooled[i]
-        w *= pooled[j]
-        w *= np.where(i == j, 1.0, np.sqrt(2.0))[:, None]
-        gap = (w @ w.conj().T) / pooled.shape[1]
-        gap[np.diag_indices_from(gap)] -= 2.0 / (d * (d + 1))
-        return float(np.linalg.norm(gap))
+        n = pooled.shape[1]
+        w = np.empty((d * (d + 1) // 2, n), dtype=complex)
+        start = 0
+        for i in range(d):
+            # rows (i, i), (i, i + 1), ..., (i, d - 1)
+            rows = w[start : start + d - i]
+            np.multiply(pooled[i], pooled[i:], out=rows)
+            rows[1:] *= np.sqrt(2.0)
+            start += d - i
+        target = 2.0 / (d * (d + 1))
+        squares = 0.0
+        for a in range(0, len(w), _DEFECT_BLOCK):
+            column = w[a:] @ w[a : a + _DEFECT_BLOCK].conj().T
+            column /= n
+            width = column.shape[1]
+            diagonal, below = column[:width], column[width:]
+            diagonal[np.diag_indices_from(diagonal)] -= target
+            squares += np.vdot(diagonal, diagonal).real + 2.0 * np.vdot(below, below).real
+        return float(np.sqrt(squares))
+
+    @cached_property
+    def _effect_rows(self) -> np.ndarray:
+        """Rows sqrt(scale_k) <v_k|, setting major, that `entropies` applies to a factor.
+
+        Shape (n_settings * n_outcomes, d), read-only like the arrays they
+        come from.
+        """
+        rows = (self.vectors.conj() * np.sqrt(self.scales)[:, None, :]).swapaxes(1, 2)
+        rows = rows.reshape(-1, self.d)
+        rows.flags.writeable = False
+        return rows
 
     @cached_property
     def _gauss_sum_dft(self):
@@ -331,6 +372,10 @@ def design_defect(family: MeasurementFamily) -> float:
     vectors is compared against the 2-design target; 0 means the family
     generates an exact complex projective 2-design.  Computed once per
     family: its arrays are read-only, so the value cannot go stale, and a
-    built-in family is shared, so it is certified once per process.
+    built-in family is shared, so it is certified once per process.  The
+    computation holds the D x N array of the pooled |v>|v> on the symmetric
+    subspace (D = d(d+1)/2, N pooled effect vectors), about 16 D N bytes,
+    7.9 MB for `mub_family(31)`, and forms only the lower block triangle of
+    its Gram matrix, one block of rows at a time.
     """
     return family._design_defect

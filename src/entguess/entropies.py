@@ -93,8 +93,9 @@ def h2nu(rho: DensityMatrix, nu: float):
         rho_b = cols @ cols.conj().swapaxes(-1, -2)
         (m1, m2), _ = func_on_support(rho_b, (-(1.0 - nu) / 2.0, -(1.0 + nu) / 2.0))
         f_dag = f.conj().swapaxes(-1, -2)
-        # F^dag (1 (x) M) F, r x r, for M = M1 and M2
-        x, y = (f_dag @ (m[..., None, :, :] @ blocks).reshape(f.shape) for m in (m1, m2))
+        # F^dag (1 (x) M) F, r x r, for M = M1 and M2, which are one array at nu = 0
+        x = f_dag @ (m1[..., None, :, :] @ blocks).reshape(f.shape)
+        y = x if m2 is m1 else f_dag @ (m2[..., None, :, :] @ blocks).reshape(f.shape)
         # Tr[y x] = sum_ij y_ij x_ji = sum_ij conj(x_ij) y_ij, x being Hermitian
         return -np.log2(np.real(np.vecdot(x.reshape(*lead, -1), y.reshape(*lead, -1))))
     rho_b = partial_trace(rho.matrix, d_a, d_b)
@@ -150,16 +151,15 @@ def _measure_gauss_sum(rho: DensityMatrix, dft, chirp, rows, cols) -> np.ndarray
     return out
 
 
-def _measure_factor(rho: DensityMatrix, vectors: np.ndarray, scales: np.ndarray) -> np.ndarray:
+def _measure_factor(rho: DensityMatrix, rows: np.ndarray) -> np.ndarray:
     """`_measure` of a factor state rho = F F^dag, as one GEMM against F.
 
-    Effect k gives X_k = sqrt(scale_k) (<v_k| (x) 1) F, a d_B x r matrix, and
-    the operator X_k X_k^dag.
+    rows is the family's `_effect_rows`: effect k gives X_k = sqrt(scale_k)
+    (<v_k| (x) 1) F, a d_B x r matrix, and the operator X_k X_k^dag.
     """
     d_a, d_b = rho.d_a, rho.d_b
     f = rho.factor
     lead, r = f.shape[:-2], f.shape[-1]
-    rows = (vectors.conj() * np.sqrt(scales)[:, None, :]).swapaxes(1, 2).reshape(-1, d_a)
     x = (rows @ f.reshape(*lead, d_a, d_b * r)).reshape(*lead, -1, d_b, r)
     return x @ x.conj().swapaxes(-1, -2)
 
@@ -178,7 +178,7 @@ def measure_family(rho: DensityMatrix, family: MeasurementFamily) -> np.ndarray:
     if family.d != rho.d_a:
         raise DimensionError(f"family acts on dim {family.d}, state has d_A = {rho.d_a}")
     if rho.factor is not None:
-        return _measure_factor(rho, family.vectors, family.scales)
+        return _measure_factor(rho, family._effect_rows)
     tables = family._gauss_sum_dft
     if tables is None:
         out = _measure(rho, family.vectors, family.scales)
@@ -193,14 +193,15 @@ def _collision_terms(conds: np.ndarray, rho_b: np.ndarray, nu: float):
     conds has shape (..., K, b, b) and rho_b (..., b, b).  M1 =
     rho_B^(-(1-nu)/2) and M2 = rho_B^(-(1+nu)/2) come from one
     decomposition of rho_B; each is applied to all K operators of its
-    ensemble by one (K b, b) x (b, b) GEMM.
+    ensemble by one (K b, b) x (b, b) GEMM, made once at nu = 0, where
+    M1 = M2.
     """
     _require_nu(nu)
     (m1, m2), _ = func_on_support(rho_b, (-(1.0 - nu) / 2.0, -(1.0 + nu) / 2.0))
     *lead, k, b, _ = conds.shape
     rows = conds.reshape(*lead, k * b, b)
     x = (rows @ m1).reshape(conds.shape)
-    y = (rows @ m2).reshape(conds.shape)
+    y = x if m2 is m1 else (rows @ m2).reshape(conds.shape)
     return np.real(np.einsum("...kij,...kji->...k", x, y))
 
 

@@ -47,7 +47,8 @@ def func_on_support(m: np.ndarray, exponents):
     (..., n, n).  Per matrix, eigenvalues above the cutoff ``RANK_TOL * max
     |eigenvalue|`` are raised to the power; the rest map to zero, so a
     negative exponent gives the pseudoinverse-style power and exponent 0 the
-    support projector.
+    support projector.  Each distinct exponent is computed once: one given
+    twice, as (-1/2, -1/2) at nu = 0, returns the same array in both places.
 
     Returns (powers, near_cutoff): the powered matrices in the order of
     ``exponents``, each with m's shape, and per matrix True when some
@@ -73,13 +74,13 @@ def func_on_support(m: np.ndarray, exponents):
     on = w > cutoff
     near_cutoff = ((w > cutoff / 10) & (w < cutoff * 10)).any(axis=-1)
     u_dag = u.conj().swapaxes(-1, -2)
-    powers = []
-    for exponent in exponents:
+    powers = {}
+    for exponent in set(exponents):
         powered = np.zeros_like(w)
         powered[on] = w[on] ** exponent
         f = (u * powered[..., None, :]) @ u_dag
-        powers.append((f + f.conj().swapaxes(-1, -2)) / 2)
-    return powers, near_cutoff if near_cutoff.ndim else bool(near_cutoff)
+        powers[exponent] = (f + f.conj().swapaxes(-1, -2)) / 2
+    return [powers[e] for e in exponents], near_cutoff if near_cutoff.ndim else bool(near_cutoff)
 
 
 def max_entangled(d: int) -> np.ndarray:

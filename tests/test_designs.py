@@ -1,8 +1,11 @@
 import dataclasses
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from oracles import (
     design_defect_oracle,
     gauss_sum_bases_loop,
@@ -187,6 +190,47 @@ class TestDesignDefect:
     def test_matches_moment_oracle(self, name):
         fam = ORACLE_FAMILIES[name]()
         assert abs(design_defect(fam) - design_defect_oracle(fam)) < 1e-14
+
+    @pytest.mark.parametrize("thirds", [False, True], ids=["block-1", "block-third"])
+    @pytest.mark.parametrize("name", ORACLE_FAMILIES)
+    def test_row_blocks_match_moment_oracle(self, monkeypatch, name, thirds):
+        fam = ORACLE_FAMILIES[name]()
+        rows = fam.d * (fam.d + 1) // 2
+        block = max(1, rows // 3) if thirds else 1
+        assert -(-rows // block) >= 3
+        monkeypatch.setattr(designs, "_DEFECT_BLOCK", block)
+        # a new family, because the built-in ones keep the defect they computed first
+        fresh = dataclasses.replace(fam)
+        assert abs(design_defect(fresh) - design_defect_oracle(fam)) < 1e-14
+
+    @settings(derandomize=True, max_examples=40, deadline=None)
+    @given(
+        d=st.integers(2, 6),
+        n_settings=st.integers(1, 8),
+        block=st.integers(1, 25),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_random_bases_match_moment_oracle(self, d, n_settings, block, seed):
+        # each setting is the orthonormal basis of a QR factor of a Ginibre matrix
+        gen = np.random.default_rng(seed)
+        g = gen.normal(size=(n_settings, d, d)) + 1j * gen.normal(size=(n_settings, d, d))
+        fam = MeasurementFamily("Custom", np.linalg.qr(g)[0], np.ones((n_settings, d)))
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(designs, "_DEFECT_BLOCK", block)
+            assert abs(design_defect(fam) - design_defect_oracle(fam)) < 1e-14
+
+    def test_working_memory_at_d31(self):
+        mubs = mub_family(31)
+        fam = MeasurementFamily("Custom", mubs.vectors, mubs.scales)
+        tracemalloc.start()
+        try:
+            design_defect(fam)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # the 496 x 992 symmetric-subspace array is 7.9 MB; forming its
+        # conjugate or the whole 496 x 496 Gram matrix beside it would pass 12 MB
+        assert peak <= 12e6, peak
 
     def test_family_is_frozen_and_defect_memoized(self):
         fam = mub_family(3)

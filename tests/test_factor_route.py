@@ -155,6 +155,14 @@ class TestRouteAgreement:
         for rank in ranks:
             self._agree(factor_state(d_a, d_b, rank), family, 0.5)
 
+    @pytest.mark.parametrize("family", [mub_family(7), sic_povm(3)], ids=["mub", "sic"])
+    def test_effect_rows_are_cached_and_read_only(self, family):
+        rows = family._effect_rows
+        assert family._effect_rows is rows and not rows.flags.writeable
+        for k, row in enumerate(rows):
+            t, o = divmod(k, family.vectors.shape[2])
+            assert np.array_equal(row, family.vectors[t, :, o].conj() * np.sqrt(family.scales[t, o]))
+
     @pytest.mark.parametrize("nu", [0.0, 1.0])
     def test_sic(self, nu):
         for rank in range(1, 7):

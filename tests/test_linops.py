@@ -185,6 +185,13 @@ class TestSupportProjector:
         kept = 2 if small > RANK_TOL else 1
         assert abs(np.trace(proj).real - kept) < 1e-9
 
+    def test_repeated_exponent_is_one_array(self):
+        m = psd(np.random.default_rng(23), 4, rank=3)
+        (first, second, other), _ = func_on_support(m, (-0.5, -0.5, 0.5))
+        (alone,), _ = func_on_support(m, (-0.5,))
+        assert second is first and other is not first
+        assert np.array_equal(first, alone)
+
     def test_flag_does_not_depend_on_exponent(self):
         flags = []
         for small in (0.0, 5e-11, 0.3):
