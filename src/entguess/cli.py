@@ -2,8 +2,11 @@
 evaluation from statistics files, and game simulations.
 
 All output is machine readable (JSON or CSV), deterministic for a fixed
-(config, seed), and numerically formatted to 12 significant digits so the
-two formats carry identical values.  Exit codes: 0 success/certified,
+(config, seed) on one build and BLAS thread count, and numerically
+formatted to 12 significant digits so the two formats carry identical
+values.  Across BLAS thread counts `lhs`, `rhs` and the verdict stay the
+same; the last bits of `defect` do not, since a threaded GEMM's summation
+order follows its thread count.  Exit codes: 0 success/certified,
 1 relation violated or game outside its 4-sigma band, 2 usage or input
 error, 3 witness inconclusive.
 """
@@ -11,7 +14,6 @@ error, 3 witness inconclusive.
 import argparse
 import contextlib
 import csv
-import io
 import json
 import math
 import sys
@@ -94,14 +96,9 @@ def _output(path):
         yield fh
 
 
-def _emit(text: str, path):
-    with _output(path) as fh:
-        fh.write(text)
-
-
 def _json_value(x, pad: str) -> str:
     """x as JSON with sorted keys, two-space indent from `pad`, and floats
-    rounded to 12 significant digits; ValueError for a NaN or infinity.
+    rounded to 12 significant digits; EntguessError for a NaN or infinity.
 
     It writes what ``json.dumps(x, sort_keys=True, indent=2,
     allow_nan=False)`` writes for x with its floats rounded, in one walk.
@@ -110,7 +107,10 @@ def _json_value(x, pad: str) -> str:
     if isinstance(x, (float, np.floating)):
         rounded = float(f"{float(x):.12g}")
         if not math.isfinite(rounded):
-            raise ValueError(f"Out of range float values are not JSON compliant: {rounded!r}")
+            raise EntguessError(
+                "output holds a non-finite value: "
+                f"Out of range float values are not JSON compliant: {rounded!r}"
+            )
         return repr(rounded)
     if isinstance(x, str):
         return _quote(x)
@@ -134,22 +134,16 @@ def _json_value(x, pad: str) -> str:
 
 def _json_text(doc) -> str:
     """Output document as JSON; a NaN or infinity is an error, never bare text."""
-    try:
-        return _json_value(doc, "") + "\n"
-    except ValueError as exc:
-        raise EntguessError(f"output holds a non-finite value: {exc}") from exc
+    return _json_value(doc, "") + "\n"
 
 
 def _write_json_list(fh, items):
     """Write `_json_text(list(items))` to fh one item at a time, so that no
     more than one item's text is held."""
     sep = "[\n  "
-    try:
-        for item in items:
-            fh.write(sep + _json_value(item, "  "))
-            sep = ",\n  "
-    except ValueError as exc:
-        raise EntguessError(f"output holds a non-finite value: {exc}") from exc
+    for item in items:
+        fh.write(sep + _json_value(item, "  "))
+        sep = ",\n  "
     fh.write("[]\n" if sep == "[\n  " else "\n]\n")
 
 
@@ -160,21 +154,6 @@ def _write_csv(fh, header, rows):
     writer.writerow(header)
     for row in rows:
         writer.writerow([_fmt(v) if isinstance(v, float) else str(v) for v in row])
-
-
-def _csv_text(header, rows) -> str:
-    buf = io.StringIO()
-    _write_csv(buf, header, rows)
-    return buf.getvalue()
-
-
-def _reports_csv(reports) -> str:
-    keys = sorted({k for r in reports for k in r.metadata})
-    rows = (
-        [r.lhs, r.rhs, r.defect, r.tolerance, r.verdict, *(r.metadata.get(k, "") for k in keys)]
-        for r in reports
-    )
-    return _csv_text(["lhs", "rhs", "defect", "tolerance", "verdict", *keys], rows)
 
 
 def _load_json(path: str, what: str):
@@ -225,8 +204,19 @@ def cmd_verify(cfg: RunConfig) -> int:
         for start, stop in _chunks(cfg.samples, cfg.d * max(cfg.d_b, cfg.d_e)):
             psi = pure_states(n, stop - start, cfg.seed, start)
             reports += relations.monogamy_report(psi, dims, mubs, tol)
-    text = _json_text(reports) if cfg.fmt == "json" else _reports_csv(reports)
-    _emit(text, cfg.output_path)
+    if cfg.fmt == "json":
+        # built whole before the file opens, so a non-finite value leaves no file
+        text = _json_text(reports)
+        with _output(cfg.output_path) as fh:
+            fh.write(text)
+    else:
+        keys = sorted({k for r in reports for k in r.metadata})
+        rows = (
+            [r.lhs, r.rhs, r.defect, r.tolerance, r.verdict, *(r.metadata.get(k, "") for k in keys)]
+            for r in reports
+        )
+        with _output(cfg.output_path) as fh:
+            _write_csv(fh, ["lhs", "rhs", "defect", "tolerance", "verdict", *keys], rows)
     return 0 if all(r.holds for r in reports) else 1
 
 
@@ -265,7 +255,9 @@ def cmd_witness(cfg: RunConfig) -> int:
         print(f"INCONCLUSIVE ({report.lhs:.3f} <= {report.rhs:.3f})")
         code = 3
     if cfg.output_path:
-        _emit(_json_text([report]), cfg.output_path)
+        text = _json_text([report])
+        with _output(cfg.output_path) as fh:
+            fh.write(text)
     return code
 
 
@@ -299,7 +291,9 @@ def cmd_game(cfg: RunConfig) -> int:
     rho = _load_state(cfg)
     family = _family_for(cfg.family, rho.d_a)
     result = game.simulate_game(rho, family, cfg.trials, cfg.seed, stream=1)
-    _emit(_json_text(result), cfg.output_path)
+    text = _json_text(result)
+    with _output(cfg.output_path) as fh:
+        fh.write(text)
     gap = abs(result.empirical_rate - result.analytic_rate)
     # the floor keeps a rounding gap from failing a band of width 0, where
     # the analytic rate is 1 (it can round to just above 1, so sigma is 0)

@@ -169,13 +169,11 @@ def nbasis_bounds(
     if mubs.kind != MUB_COMPLETE:
         raise ParameterError(f"need a complete MUB family, got kind {mubs.kind!r}")
     d = mubs.d
-    if not 1 <= n <= d + 1:
-        raise ParameterError(f"n {n} out of range [1, {d + 1}]")
+    fpg = pg_recovery_fidelity(rho)
+    lower, upper = guessing_bounds(fpg, d, n)  # rejects n outside [1, d + 1]
     per_setting, _ = family_guess_prob(rho, mubs)
     p_n = float(np.mean(per_setting[:n]))
-    fpg = pg_recovery_fidelity(rho)
     regime = HEISENBERG if fpg <= 1.0 / d else EPR
-    lower, upper = guessing_bounds(fpg, d, n)
     meta = {"regime": regime, "n": n, "d": d, "fpg": fpg, "p_n": p_n}
     return (
         RelationReport.upper_bound(lower, p_n, tolerance, {**meta, "side": "lower"}),

@@ -81,6 +81,23 @@ def _has_cholesky(m: np.ndarray) -> bool:
     return True
 
 
+def _check_trace_and_psd(trace: np.ndarray, shifted: np.ndarray):
+    """Certify a stack from its traces and its shifted matrices h + EIG_TOL 1.
+
+    ParameterError names the first state whose trace is not within TRACE_TOL
+    of 1 in its real and imaginary parts; failing that, the first whose h
+    has an eigenvalue below -EIG_TOL, as eigvalsh(h + EIG_TOL 1)[0] -
+    EIG_TOL.  h + EIG_TOL 1 has a Cholesky factor iff h has no eigenvalue
+    below -EIG_TOL, up to rounding of about n eps |h|, far inside EIG_TOL.
+    """
+    bad = ~((abs(trace.real - 1.0) <= TRACE_TOL) & (abs(trace.imag) <= TRACE_TOL))
+    if bad.any():
+        raise ParameterError(f"trace {trace[bad.argmax()]} differs from 1")
+    if not _has_cholesky(shifted):
+        first = next(one for one in shifted if not _has_cholesky(one))
+        raise ParameterError(f"negative eigenvalue {np.linalg.eigvalsh(first)[0] - EIG_TOL:.3e}")
+
+
 def _checked_dims(dims, size: int) -> tuple:
     """`dims` as a tuple of ints >= 1; () stands for one system of `size`."""
     try:
@@ -132,22 +149,13 @@ class DensityMatrix:
         bad = ~(herm_gap <= STATE_HERM_TOL)
         if bad.any():
             raise ParameterError(f"matrix deviates from Hermitian by {herm_gap[bad.argmax()]:.3e}")
-        trace = np.trace(stack, axis1=1, axis2=2)
-        bad = ~((abs(trace.real - 1.0) <= TRACE_TOL) & (abs(trace.imag) <= TRACE_TOL))
-        if bad.any():
-            raise ParameterError(f"trace {trace[bad.argmax()]} differs from 1")
-        # h + EIG_TOL 1 has a Cholesky factor iff h has no eigenvalue below
-        # -EIG_TOL, up to rounding of about n eps |h|, far inside EIG_TOL.
         # Halving and a shift of the diagonal alone give (m + m^dag)/2 +
         # EIG_TOL 1 bit for bit, up to the sign of a zero.
         np.conjugate(stack_dag, out=buf)
         np.add(stack, buf, out=buf)
         buf *= 0.5
         buf.reshape(len(buf), -1)[:, :: n + 1] += EIG_TOL
-        if not _has_cholesky(buf):
-            h = (stack + stack_dag.conj()) / 2
-            first = next(one for one, s in zip(h, buf) if not _has_cholesky(s))
-            raise ParameterError(f"negative eigenvalue {np.linalg.eigvalsh(first)[0]:.3e}")
+        _check_trace_and_psd(np.trace(stack, axis1=1, axis2=2), buf)
 
     def __getitem__(self, i) -> "DensityMatrix":
         if self.factor is None:
@@ -215,13 +223,7 @@ class DensityMatrix:
         f /= np.sqrt(t)[:, None, None]
         gram = f.conj().swapaxes(1, 2) @ f
         trace = np.trace(gram, axis1=1, axis2=2).real
-        bad = ~(abs(trace - 1.0) <= TRACE_TOL)
-        if bad.any():
-            raise ParameterError(f"trace {trace[bad.argmax()]} differs from 1")
-        shifted = gram + EIG_TOL * np.eye(gram.shape[-1])
-        if not _has_cholesky(shifted):
-            first = next(one for one in shifted if not _has_cholesky(one))
-            raise ParameterError(f"negative eigenvalue {np.linalg.eigvalsh(first)[0] - EIG_TOL:.3e}")
+        _check_trace_and_psd(trace, gram + EIG_TOL * np.eye(gram.shape[-1]))
         return cls._certified(dims, f[0], gs[0]) if single else cls._certified(dims, f, gs)
 
     @classmethod

@@ -761,7 +761,8 @@ class TestGameCommand:
         assert all(e["empirical_rate"] is None and e["std_error"] is None for e in empty)
 
     def test_non_finite_output_is_an_error(self):
-        with pytest.raises(EntguessError, match="non-finite"):
+        message = "output holds a non-finite value: Out of range float values are not JSON compliant: nan"
+        with pytest.raises(EntguessError, match=rf"^{message}$"):
             _json_text({"lhs": float("nan")})
 
 

@@ -1,11 +1,15 @@
 """Factor states, rho = F F^dag: their certificate, the dense positivity check
-kept as an oracle on them, and agreement of the factor and dense routes."""
+kept as an oracle on them, and agreement of the factor and dense routes; and
+for factor, dense and pure-state stacks alike, that any chunking of a stack
+gives each state its own report."""
+
+import math
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from oracles import complex_gaussian_oracle, ginibre_oracle
+from oracles import complex_gaussian_oracle, ginibre_oracle, pure_state_oracle
 
 from entguess import (
     DensityMatrix,
@@ -16,7 +20,9 @@ from entguess import (
     h2nu,
     h2nu_outcomes,
     mixed_rank_states,
+    monogamy_report,
     mub_family,
+    pure_states,
     sic_povm,
 )
 
@@ -173,6 +179,25 @@ class TestRouteAgreement:
 _dims = st.tuples(st.sampled_from([2, 3, 5]), st.integers(1, 3))
 
 
+def assert_reports_of_their_states(stacked_reports, singles):
+    """Each list of reports gives state i the report `singles[i]` gives it."""
+    for reports in stacked_reports:
+        assert len(reports) == len(singles)
+        for report, single in zip(reports, singles):
+            assert abs(report.lhs - single.lhs) < SAME
+            assert abs(report.rhs - single.rhs) < SAME
+            assert (report.verdict, report.metadata) == (single.verdict, single.metadata)
+
+
+def chunked(report, parts, cuts) -> list:
+    """`report` of each chunk of `parts`, cut at the sizes `cuts`, concatenated."""
+    reports, at = [], 0
+    for size in cuts:
+        reports += report(parts[at : at + size])
+        at += size
+    return reports
+
+
 class TestStackProperty:
     @settings(derandomize=True, max_examples=30, deadline=None)
     @given(
@@ -191,14 +216,65 @@ class TestStackProperty:
         family = mub_family(d_a)
         singles = [equality_report(DensityMatrix.from_factor(g, dims), family, nu) for g in draws]
         whole = DensityMatrix.from_factor(draws, dims)
-        chunked, at = [], 0
-        for size in cuts:
-            chunked += equality_report(DensityMatrix.from_factor(draws[at : at + size], dims), family, nu)
-            at += size
+        by_chunk = chunked(
+            lambda part: equality_report(DensityMatrix.from_factor(part, dims), family, nu),
+            draws, cuts,
+        )
         indexed = [equality_report(whole[i], family, nu) for i in range(len(draws))]
-        for reports in (equality_report(whole, family, nu), chunked, indexed):
-            assert len(reports) == len(singles)
-            for report, single in zip(reports, singles):
-                assert abs(report.lhs - single.lhs) < SAME
-                assert abs(report.rhs - single.rhs) < SAME
-                assert (report.verdict, report.metadata) == (single.verdict, single.metadata)
+        stacked = equality_report(whole, family, nu)
+        assert_reports_of_their_states((stacked, by_chunk, indexed), singles)
+
+    @settings(derandomize=True, max_examples=15, deadline=None)
+    @given(
+        dims=_dims,
+        seed=st.integers(0, 2**64 - 1),
+        start=st.integers(0, 40),
+        cuts=st.lists(st.integers(1, 4), min_size=1, max_size=3),
+        nu=st.sampled_from([0.0, 0.5, 1.0]),
+    )
+    def test_chunked_dense_stacks_give_the_reports_of_their_states(
+        self, dims, seed, start, cuts, nu
+    ):
+        d_a, d_b = dims
+        n = d_a * d_b
+        # ranks cycling over low..n, each with r^2 > n d_b: above the factor threshold
+        low = math.isqrt(n * d_b) + 1
+        draws = [
+            ginibre_oracle(complex_gaussian_oracle(seed, k, (n, low + k % (n - low + 1))))
+            for k in range(start, start + sum(cuts))
+        ]
+        family = mub_family(d_a)
+        singles = [equality_report(DensityMatrix(m, dims), family, nu) for m in draws]
+        whole = DensityMatrix(np.array(draws), dims)
+        assert whole.factor is None
+        by_chunk = chunked(
+            lambda part: equality_report(DensityMatrix(np.array(part), dims), family, nu),
+            draws, cuts,
+        )
+        indexed = [equality_report(whole[i], family, nu) for i in range(len(draws))]
+        stacked = equality_report(whole, family, nu)
+        assert_reports_of_their_states((stacked, by_chunk, indexed), singles)
+
+    @settings(derandomize=True, max_examples=15, deadline=None)
+    @given(
+        dims=st.tuples(st.sampled_from([2, 3, 5]), st.integers(1, 3), st.integers(1, 3)),
+        seed=st.integers(0, 2**64 - 1),
+        start=st.integers(0, 40),
+        cuts=st.lists(st.integers(1, 4), min_size=1, max_size=3),
+    )
+    def test_chunked_pure_state_stacks_give_the_monogamy_reports_of_their_states(
+        self, dims, seed, start, cuts
+    ):
+        n = math.prod(dims)
+        mubs = mub_family(dims[0])
+        streams = range(start, start + sum(cuts))
+        singles = [monogamy_report(pure_state_oracle(seed, k, n), dims, mubs) for k in streams]
+        whole = pure_states(n, len(streams), seed, start)
+        # each chunk drawn on its own from its first stream, as verify draws it
+        by_chunk = chunked(
+            lambda part: monogamy_report(pure_states(n, len(part), seed, part[0]), dims, mubs),
+            streams, cuts,
+        )
+        indexed = [monogamy_report(psi, dims, mubs) for psi in whole]
+        stacked = monogamy_report(whole, dims, mubs)
+        assert_reports_of_their_states((stacked, by_chunk, indexed), singles)
