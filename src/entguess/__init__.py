@@ -19,12 +19,9 @@ from .designs import (
 )
 from .entropies import (
     JointDistribution,
-    classical_h2_cond,
-    d0_relative,
     family_guess_prob,
     h2nu,
     h2nu_outcomes,
-    measure_family,
     pg_recovery_fidelity,
 )
 from .errors import (
@@ -39,10 +36,7 @@ from .errors import (
 )
 from .game import GameResult, simulate_game
 from .linops import (
-    RANK_TOL,
-    func_on_support,
     max_entangled,
-    partial_trace,
 )
 from .relations import (
     EPR,

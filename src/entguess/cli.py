@@ -75,11 +75,12 @@ _CHUNK_BYTES = 1 << 17
 def _chunks(count: int, n: int):
     """(start, stop) ranges covering `count` states whose largest matrix is n x n.
 
-    UnsupportedDimensionError if numpy could not address one such matrix.
+    UnsupportedDimensionError, raised at the call, if numpy could not address
+    one such matrix; the ranges themselves are made as they are read.
     """
     _require_addressable((n, n), f"a {n} x {n} matrix")
     step = max(1, _CHUNK_BYTES // (16 * n * n))
-    return [(start, min(start + step, count)) for start in range(0, count, step)]
+    return ((start, min(start + step, count)) for start in range(0, count, step))
 
 
 def _fmt(x: float) -> str:
@@ -184,6 +185,9 @@ def _family_for(name: str, d: int) -> designs.MeasurementFamily:
 def cmd_verify(cfg: RunConfig) -> int:
     if cfg.samples < 1:
         raise EntguessError(f"samples must be >= 1, got {cfg.samples}")
+    if cfg.samples > 1 << 64:
+        # state i comes from Philox stream i, and streams repeat mod 2^64
+        raise EntguessError(f"samples must be <= 2**64, got {cfg.samples}")
     reports = []
     if cfg.relation == "main":
         family = _family_for(cfg.family, cfg.d)
@@ -397,12 +401,16 @@ def main(argv=None) -> int:
         for option, dim in (("--d", cfg.d), ("--db", cfg.d_b), ("--de", cfg.d_e)):
             if dim is not None and dim < 1:
                 raise EntguessError(f"{option} must be >= 1, got {dim}")
+        # the samplers reduce a seed mod 2^64, so a seed outside would alias one inside
+        if not 0 <= cfg.seed < 1 << 64:
+            raise EntguessError(f"--seed must be in [0, 2**64), got {cfg.seed}")
         return _COMMANDS[cfg.command](cfg)
     except (EntguessError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except MemoryError as exc:
-        print(f"error: out of memory: {exc}", file=sys.stderr)
+        detail = f": {exc}" if str(exc) else ""
+        print(f"error: out of memory{detail}", file=sys.stderr)
         return 2
 
 

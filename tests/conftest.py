@@ -2,14 +2,14 @@ import numpy as np
 import pytest
 
 from entguess import (
-    RANK_TOL,
     DensityMatrix,
     MeasurementFamily,
     max_entangled,
-    measure_family,
     mub_family,
     random_density,
 )
+from entguess.entropies import measure_family
+from entguess.tolerances import RANK_TOL
 
 
 @pytest.fixture

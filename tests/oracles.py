@@ -30,11 +30,11 @@ from entguess import (
     JointDistribution,
     MeasurementFamily,
     ParameterError,
-    func_on_support,
     max_entangled,
-    measure_family,
 )
+from entguess.entropies import measure_family
 from entguess.game import _game_tables
+from entguess.linops import func_on_support
 from entguess.tolerances import RANK_TOL, UNIT_NORM_TOL
 
 

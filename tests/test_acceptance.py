@@ -24,7 +24,6 @@ from entguess import (
     monogamy_report,
     mub_family,
     pg_recovery_fidelity,
-    classical_h2_cond,
     pure_states,
     random_separable,
     sic_povm,
@@ -33,6 +32,7 @@ from entguess import (
     witness,
 )
 from entguess.cli import main as cli_main
+from entguess.entropies import classical_h2_cond
 from entguess.relations import EPR, HEISENBERG
 
 DIM_PAIRS = [(d_a, d_b) for d_a in (2, 3, 5, 7) for d_b in (1, 2, 3, 4)]

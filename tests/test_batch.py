@@ -6,25 +6,23 @@ from conftest import near_cutoff_tripartite
 from oracles import d0_relative_oracle, ptrace_oracle, rho_b_oracle
 
 from entguess import (
-    RANK_TOL,
     DensityMatrix,
     InfiniteDivergence,
     NotPositiveError,
     ParameterError,
     clifford_orbit_family,
-    d0_relative,
     equality_report,
-    func_on_support,
     h2nu,
     h2nu_outcomes,
-    measure_family,
     mixed_rank_states,
     monogamy_report,
     mub_family,
-    partial_trace,
     pure_states,
     sic_povm,
 )
+from entguess.entropies import d0_relative, measure_family
+from entguess.linops import func_on_support, partial_trace
+from entguess.tolerances import RANK_TOL
 
 TOL = 1e-14
 

@@ -16,7 +16,15 @@ from entguess import (
     mub_family,
     relations,
 )
-from entguess.cli import _json_text, _write_json_list, build_parser, config_from_args, main
+from entguess.cli import (
+    _COMMANDS,
+    _chunks,
+    _json_text,
+    _write_json_list,
+    build_parser,
+    config_from_args,
+    main,
+)
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
 
@@ -148,6 +156,20 @@ class TestVerify:
         assert code == 2
         assert "samples" in err
         assert out == ""
+
+    @pytest.mark.parametrize("samples", [2**64 + 1, 10**30])
+    def test_samples_beyond_the_streams_is_usage_error(self, capsys, samples):
+        # state i comes from stream i, and stream indices repeat mod 2^64
+        code, out, err = run_cli(
+            ["verify", "--relation", "main", "--d", "3", "--db", "2", "--samples", str(samples)],
+            capsys,
+        )
+        assert (code, out, err) == (2, "", f"error: samples must be <= 2**64, got {samples}\n")
+
+    def test_chunk_ranges_are_made_as_read(self):
+        # 2048 states of 2 x 2 fill a chunk; 10^30 states would not fit a list
+        ranges = _chunks(10**30, 2)
+        assert [next(ranges), next(ranges)] == [(0, 2048), (2048, 4096)]
 
     @pytest.mark.parametrize(
         "args",
@@ -818,6 +840,44 @@ def test_oversized_dimension_is_usage_error(capsys, argv, message):
     code, out, err = run_cli(argv, capsys)
     assert (code, out) == (2, "")
     assert err.startswith(message)
+
+
+# the two commands that take --seed
+seeded_commands = pytest.mark.parametrize(
+    "argv",
+    [["verify", "--relation", "main", "--d", "3", "--db", "2", "--samples", "3"],
+     ["game", "--d", "3", "--db", "2", "--trials", "10"]],
+    ids=["verify", "game"],
+)
+
+
+@seeded_commands
+@pytest.mark.parametrize("seed", [-1, 2**64, 2**64 + 3])
+def test_seed_outside_the_philox_key_is_usage_error(capsys, argv, seed):
+    # the samplers reduce a seed mod 2^64, so these would alias seeds in range
+    code, out, err = run_cli([*argv, "--seed", str(seed)], capsys)
+    assert (code, out, err) == (2, "", f"error: --seed must be in [0, 2**64), got {seed}\n")
+
+
+@seeded_commands
+def test_largest_seed_runs(capsys, argv):
+    code, out, err = run_cli([*argv, "--seed", str(2**64 - 1)], capsys)
+    assert (code, err) == (0, "")
+    assert out
+
+
+@pytest.mark.parametrize(
+    "error, message",
+    [(MemoryError(), "error: out of memory\n"),
+     (MemoryError("Unable to allocate 8.00 EiB"), "error: out of memory: Unable to allocate 8.00 EiB\n")],
+    ids=["bare", "with-text"],
+)
+def test_out_of_memory_is_usage_error(capsys, monkeypatch, error, message):
+    def exhaust(cfg):
+        raise error
+
+    monkeypatch.setitem(_COMMANDS, "sweep", exhaust)
+    assert run_cli(["sweep", "--d", "3"], capsys) == (2, "", message)
 
 
 class TestDeterminismAndConfig:

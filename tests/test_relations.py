@@ -46,14 +46,24 @@ def test_public_names_are_pinned():
     assert public == [
         "DensityMatrix", "DesignDefectError", "DimensionError", "EPR", "EntguessError",
         "FormatError", "GameResult", "HEISENBERG", "InfiniteDivergence", "JointDistribution",
-        "MeasurementFamily", "NotPositiveError", "ParameterError", "RANK_TOL", "RelationReport",
-        "UnsupportedDimensionError", "achiever_state", "classical_h2_cond",
-        "clifford_orbit_family", "d0_relative", "design_defect", "equality_report",
-        "family_guess_prob", "func_on_support", "guessing_bounds", "h2nu", "h2nu_outcomes",
-        "max_entangled", "measure_family", "mixed_rank_states", "monogamy_report", "mub_family",
-        "nbasis_bounds", "partial_trace", "pg_recovery_fidelity", "pure_states", "random_density",
+        "MeasurementFamily", "NotPositiveError", "ParameterError", "RelationReport",
+        "UnsupportedDimensionError", "achiever_state", "clifford_orbit_family",
+        "design_defect", "equality_report", "family_guess_prob", "guessing_bounds", "h2nu",
+        "h2nu_outcomes", "max_entangled", "mixed_rank_states", "monogamy_report", "mub_family",
+        "nbasis_bounds", "pg_recovery_fidelity", "pure_states", "random_density",
         "random_separable", "sic_povm", "simulate_game", "two_to_full_bound", "witness",
     ]
+
+
+def test_kernels_import_from_their_modules():
+    # the kernels and the rank cutoff left the top level; each keeps its module
+    from entguess.entropies import classical_h2_cond, d0_relative, measure_family
+    from entguess.linops import func_on_support, partial_trace
+    from entguess.tolerances import RANK_TOL
+
+    for func in (classical_h2_cond, d0_relative, measure_family, func_on_support, partial_trace):
+        assert callable(func)
+    assert RANK_TOL == 1e-10
 
 
 def test_no_argument_repeats_what_another_carries():
