@@ -50,6 +50,12 @@ from .tolerances import (
 HEISENBERG = "Heisenberg"
 EPR = "EPR"
 
+# The metadata keys of every equality_report and monogamy_report, in sorted
+# order: each report's metadata is built from them, and `verify --format csv`
+# writes its header from them before the first report exists.
+EQUALITY_METADATA = ("d", "d_b", "kind", "nu")
+MONOGAMY_METADATA = ("dims", "rank_tol_sensitive")
+
 
 @dataclass(frozen=True)
 class RelationReport:
@@ -132,8 +138,9 @@ def equality_report(
     _require_certified(family)
     lhs = h2nu_outcomes(rho, family, nu)
     rhs = np.log2(family.equality_constant) - np.log2(2.0 ** (-h2nu(rho, nu)) + 1.0)
-    meta = {"kind": family.kind, "d": rho.d_a, "d_b": rho.d_b, "nu": nu}
-    return _equalities(lhs, rhs, tolerance, (dict(meta) for _ in range(np.size(lhs))))
+    values = (rho.d_a, rho.d_b, family.kind, nu)
+    metadata = (dict(zip(EQUALITY_METADATA, values)) for _ in range(np.size(lhs)))
+    return _equalities(lhs, rhs, tolerance, metadata)
 
 
 def guessing_bounds(fpg: float, d: int, n: int):
@@ -313,6 +320,6 @@ def monogamy_report(
     h2p = h2nu_outcomes(DensityMatrix(rho_ab, (d_a, d_b)), mubs, 1.0)
     rhs = np.log2(d_a) - np.log2((d_a + 1) * 2.0 ** (-h2p) - 1.0)
     metadata = (
-        {"dims": list(dims), "rank_tol_sensitive": bool(flag)} for flag in np.ravel(sensitive)
+        dict(zip(MONOGAMY_METADATA, (list(dims), bool(flag)))) for flag in np.ravel(sensitive)
     )
     return _equalities(lhs, rhs, tolerance, metadata)

@@ -1,6 +1,8 @@
 import csv
 import io
 import json
+import weakref
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -18,9 +20,11 @@ from entguess import (
 )
 from entguess.cli import (
     _COMMANDS,
+    _SWEEP_ROWS,
     _chunks,
+    _json_list_texts,
     _json_text,
-    _write_json_list,
+    _write,
     build_parser,
     config_from_args,
     main,
@@ -404,6 +408,87 @@ class TestVerify:
         expected = [pure_state_oracle(9, i, 60) for i in range(45)]
         assert np.array_equal(np.concatenate(batched), np.array(expected))
 
+    @pytest.mark.parametrize("fmt", ["json", "csv"])
+    def test_holds_one_chunk_of_reports_at_a_time(self, capsys, monkeypatch, tmp_path, fmt):
+        # 7 x 4 gives chunks of 10 states; every chunk is written before the
+        # next is drawn, so no earlier chunk's reports are alive by then
+        refs, alive = [], []
+        original = relations.equality_report
+
+        def spy(rho, family, nu, tolerance):
+            alive.append(sum(ref() is not None for ref in refs))
+            reports = original(rho, family, nu, tolerance)
+            refs.extend(weakref.ref(r) for r in reports)
+            return reports
+
+        monkeypatch.setattr(relations, "equality_report", spy)
+        code, _, _ = run_cli(
+            ["verify", "--relation", "main", "--d", "7", "--db", "4", "--samples", "40",
+             "--format", fmt, "--output", str(tmp_path / f"r.{fmt}")],
+            capsys,
+        )
+        assert code == 0
+        assert alive == [0, 10, 10, 10]
+
+    @pytest.mark.parametrize("to_file", [True, False], ids=["file", "stdout"])
+    def test_failure_after_the_first_chunk_leaves_no_file(
+        self, capsys, monkeypatch, tmp_path, to_file
+    ):
+        calls = []
+        original = relations.equality_report
+
+        def second_chunk_nan(rho, family, nu, tolerance):
+            reports = original(rho, family, nu, tolerance)
+            calls.append(len(reports))
+            if len(calls) == 2:
+                reports[3] = replace(reports[3], lhs=float("nan"))
+            return reports
+
+        monkeypatch.setattr(relations, "equality_report", second_chunk_nan)
+        out_file = tmp_path / "r.json"
+        argv = ["verify", "--relation", "main", "--d", "7", "--db", "4", "--samples", "25"]
+        code, out, err = run_cli(argv + ["--output", str(out_file)] * to_file, capsys)
+        assert (code, calls) == (2, [10, 10])
+        assert err.startswith("error: output holds a non-finite value") and err.count("\n") == 1
+        assert not out_file.exists()
+        if to_file:
+            assert out == ""
+        else:  # stdout keeps the first chunk's reports, in a list never closed
+            assert len(json.loads(out + "\n]")) == 10
+
+    @pytest.mark.parametrize("existing", [None, "kept"], ids=["new", "existing"])
+    def test_failure_in_the_first_chunk_writes_nothing(self, capsys, tmp_path, existing):
+        # an uncertified family fails before any report exists
+        fam_file, out_file = tmp_path / "family.json", tmp_path / "r.json"
+        doc = mub_family_doc(3)
+        doc["settings"][1] = doc["settings"][0]
+        fam_file.write_text(json.dumps(doc))
+        if existing:
+            out_file.write_text(existing)
+        for output in ([], ["--output", str(out_file)]):
+            code, out, err = run_cli(
+                ["verify", "--relation", "main", "--d", "3", "--samples", "2",
+                 "--family", f"file:{fam_file}", *output],
+                capsys,
+            )
+            assert (code, out) == (2, "")
+            assert "design defect" in err
+        assert (out_file.read_text() if out_file.exists() else None) == existing
+
+    @pytest.mark.parametrize("relation, keys", [
+        ("main", relations.EQUALITY_METADATA), ("monogamy", relations.MONOGAMY_METADATA),
+    ])
+    def test_csv_header_is_the_declared_metadata(self, capsys, relation, keys):
+        code, out, _ = run_cli(
+            ["verify", "--relation", relation, "--d", "3", "--db", "2", "--samples", "2",
+             "--format", "csv"],
+            capsys,
+        )
+        assert code == 0
+        header = out.splitlines()[0].split(",")
+        assert header == ["lhs", "rhs", "defect", "tolerance", "verdict", *keys]
+        assert list(keys) == sorted(keys)
+
 
 class TestSweep:
     def test_known_rows(self, capsys):
@@ -425,6 +510,15 @@ class TestSweep:
         for jr, cr in zip(json_rows, csv_rows):
             for key in ("fpg", "lower", "upper"):
                 assert f"{jr[key]:.12g}" == f"{float(cr[key]):.12g}"
+
+    def test_rows_keep_their_order_across_write_batches(self, capsys):
+        grid = _SWEEP_ROWS + 1
+        code, out, _ = run_cli(["sweep", "--d", "2", "--grid", str(grid)], capsys)
+        assert code == 0
+        rows = list(csv.DictReader(io.StringIO(out)))
+        assert [int(r["n"]) for r in rows] == [n for n in (1, 2, 3) for _ in range(grid)]
+        fpg = [f"{x:.12g}" for x in np.linspace(0.0, 1.0, grid)]
+        assert [r["fpg"] for r in rows] == fpg * 3
 
     def test_rejects_bad_grid(self, capsys):
         code, _, err = run_cli(["sweep", "--d", "5", "--grid", "1"], capsys)
@@ -880,6 +974,42 @@ def test_out_of_memory_is_usage_error(capsys, monkeypatch, error, message):
     assert run_cli(["sweep", "--d", "3"], capsys) == (2, "", message)
 
 
+def test_write_removes_only_the_file_it_opened(tmp_path):
+    def failing():
+        yield "partial"
+        raise KeyError
+
+    target, link = tmp_path / "target", tmp_path / "link"
+    link.symlink_to(target)
+    for path in (target, link):
+        with pytest.raises(KeyError):
+            _write(str(path), failing())
+    # neither the symlink, as /dev/stdout would not be, nor the file opened
+    # through it is removed
+    assert link.is_symlink() and target.read_text() == "partial"
+    target.unlink()
+    with pytest.raises(KeyError):
+        _write(str(target), failing())
+    assert not target.exists()
+
+
+def test_failed_sweep_leaves_no_file(capsys, monkeypatch, tmp_path):
+    rows = []
+    original = relations.guessing_bounds
+
+    def fail_on_fifth_row(fpg, d, n):
+        rows.append(n)
+        if len(rows) == 5:
+            raise EntguessError("row failed")
+        return original(fpg, d, n)
+
+    monkeypatch.setattr(relations, "guessing_bounds", fail_on_fifth_row)
+    out_file = tmp_path / "bounds.csv"
+    code, out, err = run_cli(["sweep", "--d", "3", "--grid", "3", "--output", str(out_file)], capsys)
+    assert (code, out, err) == (2, "", "error: row failed\n")
+    assert not out_file.exists()
+
+
 class TestDeterminismAndConfig:
     def test_verify_outputs_byte_identical(self, capsys, tmp_path):
         f1, f2 = tmp_path / "r1.json", tmp_path / "r2.json"
@@ -969,14 +1099,14 @@ class TestDeterminismAndConfig:
         "items", [[], [{"a": 1.0 / 3.0}], [{"b": [1, 2.5]}, 7, "x", []]], ids=["0", "1", "4"]
     )
     def test_streamed_json_list_matches_json_text(self, items):
-        # sweep writes its rows one at a time; the bytes are _json_text's
-        buf = io.StringIO()
-        _write_json_list(buf, iter(items))
-        assert buf.getvalue() == _json_text(items)
+        # sweep and verify write their lists a batch at a time, and a batch
+        # may be empty; the bytes are _json_text's
+        for batches in ([[item] for item in items], [items[:1], [], items[1:]]):
+            assert "".join(_json_list_texts(iter(batches))) == _json_text(items)
 
     def test_streamed_json_list_rejects_non_finite(self):
         with pytest.raises(EntguessError, match="non-finite"):
-            _write_json_list(io.StringIO(), iter([{"lhs": 1.0}, {"lhs": float("inf")}]))
+            "".join(_json_list_texts(iter([[{"lhs": 1.0}], [{"lhs": float("inf")}]])))
 
     def test_json_text_rounds_to_12_digits(self):
         assert _json_text(0.1234567890123456) == "0.123456789012\n"
