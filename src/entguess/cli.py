@@ -29,7 +29,7 @@ import math
 import os
 import stat
 import sys
-from dataclasses import asdict, dataclass, is_dataclass
+from dataclasses import asdict, dataclass, field, fields, is_dataclass
 from json.encoder import encode_basestring_ascii as _quote
 
 import numpy as np
@@ -47,34 +47,62 @@ from .states import (
 )
 
 
+def _option(default=None, flag="", type=None, no_effect=None, **commands):
+    """A RunConfig field that is the one spec of its option: `flag` where it
+    differs from the field's name, the argparse `type`, the `add_argument`
+    settings of each command that takes it, and for a command, the test of
+    its `_MODE_OPTION` value under which the option has no effect."""
+    spec = {"flag": flag, "type": type, "commands": commands, "no_effect": no_effect or {}}
+    return field(default=default, metadata=spec)
+
+
 @dataclass
 class RunConfig:
     """Parsed invocation, serializable for reproducibility records.
 
-    Its field defaults are the CLI's defaults; only `game --state` and
-    `sweep --format` set their own in the parser.
+    Every field but `command` specifies its option, and its default is the
+    CLI's unless a command's settings give their own.
     """
 
     command: str
-    relation: str | None = None
-    d: int | None = None
-    d_b: int | None = None
-    d_e: int | None = None
-    family: str = "mub"
-    nu: float = 0.0
-    samples: int = 50
-    trials: int = 100000
-    seed: int = 0
-    grid: int = 101
-    tolerance: float | None = None
-    state: str | None = None
-    rank: int | None = None
-    input_path: str | None = None
-    output_path: str | None = None
-    fmt: str = "json"
+    relation: str | None = _option(verify={"choices": ["main", "monogamy"], "required": True})
+    state: str | None = _option(game={
+        "default": "random",
+        "help": "max-entangled | maximally-mixed | random | separable | file:<path>"})
+    input_path: str | None = _option(flag="input", witness={"required": True})
+    d: int | None = _option(type=int, sweep={"required": True}, game={"required": True},
+                            verify={"required": True, "help": "Alice dimension (prime for MUBs)"})
+    d_b: int | None = _option(
+        flag="db", type=int, verify={"help": "Bob dimension (default: d)"}, game={},
+        no_effect={"game": lambda state: state == "max-entangled" or state.startswith("file:")})
+    d_e: int | None = _option(
+        flag="de", type=int, verify={"help": "Eve dimension, monogamy only (default: d)"},
+        no_effect={"verify": lambda relation: relation == "main"})
+    rank: int | None = _option(type=int, game={},
+                               no_effect={"game": lambda state: state != "random"})
+    family: str = _option(
+        "mub", verify={"help": "mub | sic | clifford | file:<path>"},
+        game={"help": "mub | clifford | file:<path> (basis families only)"},
+        no_effect={"verify": lambda relation: relation == "monogamy"})
+    nu: float = _option(0.0, type=float, verify={},
+                        no_effect={"verify": lambda relation: relation == "monogamy"})
+    samples: int = _option(50, type=int, verify={})
+    trials: int = _option(100000, type=int, game={})
+    grid: int = _option(101, type=int, sweep={})
+    seed: int = _option(0, type=int, verify={}, game={})
+    tolerance: float | None = _option(type=float, verify={}, witness={})
+    fmt: str = _option("json", flag="format", verify={"choices": ["json", "csv"]},
+                       sweep={"choices": ["json", "csv"], "default": "csv"})
+    output_path: str | None = _option(flag="output", verify={}, sweep={}, witness={}, game={})
 
     def to_json(self) -> str:
         return json.dumps(asdict(self), sort_keys=True)
+
+
+# every field but `command`, one per option
+_OPTIONS = fields(RunConfig)[1:]
+# the option whose value is a command's mode, which decides what has effect
+_MODE_OPTION = {"verify": "relation", "game": "state"}
 
 
 # `verify` evaluates its states in chunks sized so that a stack of the
@@ -312,15 +340,14 @@ def cmd_witness(cfg: RunConfig) -> int:
     joints = JointDistribution.from_json_dict(_load_json(cfg.input_path, "joint-distribution"))
     tol = cfg.tolerance if cfg.tolerance is not None else relations.EQUALITY_TOL
     report = relations.witness(joints, tolerance=tol)
-    if report.metadata["entangled"]:
-        print(f"ENTANGLED ({report.lhs:.3f} > {report.rhs:.3f})")
-        code = 0
-    else:
-        print(f"INCONCLUSIVE ({report.lhs:.3f} <= {report.rhs:.3f})")
-        code = 3
+    # the report is written first, so a failed write leaves stdout empty
     if cfg.output_path:
         _write(cfg.output_path, [_json_text([report])])
-    return code
+    if report.metadata["entangled"]:
+        print(f"ENTANGLED ({report.lhs:.3f} > {report.rhs:.3f})")
+        return 0
+    print(f"INCONCLUSIVE ({report.lhs:.3f} <= {report.rhs:.3f})")
+    return 3
 
 
 def _load_state(cfg: RunConfig) -> DensityMatrix:
@@ -366,54 +393,21 @@ def build_parser() -> argparse.ArgumentParser:
         description="verify entanglement/guessing-probability relations numerically",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    # an option left out stays out of the namespace, so RunConfig supplies its default
-    suppress = {"argument_default": argparse.SUPPRESS}
-
-    p = sub.add_parser("verify", help="run seeded relation checks over random states", **suppress)
-    p.add_argument("--relation", choices=["main", "monogamy"], required=True)
-    p.add_argument("--d", type=int, required=True, help="Alice dimension (prime for MUBs)")
-    p.add_argument("--db", type=int, help="Bob dimension (default: d)")
-    p.add_argument("--de", type=int, help="Eve dimension, monogamy only (default: d)")
-    p.add_argument("--family", help="mub | sic | clifford | file:<path>")
-    p.add_argument("--nu", type=float)
-    p.add_argument("--samples", type=int)
-    p.add_argument("--seed", type=int)
-    p.add_argument("--tolerance", type=float)
-    p.add_argument("--format", choices=["json", "csv"])
-    p.add_argument("--output")
-
-    p = sub.add_parser("sweep", help="emit the tight bound curves over an F^pg grid", **suppress)
-    p.add_argument("--d", type=int, required=True)
-    p.add_argument("--grid", type=int)
-    p.add_argument("--format", choices=["json", "csv"], default="csv")
-    p.add_argument("--output")
-
-    p = sub.add_parser(
-        "witness", help="evaluate the entanglement witness on a statistics file", **suppress
-    )
-    p.add_argument("--input", required=True)
-    p.add_argument("--tolerance", type=float)
-    p.add_argument("--output")
-
-    p = sub.add_parser("game", help="simulate the guessing game against the PGM", **suppress)
-    p.add_argument("--state", default="random",
-                   help="max-entangled | maximally-mixed | random | separable | file:<path>")
-    p.add_argument("--d", type=int, required=True)
-    p.add_argument("--db", type=int)
-    p.add_argument("--rank", type=int)
-    p.add_argument("--family", help="mub | clifford | file:<path> (basis families only)")
-    p.add_argument("--trials", type=int)
-    p.add_argument("--seed", type=int)
-    p.add_argument("--output")
+    for command, text in _COMMAND_HELP.items():
+        # an option left out stays out of the namespace, so RunConfig supplies its default
+        p = sub.add_parser(command, help=text, argument_default=argparse.SUPPRESS)
+        for f in _OPTIONS:
+            settings = f.metadata["commands"].get(command)
+            if settings is not None:
+                flag = f.metadata["flag"] or f.name
+                metavar = {} if "choices" in settings else {"metavar": flag.upper()}
+                p.add_argument(f"--{flag}", dest=f.name, type=f.metadata["type"],
+                               **metavar, **settings)
     return parser
 
 
-# option names whose RunConfig field is spelled differently
-_FIELD_OF_OPTION = {"db": "d_b", "de": "d_e", "input": "input_path", "output": "output_path", "format": "fmt"}
-
-
 def config_from_args(args: argparse.Namespace) -> RunConfig:
-    cfg = RunConfig(**{_FIELD_OF_OPTION.get(k, k): v for k, v in vars(args).items()})
+    cfg = RunConfig(**vars(args))
     # Bob's and Eve's dimensions default to Alice's
     if cfg.d_b is None:
         cfg.d_b = cfg.d
@@ -425,19 +419,12 @@ def config_from_args(args: argparse.Namespace) -> RunConfig:
 def _reject_ignored_options(given: dict):
     """Raise EntguessError if `given`, the options parsed, holds one the run would ignore."""
     command = given["command"]
-    if command == "verify":
-        mode = "--relation " + given["relation"]
-        ignored = ["de"] if given["relation"] == "main" else ["family", "nu"]
-    elif command == "game":
-        mode = "--state " + given["state"]
-        ignored = [] if given["state"] == "random" else ["rank"]
-        if given["state"] == "max-entangled" or given["state"].startswith("file:"):
-            ignored.append("db")
-    else:
-        return
-    for option in ignored:
-        if option in given:
-            raise EntguessError(f"--{option} has no effect on {command} {mode}")
+    mode = _MODE_OPTION.get(command)
+    for f in _OPTIONS:
+        ignored = f.metadata["no_effect"].get(command)
+        if f.name in given and ignored and ignored(given[mode]):
+            flag = f.metadata["flag"] or f.name
+            raise EntguessError(f"--{flag} has no effect on {command} --{mode} {given[mode]}")
 
 
 _COMMANDS = {
@@ -445,6 +432,12 @@ _COMMANDS = {
     "sweep": cmd_sweep,
     "witness": cmd_witness,
     "game": cmd_game,
+}
+_COMMAND_HELP = {
+    "verify": "run seeded relation checks over random states",
+    "sweep": "emit the tight bound curves over an F^pg grid",
+    "witness": "evaluate the entanglement witness on a statistics file",
+    "game": "simulate the guessing game against the PGM",
 }
 
 

@@ -1,13 +1,16 @@
 import csv
 import io
 import json
+import re
 import weakref
-from dataclasses import replace
+from dataclasses import fields, replace
 from pathlib import Path
 
 import numpy as np
 import pytest
 from conftest import max_entangled_state
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from oracles import joint_tables_oracle, json_text_oracle, primes_below, pure_state_oracle
 
 from entguess import (
@@ -20,10 +23,13 @@ from entguess import (
 )
 from entguess.cli import (
     _COMMANDS,
+    _MODE_OPTION,
     _SWEEP_ROWS,
+    RunConfig,
     _chunks,
     _json_list_texts,
     _json_text,
+    _reject_ignored_options,
     _write,
     build_parser,
     config_from_args,
@@ -48,12 +54,28 @@ GOLDEN_GAME = [
 ]
 
 
+# A report's `defect` is |lhs - rhs|, a few ulps whose last bits follow the
+# OpenBLAS kernel: over the golden runs it reached 5 eps under the SkylakeX,
+# Sandybridge, Nehalem and Prescott kernels and 6 eps under Haswell and Zen,
+# so it is held to twice the largest, and every other byte is pinned.
+DEFECT_BOUND = 12 * np.finfo(float).eps
+# the defect of a JSON report, and the third cell of a CSV row, after lhs and rhs
+DEFECT_FIELD = {"json": re.compile(r'^(    "defect": )([^,]*),$', re.M),
+                "csv": re.compile(r"^(\d[^,]*,[^,]*,)([^,]*),", re.M)}
+
+
 def golden_verify_matches(capsys, tmp_path, argv, name, fmt) -> bool:
+    """Whether the verify run writes the recorded file, byte for byte but for
+    each `defect`, which is instead held to DEFECT_BOUND."""
     out_file = tmp_path / f"out.{fmt}"
     code, _, _ = run_cli(
         ["verify", *argv, "--seed", "3", "--format", fmt, "--output", str(out_file)], capsys
     )
-    return code == 0 and out_file.read_bytes() == (GOLDEN / f"{name}.{fmt}").read_bytes()
+    got, recorded = out_file.read_text(), (GOLDEN / f"{name}.{fmt}").read_text()
+    field = DEFECT_FIELD[fmt]
+    defects = [float(m[2]) for m in field.finditer(got)]
+    return (code == 0 and field.sub(r"\1,", got) == field.sub(r"\1,", recorded)
+            and bool(defects) and all(0.0 <= x <= DEFECT_BOUND for x in defects))
 
 
 def run_cli(args, capsys):
@@ -586,6 +608,12 @@ class TestWitnessCommand:
         assert code == 3
         assert "INCONCLUSIVE" in out
 
+    def test_unwritable_output_prints_no_verdict(self, capsys, tmp_path):
+        f, report = tmp_path / "ideal.json", tmp_path / "missing" / "report.json"
+        write_ideal_witness_file(f)
+        code, out, err = run_cli(["witness", "--input", str(f), "--output", str(report)], capsys)
+        assert (code, out, err) == (2, "", f"error: [Errno 2] No such file or directory: '{report}'\n")
+
     def test_output_file_holds_the_report(self, capsys, tmp_path):
         f, report = tmp_path / "ideal.json", tmp_path / "report.json"
         write_ideal_witness_file(f)
@@ -1008,6 +1036,69 @@ def test_failed_sweep_leaves_no_file(capsys, monkeypatch, tmp_path):
     code, out, err = run_cli(["sweep", "--d", "3", "--grid", "3", "--output", str(out_file)], capsys)
     assert (code, out, err) == (2, "", "error: row failed\n")
     assert not out_file.exists()
+
+
+# every RunConfig field but `command` specifies one option
+OPTIONS = fields(RunConfig)[1:]
+# the game states, which the parser takes as free text
+GAME_STATES = ["max-entangled", "maximally-mixed", "random", "separable", "file:s.json"]
+
+
+def has_effect(spec, command, mode) -> bool:
+    ignored = spec.metadata["no_effect"].get(command)
+    return not (ignored and ignored(mode))
+
+
+def argv_of(cfg: RunConfig) -> list:
+    """The argv that spells every option of `cfg` with an effect on its run."""
+    mode = getattr(cfg, _MODE_OPTION[cfg.command]) if cfg.command in _MODE_OPTION else None
+    return [cfg.command, *(
+        f"--{spec.metadata['flag'] or spec.name}={getattr(cfg, spec.name)}"
+        for spec in OPTIONS
+        if cfg.command in spec.metadata["commands"] and getattr(cfg, spec.name) is not None
+        and has_effect(spec, cfg.command, mode)
+    )]
+
+
+@st.composite
+def valid_argvs(draw):
+    """A command, its mode and some of the options with an effect there."""
+    command = draw(st.sampled_from(list(_COMMANDS)))
+    mode = None  # the mode option comes first, before any option it can make ignored
+    options = []
+    for spec in OPTIONS:
+        arguments = spec.metadata["commands"].get(command)
+        if arguments is None or not has_effect(spec, command, mode):
+            continue
+        if "choices" in arguments:
+            values = st.sampled_from(arguments["choices"])
+        elif spec.name == "state":
+            values = st.sampled_from(GAME_STATES)
+        else:
+            # Python 3.11's argparse reads a lone "--" value as an empty list
+            values = {int: st.integers(-(2**70), 2**70), float: st.floats(allow_nan=False),
+                      None: st.text("ab:/.=- ", max_size=6).filter(lambda v: v != "--")
+                      }[spec.metadata["type"]]
+        value = arguments.get("default")
+        if arguments.get("required") or draw(st.booleans()):
+            value = draw(values)
+            options.append(f"--{spec.metadata['flag'] or spec.name}={value}")
+        if spec.name == _MODE_OPTION.get(command):
+            mode = value
+    return [command, *draw(st.permutations(options))]
+
+
+class TestOptionSpecRoundTrip:
+    @settings(derandomize=True, max_examples=150, deadline=None)
+    @given(argv=valid_argvs())
+    def test_argv_rebuilt_from_config_parses_to_it(self, argv):
+        parser = build_parser()
+        args = parser.parse_args(argv)
+        _reject_ignored_options(vars(args))
+        cfg = config_from_args(args)
+        again = parser.parse_args(argv_of(cfg))
+        _reject_ignored_options(vars(again))
+        assert config_from_args(again) == cfg
 
 
 class TestDeterminismAndConfig:
