@@ -262,7 +262,10 @@ def cmd_verify(cfg: RunConfig) -> int:
     # each chunk would fault its freed temporaries in again. Freeing a block
     # above that size first raises the threshold to twice the block (the
     # dynamic mmap threshold of mallopt(3)); the block is never touched.
-    np.empty(16 * _CHUNK_BYTES, dtype=np.uint8)
+    # At 3 MiB the threshold, 6 MiB, lies above the per-state temporaries of
+    # a 31 x 8 state (about 4.7 MB); an 8 MiB block raised the peak RSS of
+    # 7 x 4 runs by 1.9 MB, so it stays below 4 MiB.
+    np.empty(3 << 20, dtype=np.uint8)
     if cfg.relation == "main":
         family = _family_for(cfg.family, cfg.d)
         tol = cfg.tolerance if cfg.tolerance is not None else relations.EQUALITY_TOL
@@ -417,8 +420,13 @@ def config_from_args(args: argparse.Namespace) -> RunConfig:
 
 
 def _reject_ignored_options(given: dict):
-    """Raise EntguessError if `given`, the options parsed, holds one the run would ignore."""
+    """Raise EntguessError if `given`, the options parsed, holds one without a
+    value or one the run would ignore."""
     command = given["command"]
+    for f in _OPTIONS:
+        # Python 3.11's argparse reads a lone "--" value, as in --d=--, as []
+        if isinstance(given.get(f.name), list):
+            raise EntguessError(f"--{f.metadata['flag'] or f.name} needs a value, not a lone '--'")
     mode = _MODE_OPTION.get(command)
     for f in _OPTIONS:
         ignored = f.metadata["no_effect"].get(command)

@@ -6,8 +6,9 @@ computational-basis orbit of the single-qubit Clifford group.  None of the
 constructions is trusted: every family can be checked after the fact with
 `design_defect` (distance of the pooled second moment from (1+F)/(d(d+1))).
 The check works on the symmetric subspace, dimension D = d(d+1)/2, and
-forms only the lower block triangle of a D x D Gram matrix, in row blocks;
-its working memory is about 16 D N bytes for N pooled effect vectors.
+forms only the lower block triangle of a D x D Gram matrix, in row blocks
+rebuilt from the N pooled effect vectors; its working memory is two blocks
+of rows, about 32 * 96 * N bytes, not the 16 D N bytes of the whole array.
 
 A family is an array of measurement settings of equal sampling weight,
 all with the same number of outcomes.  ``vectors[t, :, k]`` is the k-th
@@ -45,10 +46,12 @@ MUB_COMPLETE = "MUB-complete"
 SIC = "SIC"
 CLIFFORD_ORBIT = "CliffordOrbit"
 
-# Rows of the symmetric-subspace array per GEMM of the design defect: one
-# block's conjugate and Gram column take 16 * 64 * (N + D) bytes, about 1.5 MB
-# for mub_family(31), beside the 7.9 MB of the array itself.
-_DEFECT_BLOCK = 64
+# Rows of the symmetric-subspace array per block of the design defect: the
+# two blocks held, one and the conjugate of another, take 2 * 16 * 96 * N
+# bytes, 3.0 MB for mub_family(31) (N = 992), where the whole array takes
+# 7.9 MB.  At d = 31 and 37, blocks of 64 and 48 rows took 1.2 and 1.4-1.5
+# times as long; blocks of 128 rows were no faster and took 1 MB more.
+_DEFECT_BLOCK = 96
 
 
 @dataclass(frozen=True, eq=False)
@@ -119,33 +122,58 @@ class MeasurementFamily:
         D = d(d+1)/2.  Row (i, j), i <= j, of the D x N array W is the
         coordinate of each pooled |v>|v> on the orthonormal basis vector |ii>
         or (|ij> + |ji>)/sqrt(2), so W W^dag / N is the moment there and the
-        target is a multiple of the identity.  W is built in place, the rows
-        of one i at a time.  The Hermitian gap is never formed whole: one
-        GEMM per block of `_DEFECT_BLOCK` rows gives that block's column of
-        the lower block triangle, and the squared norm sums the diagonal
-        blocks, less the target, and twice the blocks below them.  Working
-        memory is W, 16 D N bytes, and one block's conjugate and column.
+        target is a multiple of the identity.  W is never whole.  For each
+        block J of `_DEFECT_BLOCK` rows, one buffer holds W_J and another
+        conj(W_J); then each block W_c below J is rebuilt in the first
+        buffer from the pooled vectors, bottom up, so that the last one is
+        the next W_J.  One GEMM W_c conj(W_J)^T per block gives the lower
+        block triangle of the Hermitian gap, and the squared norm sums the
+        diagonal blocks, less the target, and twice the blocks below them.
+        Working memory is the two buffers, 32 `_DEFECT_BLOCK` N bytes, and
+        the pooled vectors, 16 d N bytes.
         """
         d = self.d
-        pooled = self.vectors.transpose(1, 0, 2).reshape(d, -1)
+        # 2^(1/4) on each factor puts the sqrt(2) of a row (i, j), i < j, in place
+        pooled = self.vectors.transpose(1, 0, 2).reshape(d, -1) * 2**0.25
         n = pooled.shape[1]
-        w = np.empty((d * (d + 1) // 2, n), dtype=complex)
-        start = 0
-        for i in range(d):
-            # rows (i, i), (i, i + 1), ..., (i, d - 1)
-            rows = w[start : start + d - i]
-            np.multiply(pooled[i], pooled[i:], out=rows)
-            rows[1:] *= np.sqrt(2.0)
-            start += d - i
+        size = d * (d + 1) // 2
+        # row starts[i] is (i, i), and rows (i, i + 1), ..., (i, d - 1) follow it
+        starts = np.concatenate([[0], np.cumsum(np.arange(d, 0, -1))])
+
+        def fill(rows, first):
+            """Rows first, first + 1, ... of W, as many as `rows` holds, into `rows`."""
+            stop = first + len(rows)
+            i = np.searchsorted(starts, first, side="right") - 1
+            while starts[i] < stop:
+                lo, hi = max(starts[i], first), min(starts[i + 1], stop)
+                j = i + lo - starts[i]
+                np.multiply(pooled[i], pooled[j : j + hi - lo], out=rows[lo - first : hi - first])
+                if j == i:
+                    rows[lo - first] *= 0.5**0.5
+                i += 1
+
+        block = min(_DEFECT_BLOCK, size)
+        w_c = np.empty((block, n), dtype=complex)
+        w_j_conj = np.empty((block, n), dtype=complex)
         target = 2.0 / (d * (d + 1))
         squares = 0.0
-        for a in range(0, len(w), _DEFECT_BLOCK):
-            column = w[a:] @ w[a : a + _DEFECT_BLOCK].conj().T
-            column /= n
-            width = column.shape[1]
-            diagonal, below = column[:width], column[width:]
-            diagonal[np.diag_indices_from(diagonal)] -= target
-            squares += np.vdot(diagonal, diagonal).real + 2.0 * np.vdot(below, below).real
+        fill(w_c[:block], 0)
+        for a in range(0, size, block):
+            # w_c holds W_J, rows a, a + 1, ...: the diagonal block, and then
+            # its conjugate for the blocks below
+            w_j = w_c[: min(block, size - a)]
+            conj = np.conjugate(w_j, out=w_j_conj[: len(w_j)])
+            gram = w_j @ conj.T
+            gram /= n
+            gram[np.diag_indices_from(gram)] -= target
+            squares += np.vdot(gram, gram).real
+            # bottom up, so that the last block filled is the next W_J
+            for c in reversed(range(a + block, size, block)):
+                rows = w_c[: min(block, size - c)]
+                fill(rows, c)
+                gram = rows @ conj.T
+                gram /= n
+                squares += 2.0 * np.vdot(gram, gram).real
         return float(np.sqrt(squares))
 
     @cached_property
@@ -373,9 +401,10 @@ def design_defect(family: MeasurementFamily) -> float:
     generates an exact complex projective 2-design.  Computed once per
     family: its arrays are read-only, so the value cannot go stale, and a
     built-in family is shared, so it is certified once per process.  The
-    computation holds the D x N array of the pooled |v>|v> on the symmetric
-    subspace (D = d(d+1)/2, N pooled effect vectors), about 16 D N bytes,
-    7.9 MB for `mub_family(31)`, and forms only the lower block triangle of
-    its Gram matrix, one block of rows at a time.
+    computation forms only the lower block triangle of the Gram matrix of
+    the D x N array of the pooled |v>|v> on the symmetric subspace
+    (D = d(d+1)/2, N pooled effect vectors), and never holds that array
+    whole (7.9 MB for `mub_family(31)`): it rebuilds two blocks of 96 rows
+    at a time from the pooled vectors, about 3 MB there.
     """
     return family._design_defect

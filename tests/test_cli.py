@@ -934,6 +934,23 @@ def test_ignored_option_is_usage_error(capsys, argv):
 
 
 @pytest.mark.parametrize(
+    "argv",
+    [
+        ["game", "--d=--"],
+        ["verify", "--relation", "main", "--d", "3", "--seed=--"],
+        ["witness", "--input=--"],
+        ["sweep", "--d", "3", "--grid", "2", "--output=--"],
+    ],
+    ids=["game-d", "verify-seed", "witness-input", "sweep-output"],
+)
+def test_lone_double_dash_value_is_usage_error(capsys, argv):
+    # Python 3.11's argparse reads the value of --option=-- as an empty list
+    code, out, err = run_cli(argv, capsys)
+    option = argv[-1].split("=")[0]
+    assert (code, out, err) == (2, "", f"error: {option} needs a value, not a lone '--'\n")
+
+
+@pytest.mark.parametrize(
     "argv,message",
     [
         # numpy could not address the family or the state: rejected from the dimensions
@@ -1075,7 +1092,7 @@ def valid_argvs(draw):
         elif spec.name == "state":
             values = st.sampled_from(GAME_STATES)
         else:
-            # Python 3.11's argparse reads a lone "--" value as an empty list
+            # a lone "--" value is a usage error (Python 3.11's argparse reads it as [])
             values = {int: st.integers(-(2**70), 2**70), float: st.floats(allow_nan=False),
                       None: st.text("ab:/.=- ", max_size=6).filter(lambda v: v != "--")
                       }[spec.metadata["type"]]

@@ -43,6 +43,19 @@ ORACLE_FAMILIES = {
 }
 
 
+def certificate_peak(d):
+    """tracemalloc peak of certifying a new `Custom` copy of `mub_family(d)`,
+    which takes the generic route of a family file."""
+    mubs = mub_family(d)
+    fam = MeasurementFamily("Custom", mubs.vectors, mubs.scales)
+    tracemalloc.start()
+    try:
+        design_defect(fam)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
 def same_up_to_phase(u, v, tol=1e-9):
     inner = np.trace(u.conj().T @ v)
     return abs(abs(inner) - 2.0) < tol  # |Tr(U^dag V)| = d iff V = phase * U
@@ -191,13 +204,19 @@ class TestDesignDefect:
         fam = ORACLE_FAMILIES[name]()
         assert abs(design_defect(fam) - design_defect_oracle(fam)) < 1e-14
 
-    @pytest.mark.parametrize("thirds", [False, True], ids=["block-1", "block-third"])
+    @pytest.mark.parametrize("blocks", ["1", "third", "partial"], ids=lambda b: f"block-{b}")
     @pytest.mark.parametrize("name", ORACLE_FAMILIES)
-    def test_row_blocks_match_moment_oracle(self, monkeypatch, name, thirds):
+    def test_row_blocks_match_moment_oracle(self, monkeypatch, name, blocks):
         fam = ORACLE_FAMILIES[name]()
         rows = fam.d * (fam.d + 1) // 2
-        block = max(1, rows // 3) if thirds else 1
-        assert -(-rows // block) >= 3
+        if blocks == "partial":
+            # two blocks, the second shorter: a short diagonal block and a
+            # rectangular one below the first
+            block = rows // 2 + 1
+            assert rows % block
+        else:
+            block = max(1, rows // 3) if blocks == "third" else 1
+            assert -(-rows // block) >= 3
         monkeypatch.setattr(designs, "_DEFECT_BLOCK", block)
         # a new family, because the built-in ones keep the defect they computed first
         fresh = dataclasses.replace(fam)
@@ -220,17 +239,16 @@ class TestDesignDefect:
             assert abs(design_defect(fam) - design_defect_oracle(fam)) < 1e-14
 
     def test_working_memory_at_d31(self):
-        mubs = mub_family(31)
-        fam = MeasurementFamily("Custom", mubs.vectors, mubs.scales)
-        tracemalloc.start()
-        try:
-            design_defect(fam)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        # the 496 x 992 symmetric-subspace array is 7.9 MB; forming its
-        # conjugate or the whole 496 x 496 Gram matrix beside it would pass 12 MB
-        assert peak <= 12e6, peak
+        # two 96-row blocks of the 496 x 992 symmetric-subspace array and the
+        # pooled vectors take 3.8 MB; holding the whole array, 7.9 MB, took 10.3 MB
+        peak = certificate_peak(31)
+        assert peak <= 4.5e6, peak
+
+    def test_working_memory_at_d37(self):
+        # 5.4 MB for two 96-row blocks of the 703 x 1406 array, against
+        # 19.5 MB while the whole array (15.8 MB) was held
+        peak = certificate_peak(37)
+        assert peak <= 6.5e6, peak
 
     def test_family_is_frozen_and_defect_memoized(self):
         fam = mub_family(3)
