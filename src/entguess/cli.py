@@ -158,6 +158,34 @@ def _write(path, texts):
             raise
 
 
+# the smallest normal double
+_NORMAL_MIN = sys.float_info.min
+
+
+def _json_float(x) -> str:
+    """repr of x rounded to 12 significant digits; EntguessError for a NaN or
+    infinity.
+
+    The `.12g` text t is that repr itself when x is finite and normal and t
+    holds "e-", or holds "." without "e+": t then has at most 12 digits,
+    which name one normal double and no shorter text does, and repr's and
+    `.12g`'s notations agree, both exponential below 1e-4 and neither from
+    there to 1e12.  Every other x (integral, 1e12 and above, subnormal, zero,
+    non-finite) is rounded through float and written by repr.
+    """
+    x = float(x)
+    text = f"{x:.12g}"
+    if _NORMAL_MIN <= abs(x) < math.inf and ("e-" in text or ("." in text and "e+" not in text)):
+        return text
+    rounded = float(text)
+    if not math.isfinite(rounded):
+        raise EntguessError(
+            "output holds a non-finite value: "
+            f"Out of range float values are not JSON compliant: {rounded!r}"
+        )
+    return repr(rounded)
+
+
 def _json_value(x, pad: str) -> str:
     """x as JSON with sorted keys, two-space indent from `pad`, and floats
     rounded to 12 significant digits; EntguessError for a NaN or infinity.
@@ -167,13 +195,7 @@ def _json_value(x, pad: str) -> str:
     A dataclass, such as a report, is written as the dict of its fields.
     """
     if isinstance(x, (float, np.floating)):
-        rounded = float(f"{float(x):.12g}")
-        if not math.isfinite(rounded):
-            raise EntguessError(
-                "output holds a non-finite value: "
-                f"Out of range float values are not JSON compliant: {rounded!r}"
-            )
-        return repr(rounded)
+        return _json_float(x)
     if isinstance(x, str):
         return _quote(x)
     inner = pad + "  "
@@ -199,15 +221,49 @@ def _json_text(doc) -> str:
     return _json_value(doc, "") + "\n"
 
 
+# a RelationReport in a list, from the template of its fields in sorted order
+_REPORT_FIELDS = sorted(f.name for f in fields(relations.RelationReport))
+_REPORT_TEMPLATE = (
+    "{{\n" + ",\n".join(f"    {_quote(name)}: {{}}" for name in _REPORT_FIELDS) + "\n  }}"
+)
+# distinct metadata texts one list keeps, at most
+_METADATA_TEXTS = 64
+
+
 def _json_list_texts(batches):
     """`_json_text` of the list of every item in `batches`, as one string per
     batch and then its closing bracket, so that no more than one batch's
-    text is held."""
+    text is held.
+
+    A RelationReport is written from `_REPORT_TEMPLATE`, and each distinct
+    metadata's text is made once, by its repr: metadata holds JSON values
+    (dicts, lists, strings, numbers, booleans, None), whose repr fixes their
+    text."""
+    metadata_texts = {}
+
+    def text(name, value):
+        if name != "metadata":
+            return _json_value(value, "    ")
+        key = repr(value)
+        found = metadata_texts.get(key)
+        if found is None:
+            if len(metadata_texts) == _METADATA_TEXTS:
+                metadata_texts.clear()
+            found = metadata_texts[key] = _json_value(value, "    ")
+        return found
+
     sep = "[\n  "
     for batch in batches:
         parts = []
         for item in batch:
-            parts.append(sep + _json_value(item, "  "))
+            if type(item) is relations.RelationReport:
+                values = vars(item)
+                item_text = _REPORT_TEMPLATE.format(
+                    *[text(name, values[name]) for name in _REPORT_FIELDS]
+                )
+            else:
+                item_text = _json_value(item, "  ")
+            parts.append(sep + item_text)
             sep = ",\n  "
         yield "".join(parts)
     yield "[]\n" if sep == "[\n  " else "\n]\n"
@@ -288,9 +344,10 @@ def cmd_verify(cfg: RunConfig) -> int:
         dims = (cfg.d, cfg.d_b, cfg.d_e)
         n = cfg.d * cfg.d_b * cfg.d_e
         keys = relations.MONOGAMY_METADATA
+        # the largest matrices monogamy_report forms are rho_AB and rho_E
         batches = (
             relations.monogamy_report(pure_states(n, stop - start, cfg.seed, start), dims, mubs, tol)
-            for start, stop in _chunks(cfg.samples, cfg.d * max(cfg.d_b, cfg.d_e))
+            for start, stop in _chunks(cfg.samples, max(cfg.d * cfg.d_b, cfg.d_e))
         )
     holds = True
 

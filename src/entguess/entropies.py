@@ -46,10 +46,12 @@ stack in one stacked ``eigh``.  A single state
 is the stack with no leading axis, through the same code.
 
 `d0_relative` takes rho in factor form, rho = t t^dag with t of shape
-n x r, and finds the support of rho from one r x r decomposition of the
-Gram matrix t^dag t, which has rho's nonzero eigenvalues; the monogamy lhs
-passes the amplitudes of a tripartite pure state as t, so its largest
-decomposition is d_B x d_B, not (d_A d_E) x (d_A d_E).
+n x r, and sigma = 1 (x) sigma_E by its d_E x d_E factor sigma_E.  It
+finds the support of rho from one r x r decomposition of the Gram matrix
+t^dag t, which has rho's nonzero eigenvalues, and contracts sigma_E with
+the d_A row blocks of t; the monogamy lhs passes the amplitudes of a
+tripartite pure state as t and rho_E / d_A as sigma_E, so its largest
+decomposition is d_B x d_B and no (d_A d_E) x (d_A d_E) matrix is formed.
 
 Quantities that need semidefinite optimization are deliberately absent and
 only bound the ones computed here: the optimal guessing probability
@@ -253,21 +255,31 @@ def classical_h2_cond(table: np.ndarray) -> float:
     return -np.log2(coll)
 
 
-def d0_relative(t: np.ndarray, sigma: np.ndarray):
-    """Renyi-0 relative entropy D_0(rho || sigma) = -log Tr[Pi_rho sigma] of rho = t t^dag.
+def d0_relative(t: np.ndarray, sigma_e: np.ndarray):
+    """Renyi-0 relative entropy D_0(rho || sigma) = -log Tr[Pi_rho sigma] of
+    rho = t t^dag and sigma = 1 (x) sigma_E.
 
-    t is an n x r factor of rho.  The support projector of rho is
-    Pi_rho = t G^+ t^dag with G = t^dag t, whose nonzero spectrum is rho's,
-    so Tr[Pi_rho sigma] = Tr[(t^dag sigma t) G^+] takes one r x r
-    decomposition and none of size n.  Returns (value, near_cutoff), where
-    near_cutoff is func_on_support's flag for an eigenvalue of G within a
-    factor 10 of the rank cutoff; for stacks of t and sigma both are per
-    pair.  An overlap at or below RANK_TOL counts as orthogonal supports and
-    raises InfiniteDivergence, naming the first such pair.
+    t is an n x r factor of rho, its rows indexed (a, e) with a major, and
+    sigma_E is d_E x d_E, so the identity factor has d_A = n / d_E.  The
+    support projector of rho is Pi_rho = t G^+ t^dag with G = t^dag t, whose
+    nonzero spectrum is rho's, so Tr[Pi_rho sigma] = Tr[(t^dag sigma t) G^+]
+    takes one r x r decomposition and none of size n.  t^dag sigma is formed
+    from the d_A row blocks t_a of t, as the blocks t_a^dag sigma_E, and
+    sigma itself never is.  Returns (value, near_cutoff), where near_cutoff
+    is func_on_support's flag for an eigenvalue of G within a factor 10 of
+    the rank cutoff; for stacks of t and sigma_E both are per pair.  An
+    overlap at or below RANK_TOL counts as orthogonal supports and raises
+    InfiniteDivergence, naming the first such pair.
     """
+    *lead, n, r = t.shape
+    d_e = sigma_e.shape[-1]
+    if n % d_e:
+        raise DimensionError(f"sigma_E of dim {d_e} does not divide t's {n} rows")
     t_dag = t.conj().swapaxes(-1, -2)
     (g_pinv,), near_cutoff = func_on_support(t_dag @ t, (-1.0,))
-    overlap = np.real(np.trace(t_dag @ sigma @ t @ g_pinv, axis1=-2, axis2=-1))
+    # row (i, a) of the reshaped t^dag is t_a^dag's row i
+    t_dag_sigma = (t_dag.reshape(*lead, r * (n // d_e), d_e) @ sigma_e).reshape(t_dag.shape)
+    overlap = np.real(np.trace(t_dag_sigma @ t @ g_pinv, axis1=-2, axis2=-1))
     orthogonal = (overlap <= RANK_TOL).ravel()
     if orthogonal.any():
         first = overlap.ravel()[orthogonal.argmax()]

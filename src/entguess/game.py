@@ -85,9 +85,13 @@ class _GuidedCdf:
     buckets, B a power of two so that floor(u * B) is exact, guide[i, b]
     counts the entries of row i that are <= b / B.  The draw at a u in bucket
     b lies between guide[i, b] and guide[i, b + 1], so a binary search over
-    the widest bucket's span, on rows padded with +inf, finishes it.  Exact
-    for every u in [0, 1]; even with all entries in one bucket it probes no
-    more often than a binary search of the whole row.
+    the widest bucket's span finishes it.  Exact for every u in [0, 1]; even
+    with all entries in one bucket it probes no more often than a binary
+    search of the whole row.
+
+    A draw is returned as its position in the flat table of padded rows, of
+    `width` entries each: row i is -inf, then cdf[i], then +inf for the
+    span, and a draw of c sits at i * width + c, on the last entry counted.
     """
 
     def __init__(self, cdf: np.ndarray):
@@ -97,25 +101,29 @@ class _GuidedCdf:
         self.n_buckets = 1 << (2 * width - 1).bit_length()
         edges = np.arange(self.n_buckets + 1) / self.n_buckets
         guide = np.stack([np.searchsorted(row, edges, side="right") for row in cdf])
-        self.guide = guide.ravel()
         # bucket B holds only u = 1, where the guide entry is the draw itself
         span = int(np.diff(guide, axis=1).max())
         self.steps = [1 << i for i in reversed(range(span.bit_length()))]
         # a probe reads at most `step` <= span entries past the last one
-        # counted, so span entries of +inf pad every row
-        self.width = width + span
+        # counted, so span entries of +inf pad every row; the leading -inf is
+        # the last entry counted by a draw of 0
+        self.width = 1 + width + span
         padded = np.full((n_rows, self.width), np.inf)
-        padded[:, :width] = cdf
+        padded[:, 0] = -np.inf
+        padded[:, 1 : 1 + width] = cdf
         self.flat = padded.ravel()
+        self.guide = (guide + self.width * np.arange(n_rows)[:, None]).ravel()
 
-    def draw(self, rows: np.ndarray, u: np.ndarray) -> np.ndarray:
-        """Per trial t, the number of entries of cdf[rows[t]] that are <= u[t]."""
-        buckets = (u * self.n_buckets).astype(np.intp)
-        count = self.guide[rows * (self.n_buckets + 1) + buckets]
-        last = rows * self.width - 1  # flat index of the entry before each row
+    def positions(self, rows: np.ndarray, u: np.ndarray) -> np.ndarray:
+        """Per trial t, rows[t] * width + the number of entries of cdf[rows[t]]
+        that are <= u[t]."""
+        at = (u * self.n_buckets).astype(np.intp)
+        at += rows * (self.n_buckets + 1)
+        at = self.guide[at]
         for step in self.steps:
-            count += step * (self.flat[last + count + step] <= u)
-        return count
+            hit = self.flat[at + step] <= u
+            at += hit if step == 1 else step * hit
+        return at
 
 
 class _BobWins:
@@ -125,24 +133,26 @@ class _BobWins:
     nondecreasing CDF row bob_cdf[theta, k] that Alice's outcome k selects.
     It equals k exactly when bob_cdf[theta, k, k - 1] <= u < bob_cdf[theta,
     k, k], with the bound past either end of the row infinite.  Both bounds
-    are kept flat, at row theta * d + k.
+    are kept flat, at row theta * width + c for each draw c of Alice's that
+    gives her outcome k = min(c, d - 1), width >= d.
     """
 
-    def __init__(self, bob_cdf: np.ndarray):
+    def __init__(self, bob_cdf: np.ndarray, width: int):
         d = bob_cdf.shape[-1]
         outcome = np.arange(d)
         hi = bob_cdf[:, outcome, outcome]
         hi[:, -1] = np.inf
         lo = np.full_like(hi, -np.inf)
         lo[:, 1:] = bob_cdf[:, outcome[1:], outcome[:-1]]
-        self.lo, self.hi = lo.ravel(), hi.ravel()
+        k = np.minimum(np.arange(width), d - 1)
+        self.lo, self.hi = lo[:, k].ravel(), hi[:, k].ravel()
 
     def won(self, rows: np.ndarray, u: np.ndarray) -> np.ndarray:
         """Per trial t, whether Bob's guess at u[t] in row rows[t] is right."""
         return (self.lo[rows] <= u) & (u < self.hi[rows])
 
 
-def _stream_generator(seed: int, stream: int, offset: int) -> np.random.Generator:
+def _stream_generator(seed: int, stream: int, offset: int) -> "np.random.Generator":
     """Stream `stream` of `seed` placed so that its next uniform is draw `offset`.
 
     Philox makes its output in blocks of four 64-bit words, one per float64
@@ -164,9 +174,10 @@ def simulate_game(
     read chunk by chunk from its own generator, advanced once to the
     part's start, so memory is bounded by the chunk and the result is
     bit-reproducible and independent of the chunk size.  Per chunk, Alice's
-    outcomes come from a guide-table draw and Bob's wins from comparing his
-    uniforms with the bounds of the CDF interval that maps to her outcome;
-    one bincount of 2 * setting + win gives each setting's trials and wins.
+    outcomes come from a guide-table draw, as positions in its table, and
+    Bob's wins from comparing his uniforms with the bounds of the CDF
+    interval that maps to her outcome, kept at those positions; one
+    bincount of 2 * setting + win gives each setting's trials and wins.
     """
     if trials < 1:
         raise ParameterError(f"trials must be >= 1, got {trials}")
@@ -176,14 +187,14 @@ def simulate_game(
         raise ParameterError("the game is defined for basis-type families")
     outcome_probs, bob_conds, analytic = _game_tables(rho, family)
     n_settings = family.n_settings
-    d = family.d
 
     # parts 0, 1, 2: the setting, Alice's outcome and Bob's guess uniforms
     gens = [_stream_generator(seed, stream, which * trials) for which in range(3)]
     uniforms = np.empty((3, min(trials, _CHUNK)))
 
     alice = _GuidedCdf(np.cumsum(outcome_probs, axis=1))
-    bob = _BobWins(np.cumsum(bob_conds, axis=2))
+    # Bob's bounds sit at the positions of Alice's draws
+    bob = _BobWins(np.cumsum(bob_conds, axis=2), alice.width)
     # entry 2 * theta + won: trials of setting theta lost, then won
     counts = np.zeros(2 * n_settings, dtype=np.int64)
     for start in range(0, trials, _CHUNK):
@@ -191,9 +202,10 @@ def simulate_game(
         for gen, row in zip(gens, uniforms):
             gen.random(out=row[:n])
         u_setting, u_alice, u_bob = uniforms[:, :n]
-        thetas = np.minimum((u_setting * n_settings).astype(np.intp), n_settings - 1)
-        ks = np.minimum(alice.draw(thetas, u_alice), d - 1)
-        won = bob.won(thetas * d + ks, u_bob)
+        # a uniform is at most 1 - 2^-53, and (1 - 2^-53) n rounds below n
+        # for every integer n < 2^53, so no setting reaches n_settings
+        thetas = (u_setting * n_settings).astype(np.intp)
+        won = bob.won(alice.positions(thetas, u_alice), u_bob)
         counts += np.bincount(2 * thetas + won, minlength=2 * n_settings)
 
     setting_wins = counts[1::2]

@@ -299,10 +299,12 @@ def monogamy_report(
     read the state independently: the lhs reads the amplitudes, arranged as
     the (d_A d_E) x d_B matrix T[(a, e), b] = psi_abe with rho_AE = T T^dag,
     and takes the support of rho_AE from one decomposition of the d_B x d_B
-    Gram matrix T^dag T, which has the same nonzero eigenvalues; the rhs
-    measures rho_AB.  The metadata flags rank-tolerance sensitivity when
-    rho_AE has eigenvalues within a factor 10 of the support cutoff, where
-    the support projector (and so the lhs) can flip on noise.  A stack of k
+    Gram matrix T^dag T, which has the same nonzero eigenvalues, against
+    sigma given by its d_E x d_E factor rho_E / d_A, so no (d_A d_E)-square
+    matrix is formed; the rhs measures rho_AB.  The metadata flags
+    rank-tolerance sensitivity when rho_AE has eigenvalues within a factor
+    10 of the support cutoff, where the support projector (and so the lhs)
+    can flip on noise.  A stack of k
     vectors, shape (k, d_A d_B d_E), is checked as one batch and gives a
     list of k reports, in order.
     """
@@ -316,7 +318,7 @@ def monogamy_report(
     # rho_AE = T T^dag with T[(a, e), b] = psi_abe
     t_ae = t.swapaxes(-1, -2).reshape(*lead, d_a * d_e, d_b)
 
-    lhs, sensitive = d0_relative(t_ae, np.kron(np.eye(d_a) / d_a, rho_e))
+    lhs, sensitive = d0_relative(t_ae, (1.0 / d_a) * rho_e)
     h2p = h2nu_outcomes(DensityMatrix(rho_ab, (d_a, d_b)), mubs, 1.0)
     rhs = np.log2(d_a) - np.log2((d_a + 1) * 2.0 ** (-h2p) - 1.0)
     metadata = (

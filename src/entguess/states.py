@@ -26,51 +26,75 @@ from .errors import DimensionError, ParameterError, exact_int
 from .tolerances import EIG_TOL, STATE_HERM_TOL, TRACE_TOL
 
 
-def _philox(seed: int, stream: int) -> np.random.Generator:
+def _philox(seed: int, stream: int) -> "np.random.Generator":
     """The generator of stream `stream` of `seed`: Philox keyed by both, mod 2^64."""
     key = np.array([seed % (1 << 64), stream % (1 << 64)], dtype=np.uint64)
     return np.random.Generator(np.random.Philox(key=key))
 
 
-def _box_muller(draws, shapes) -> list:
-    """One complex Gaussian array per (uniforms, shape), in order.
+def _box_muller(u: np.ndarray, sizes) -> np.ndarray:
+    """Complex Gaussians from the uniforms u, for consecutive arrays of
+    `sizes` entries, as one flat array.
 
-    An array of n entries takes 2n standard normals, the real parts and then
-    the imaginary parts, from n Box-Muller pairs: its 2n uniforms are the n
-    radius uniforms and then the n angle uniforms.  The transform runs once
-    over every array's uniforms.
+    An array of n entries reads the next 2n uniforms: its n radius uniforms,
+    then its n angle uniforms.  They make n Box-Muller pairs, whose 2n
+    normals, in order, are the n real parts and then the n imaginary parts.
+    The transform runs once over all of u.
     """
-    sizes = [math.prod(shape) for shape in shapes]
+    sizes = np.asarray(sizes, dtype=np.intp)
+    total = int(sizes.sum())
+    # entry i of an array of n entries that starts at entry s has its radius
+    # uniform at 2s + i and its angle uniform at 2s + n + i; its real and
+    # imaginary parts sit at the same places among the pairs' normals
+    radius_at = np.arange(total) + np.repeat(np.cumsum(sizes) - sizes, sizes)
+    angle_at = radius_at + np.repeat(sizes, sizes)
     # 1 - u keeps the log argument in (0, 1].
-    r = np.sqrt(-2.0 * np.log(1.0 - np.concatenate([u[:n] for u, n in zip(draws, sizes)])))
-    phi = 2.0 * np.pi * np.concatenate([u[n:] for u, n in zip(draws, sizes)])
-    z = np.empty(2 * len(r))
+    r = np.sqrt(-2.0 * np.log(1.0 - u[radius_at]))
+    phi = 2.0 * np.pi * u[angle_at]
+    z = np.empty(2 * total)
     z[0::2] = r * np.cos(phi)
     z[1::2] = r * np.sin(phi)
-    out = []
-    for shape, n, end in zip(shapes, sizes, np.cumsum(sizes).tolist()):
-        pairs = z[2 * (end - n) : 2 * end]
-        out.append((pairs[:n] + 1j * pairs[n:]).reshape(shape))
+    out = np.empty(total, dtype=complex)
+    out.real = z[radius_at]
+    out.imag = z[angle_at]
     return out
 
 
-def _stream_gaussians(seed: int, streams, shapes) -> list:
-    """One complex Gaussian array per (k, shape): for n entries, `_box_muller`
-    of the first 2n uniforms of stream k of `seed`.
+def _split(flat: np.ndarray, shapes) -> list:
+    """Views of consecutive parts of `flat`, one per shape."""
+    parts, end = [], 0
+    for shape in shapes:
+        start, end = end, end + math.prod(shape)
+        parts.append(flat[start:end].reshape(shape))
+    return parts
 
-    One generator serves every stream: its Philox is re-keyed to (seed, k)
-    with counter 0 and an empty buffer, which is the state
+
+def _stream_normals(seed: int, streams, sizes) -> np.ndarray:
+    """`_box_muller` of the first 2n uniforms of stream k of `seed`, for each
+    (k, n), as one flat array.
+
+    One generator fills one buffer for every stream: its Philox is re-keyed
+    to (seed, k) with counter 0 and an empty buffer, which is the state
     `_philox(seed, k)` starts in, without the OS-entropy SeedSequence that
     building a new generator first makes.
     """
     gen = _philox(seed, 0)
     state = gen.bit_generator.state
-    draws = []
-    for k, shape in zip(streams, shapes):
+    u = np.empty(2 * sum(sizes))
+    end = 0
+    for k, n in zip(streams, sizes):
         state["state"]["key"] = np.array([seed % (1 << 64), k % (1 << 64)], dtype=np.uint64)
         gen.bit_generator.state = state
-        draws.append(gen.random(2 * math.prod(shape)))
-    return _box_muller(draws, shapes)
+        gen.random(out=u[end : end + 2 * n])
+        end += 2 * n
+    return _box_muller(u, sizes)
+
+
+def _stream_gaussians(seed: int, streams, shapes) -> list:
+    """One complex Gaussian array per (k, shape): for n entries, `_box_muller`
+    of the first 2n uniforms of stream k of `seed`."""
+    sizes = [math.prod(shape) for shape in shapes]
+    return _split(_stream_normals(seed, streams, sizes), shapes)
 
 
 def _has_cholesky(m: np.ndarray) -> bool:
@@ -255,10 +279,9 @@ def pure_states(d: int, count: int, seed: int, start: int = 0) -> np.ndarray:
         raise ParameterError(f"d must be >= 1, got {d}")
     if count < 1:
         raise ParameterError(f"count must be >= 1, got {count}")
-    out = np.empty((count, d), dtype=complex)
+    out = _stream_normals(seed, range(start, start + count), [d] * count).reshape(count, d)
     # a norm per row: a stacked norm(axis=-1) does not round the same
-    for i, v in enumerate(_stream_gaussians(seed, range(start, start + count), [(d,)] * count)):
-        out[i] = v / np.linalg.norm(v)
+    out /= np.array([np.linalg.norm(v) for v in out])[:, None]
     return out
 
 
@@ -293,7 +316,8 @@ def random_separable(d_a: int, d_b: int, terms: int, seed: int, stream: int = 0)
     weights /= weights.sum()
     # the factors' Gaussians, A then B for each term, in one transform
     shapes = [(d_a, d_a), (d_b, d_b)] * terms
-    g = _box_muller([gen.random(2 * math.prod(shape)) for shape in shapes], shapes)
+    sizes = [d_a * d_a, d_b * d_b] * terms
+    g = _split(_box_muller(gen.random(2 * sum(sizes)), sizes), shapes)
     out = sum(p * np.kron(_ginibre(a), _ginibre(b)) for p, a, b in zip(weights, g[::2], g[1::2]))
     return DensityMatrix(out, (d_a, d_b))
 

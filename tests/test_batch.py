@@ -158,13 +158,17 @@ class TestStackRejection:
         assert str(single.value).startswith("negative eigenvalue")
 
     def test_d0_relative_orthogonal_supports(self):
-        # factors t of rho = t t^dag = 1/2, diag(1, 0) and diag(0, 1)
-        t = np.array([np.eye(2) / np.sqrt(2), np.diag([1.0, 0.0]), np.diag([0.0, 1.0])])
-        sigma = np.array([np.eye(2) / 2, np.diag([0.0, 1.0]), np.diag([1.0, 0.0])])
+        # on A (x) E, 2 x 2: factors t of rho = t t^dag = 1/4, 1 (x) |0><0| / 2
+        # and 1 (x) |1><1| / 2, against sigma = 1 (x) sigma_E
+        e0, e1 = np.diag([1.0, 0.0]), np.diag([0.0, 1.0])
+        t = np.array([np.eye(4) / 2, np.kron(np.eye(2), e0) / np.sqrt(2),
+                      np.kron(np.eye(2), e1) / np.sqrt(2)])
+        sigma_e = np.array([np.eye(2) / 4, e1 / 2, e0 / 2])
         with pytest.raises(InfiniteDivergence) as single:
-            d0_relative(t[1], sigma[1])
+            d0_relative(t[1], sigma_e[1])
         with pytest.raises(InfiniteDivergence) as stacked:
-            d0_relative(t, sigma)
+            d0_relative(t, sigma_e)
         with pytest.raises(InfiniteDivergence) as oracle:
+            sigma = np.array([np.kron(np.eye(2), one) for one in sigma_e])
             d0_relative_oracle(t @ t.swapaxes(1, 2), sigma)
         assert str(stacked.value) == str(single.value) == str(oracle.value)

@@ -1,7 +1,13 @@
+import copy
 import csv
 import io
 import json
+import math
+import os
 import re
+import struct
+import subprocess
+import sys
 import weakref
 from dataclasses import fields, replace
 from pathlib import Path
@@ -409,9 +415,10 @@ class TestVerify:
                 assert abs(report.lhs - single.lhs) < 1e-14
                 assert abs(report.rhs - single.rhs) < 1e-14
 
-    def test_monogamy_chunks_draw_random_pure_states(self, capsys, monkeypatch, tmp_path):
-        # 5 x 3 x 4 gives chunks of 20 states; state i is, bit for bit, the
-        # normalized Gaussian of stream i
+    @staticmethod
+    def _monogamy_chunks(capsys, monkeypatch, tmp_path, d, d_b, d_e, samples):
+        """The (chunk lengths, rule's lengths, drawn vectors, expected vectors) of a
+        monogamy run at seed 9."""
         batched = []
         original = relations.monogamy_report
 
@@ -421,14 +428,34 @@ class TestVerify:
 
         monkeypatch.setattr(relations, "monogamy_report", spy)
         code, _, _ = run_cli(
-            ["verify", "--relation", "monogamy", "--d", "5", "--db", "3", "--de", "4",
-             "--samples", "45", "--seed", "9", "--output", str(tmp_path / "r.json")],
+            ["verify", "--relation", "monogamy", "--d", str(d), "--db", str(d_b),
+             "--de", str(d_e), "--samples", str(samples), "--seed", "9",
+             "--output", str(tmp_path / "r.json")],
             capsys,
         )
         assert code == 0
-        assert [len(psi) for psi in batched] == [20, 20, 5]
-        expected = [pure_state_oracle(9, i, 60) for i in range(45)]
-        assert np.array_equal(np.concatenate(batched), np.array(expected))
+        # a chunk is sized by the larger of rho_AB (d*d_B square) and rho_E (d_E square)
+        rule = [stop - start for start, stop in _chunks(samples, max(d * d_b, d_e))]
+        expected = [pure_state_oracle(9, i, d * d_b * d_e) for i in range(samples)]
+        return [len(psi) for psi in batched], rule, np.concatenate(batched), np.array(expected)
+
+    def test_monogamy_chunks_draw_random_pure_states(self, capsys, monkeypatch, tmp_path):
+        # 5 x 3 x 4 gives chunks of 36 states, sized by rho_AB; state i is,
+        # bit for bit, the normalized Gaussian of stream i
+        lengths, rule, drawn, expected = self._monogamy_chunks(
+            capsys, monkeypatch, tmp_path, 5, 3, 4, 80
+        )
+        assert lengths == rule and len(lengths) == 3
+        assert np.array_equal(drawn, expected)
+
+    def test_monogamy_chunks_sized_by_rho_e(self, capsys, monkeypatch, tmp_path):
+        # at 3 x 1 x 40 rho_E, 40 x 40, sets the chunk: 5 states, where
+        # rho_AB alone would allow 910
+        lengths, rule, drawn, expected = self._monogamy_chunks(
+            capsys, monkeypatch, tmp_path, 3, 1, 40, 12
+        )
+        assert lengths == rule and len(lengths) == 3
+        assert np.array_equal(drawn, expected)
 
     @pytest.mark.parametrize("fmt", ["json", "csv"])
     def test_holds_one_chunk_of_reports_at_a_time(self, capsys, monkeypatch, tmp_path, fmt):
@@ -1055,6 +1082,26 @@ def test_failed_sweep_leaves_no_file(capsys, monkeypatch, tmp_path):
     assert not out_file.exists()
 
 
+def test_runs_without_a_draw_leave_numpy_random_unloaded():
+    # numpy.random, and through it secrets, hmac and OpenSSL, loads at the
+    # first draw, not with the package: sweep and --help never draw
+    script = (
+        "import contextlib, io, sys\n"
+        "import entguess.cli\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    assert entguess.cli.main(['sweep', '--d', '3', '--grid', '3']) == 0\n"
+        "    try:\n"
+        "        entguess.cli.main(['--help'])\n"
+        "    except SystemExit:\n"
+        "        pass\n"
+        "print('numpy.random' in sys.modules)\n"
+    )
+    src = Path(designs.__file__).resolve().parents[1]
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    run = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, env=env)
+    assert (run.returncode, run.stdout, run.stderr) == (0, "False\n", "")
+
+
 # every RunConfig field but `command` specifies one option
 OPTIONS = fields(RunConfig)[1:]
 # the game states, which the parser takes as free text
@@ -1220,3 +1267,68 @@ class TestDeterminismAndConfig:
         assert _json_text(0.1234567890123456) == "0.123456789012\n"
         assert _json_text({"a": [1, 2.00000000000049]}) == '{\n  "a": [\n    1,\n    2.0\n  ]\n}\n'
         assert _json_text(True) == "true\n"
+
+
+def _float_from_bits(bits: int) -> float:
+    return struct.unpack("<d", struct.pack("<Q", bits))[0]
+
+
+# floats over the whole range: every finite bit pattern, subnormals, signed
+# zeros, integral values, 1e12 to 1e16 (where `.12g` writes an exponent and
+# repr does not) and both sides of 1e-4 and 1e-5
+_FINITE_FLOATS = st.one_of(
+    st.integers(0, 2**64 - 1).map(_float_from_bits).filter(math.isfinite),
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.floats(-2.3e-308, 2.3e-308),
+    st.sampled_from([0.0, -0.0, 5e-324, sys.float_info.min, sys.float_info.max, 1e-5, 1e-4]),
+    st.integers(-(2**60), 2**60).map(float),
+    st.floats(1e12, 1e16) | st.floats(-1e16, -1e12),
+    st.floats(9e-6, 1.1e-5) | st.floats(9e-5, 1.1e-4),
+)
+
+
+@st.composite
+def _reports(draw):
+    """RelationReports of both relations, their metadata drawn from a small pool
+    so that metadata repeats across reports."""
+    equality = st.fixed_dictionaries({
+        "d": st.integers(1, 10**6), "d_b": st.integers(1, 10**6),
+        "kind": st.text(max_size=8), "nu": _FINITE_FLOATS,
+    })
+    monogamy = st.fixed_dictionaries({
+        "dims": st.lists(st.integers(1, 10**6), min_size=3, max_size=3),
+        "rank_tol_sensitive": st.booleans(),
+    })
+    pool = draw(st.lists(equality | monogamy, min_size=1, max_size=4))
+    return draw(st.lists(st.builds(
+        relations.RelationReport,
+        lhs=_FINITE_FLOATS, rhs=_FINITE_FLOATS, defect=_FINITE_FLOATS, tolerance=_FINITE_FLOATS,
+        verdict=st.sampled_from(["holds", "violated"]),
+        metadata=st.sampled_from(pool).map(copy.deepcopy),
+    ), max_size=6))
+
+
+class TestJsonWriterProperty:
+    @settings(derandomize=True, max_examples=200, deadline=None)
+    @given(xs=st.lists(_FINITE_FLOATS, max_size=8))
+    def test_floats_match_standard_encoder(self, xs):
+        assert _json_text(xs) == json_text_oracle(xs)
+        assert "".join(_json_list_texts(iter([[x] for x in xs]))) == json_text_oracle(xs)
+
+    @settings(derandomize=True, max_examples=100, deadline=None)
+    @given(reports=_reports(), cut=st.integers(0, 6))
+    def test_reports_match_standard_encoder(self, reports, cut):
+        # written a batch at a time, each report from the template
+        expected = json_text_oracle([vars(r) for r in reports])
+        assert _json_text(reports) == expected
+        batches = iter([reports[:cut], reports[cut:]])
+        assert "".join(_json_list_texts(batches)) == expected
+
+    def test_more_distinct_metadata_than_are_kept(self):
+        reports = [
+            relations.RelationReport.equality(0.5, 0.5, 1e-9, {"d": i, "kind": "MUB"})
+            for i in range(3 * 64)
+        ]
+        reports += reports[:5]
+        expected = json_text_oracle([vars(r) for r in reports])
+        assert "".join(_json_list_texts(iter([reports]))) == expected

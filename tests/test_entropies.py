@@ -516,41 +516,60 @@ class TestClassicalH2:
 
 
 class TestD0Relative:
-    # d0_relative takes a factor t of rho = t t^dag; the oracle decomposes rho itself
+    # d0_relative takes a factor t of rho = t t^dag and sigma = 1 (x) sigma_E
+    # by sigma_E; the oracle decomposes rho itself and reads the whole sigma
     def test_self_distance_zero(self):
+        # rho = 1/d_A (x) rho_E is its own sigma, with sigma_E = rho_E / d_A
+        d_a = 2
         gen = np.random.default_rng(52)
         g = gen.normal(size=(3, 3)) + 1j * gen.normal(size=(3, 3))
-        t = g / np.sqrt(np.trace(g @ g.conj().T).real)
-        rho = t @ t.conj().T
-        value, flag = d0_relative(t, rho)
+        t_e = g / np.sqrt(np.trace(g @ g.conj().T).real)
+        t = np.kron(np.eye(d_a), t_e) / np.sqrt(d_a)
+        sigma_e = t_e @ t_e.conj().T / d_a
+        value, flag = d0_relative(t, sigma_e)
         assert abs(value) < 1e-12
-        expected, expected_flag = d0_relative_oracle(rho, rho)
+        rho = t @ t.conj().T
+        expected, expected_flag = d0_relative_oracle(rho, np.kron(np.eye(d_a), sigma_e))
         assert abs(value - expected) < 1e-12 and flag == expected_flag
 
     def test_pure_vs_maximally_mixed(self):
-        d = 5
-        psi = pure_states(d, 1, 53)[0]
-        value, flag = d0_relative(psi[:, None], np.eye(d) / d)
-        assert abs(value - np.log2(d)) < 1e-12
-        expected, expected_flag = d0_relative_oracle(np.outer(psi, psi.conj()), np.eye(d) / d)
+        d_a, d_e = 2, 3
+        psi = pure_states(d_a * d_e, 1, 53)[0]
+        sigma_e = np.eye(d_e) / (d_a * d_e)
+        value, flag = d0_relative(psi[:, None], sigma_e)
+        assert abs(value - np.log2(d_a * d_e)) < 1e-12
+        expected, expected_flag = d0_relative_oracle(
+            np.outer(psi, psi.conj()), np.kron(np.eye(d_a), sigma_e)
+        )
         assert abs(value - expected) < 1e-12 and flag == expected_flag
 
     def test_orthogonal_supports_diverge(self):
+        # rho = |00><00| on A (x) E, sigma = 1 (x) |1><1|
+        t = np.eye(4)[:, :1]
+        sigma_e = np.diag([0.0, 1.0])
         with pytest.raises(InfiniteDivergence) as factor:
-            d0_relative(np.array([[1.0], [0.0]]), np.diag([0.0, 1.0]))
+            d0_relative(t, sigma_e)
         with pytest.raises(InfiniteDivergence) as oracle:
-            d0_relative_oracle(np.diag([1.0, 0.0]), np.diag([0.0, 1.0]))
+            d0_relative_oracle(t @ t.T, np.kron(np.eye(2), sigma_e))
         assert str(factor.value) == str(oracle.value)
 
-    @pytest.mark.parametrize("n, r", [(6, 2), (4, 4), (3, 7)], ids=["tall", "square", "wide"])
-    def test_matches_oracle_whatever_the_shape_of_t(self, n, r):
+    def test_rejects_sigma_e_that_does_not_divide_t(self):
+        with pytest.raises(DimensionError):
+            d0_relative(np.eye(6)[:, :2], np.eye(4) / 4)
+
+    @pytest.mark.parametrize(
+        "d_a, d_e, r", [(2, 3, 2), (2, 2, 4), (3, 1, 7)], ids=["tall", "square", "wide"]
+    )
+    def test_matches_oracle_whatever_the_shape_of_t(self, d_a, d_e, r):
         # a wide t has r - n zero eigenvalues of t^dag t, a tall one n - r of rho
+        n = d_a * d_e
         gen = np.random.default_rng(54)
         t = gen.normal(size=(5, n, r)) + 1j * gen.normal(size=(5, n, r))
         t /= np.linalg.norm(t, axis=(1, 2))[:, None, None]
-        g = gen.normal(size=(5, n, n)) + 1j * gen.normal(size=(5, n, n))
-        sigma = g @ g.conj().swapaxes(1, 2)
-        values, flags = d0_relative(t, sigma)
+        g = gen.normal(size=(5, d_e, d_e)) + 1j * gen.normal(size=(5, d_e, d_e))
+        sigma_e = g @ g.conj().swapaxes(1, 2)
+        values, flags = d0_relative(t, sigma_e)
+        sigma = np.array([np.kron(np.eye(d_a), one) for one in sigma_e])
         expected, expected_flags = d0_relative_oracle(t @ t.conj().swapaxes(1, 2), sigma)
         assert np.abs(values - expected).max() < 1e-12
         assert np.array_equal(flags, expected_flags)

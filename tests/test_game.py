@@ -103,7 +103,7 @@ def _guided_draw(cdf, u):
     """The guided draw of every u from every row of cdf, and the rows used."""
     sampler = game._GuidedCdf(cdf)
     rows = np.repeat(np.arange(len(cdf)), len(u))
-    return sampler.draw(rows, np.tile(u, len(cdf))), rows
+    return sampler.positions(rows, np.tile(u, len(cdf))) - rows * sampler.width, rows
 
 
 class TestInverseCdfDraw:
@@ -203,11 +203,11 @@ class TestBobWins:
         u = np.tile(_edge_uniforms(bob_cdf, 1), len(rows))
         r = np.repeat(np.arange(len(rows)), len(u) // len(rows))
         guess = np.minimum(categorical_oracle(rows[r], u), d - 1)
-        won = game._BobWins(bob_cdf).won(r, u)
+        won = game._BobWins(bob_cdf, d).won(r, u)
         assert np.array_equal(won, guess == r % d)
 
     def test_bounds_past_the_row_are_infinite(self):
-        bob = game._BobWins(self._tables(5))
+        bob = game._BobWins(self._tables(5), 5)
         assert np.all(bob.lo.reshape(-1, 5)[:, 0] == -np.inf)
         assert np.all(bob.hi.reshape(-1, 5)[:, -1] == np.inf)
         assert np.all(np.isfinite(bob.lo.reshape(-1, 5)[:, 1:]))
