@@ -235,10 +235,10 @@ def _json_list_texts(batches):
     batch and then its closing bracket, so that no more than one batch's
     text is held.
 
-    A RelationReport is written from `_REPORT_TEMPLATE`, and each distinct
-    metadata's text is made once, by its repr: metadata holds JSON values
-    (dicts, lists, strings, numbers, booleans, None), whose repr fixes their
-    text."""
+    A RelationReport is written from `_REPORT_TEMPLATE`, and the text of
+    each distinct metadata is made once, keyed by its repr (at most
+    `_METADATA_TEXTS` are kept): metadata holds JSON values (dicts, lists,
+    strings, numbers, booleans, None), whose repr fixes their text."""
     metadata_texts = {}
 
     def text(name, value):
