@@ -133,8 +133,8 @@ class _BobWins:
     nondecreasing CDF row bob_cdf[theta, k] that Alice's outcome k selects.
     It equals k exactly when bob_cdf[theta, k, k - 1] <= u < bob_cdf[theta,
     k, k], with the bound past either end of the row infinite.  Both bounds
-    are kept flat, at row theta * width + c for each draw c of Alice's that
-    gives her outcome k = min(c, d - 1), width >= d.
+    are kept flat, at row theta * width + c for every count c < width that
+    Alice's draw can give, which is her outcome k = min(c, d - 1).
     """
 
     def __init__(self, bob_cdf: np.ndarray, width: int):
