@@ -1,13 +1,15 @@
 """Numerics for the exact trade-off between bipartite entanglement and
 pretty-good-measurement guessing probability.
 
-The package verifies, at machine precision, that measuring one half of a
-bipartite state in a complete set of mutually unbiased bases (or any other
-measurement family generating a complex projective 2-design) ties Bob's
-guessing probability to the state's conditional collision entropy through
-an exact equality, together with the tight n-basis bounds, an
-entanglement witness on joint statistics, and a monogamy equation for
-tripartite pure states.
+The package verifies that measuring one half of a bipartite state in a
+complete set of mutually unbiased bases (or any other measurement family
+generating a complex projective 2-design) ties Bob's guessing probability
+to the state's conditional collision entropy through an exact equality,
+together with the tight n-basis bounds, an entanglement witness on joint
+statistics, and a monogamy equation for tripartite pure states.  The two
+sides agree at machine precision on the states `entguess verify` draws; a
+state whose rho_B is ill-conditioned is the known exception, where the
+measured side loses digits as kappa(rho_B) and nu grow (see the README).
 """
 
 from .designs import (

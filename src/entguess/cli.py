@@ -325,30 +325,31 @@ def cmd_verify(cfg: RunConfig) -> int:
     if cfg.relation == "main":
         family = _family_for(cfg.family, cfg.d)
         tol = cfg.tolerance if cfg.tolerance is not None else relations.EQUALITY_TOL
-        chunks = _chunks(cfg.samples, cfg.d * cfg.d_b)
-        # A factor state is small, but measuring it makes every effect's
-        # d_B x d_B operator: allocating (not touching) that array first makes
-        # a --db too large for memory fail before any state is drawn
-        np.empty((family.scales.size, cfg.d_b, cfg.d_b), dtype=complex)
         keys = relations.EQUALITY_METADATA
-        batches = (
-            relations.equality_report(
-                mixed_rank_states(cfg.d, cfg.d_b, stop - start, cfg.seed, start),
-                family, cfg.nu, tol,
-            )
-            for start, stop in chunks
-        )
+        # a factor state is small, but measuring it makes every effect's
+        # d_B x d_B operator
+        n, largest = cfg.d * cfg.d_b, (family.scales.size, cfg.d_b, cfg.d_b)
+
+        def reports(start, stop):
+            rho = mixed_rank_states(cfg.d, cfg.d_b, stop - start, cfg.seed, start)
+            return relations.equality_report(rho, family, cfg.nu, tol)
     else:
         mubs = designs.mub_family(cfg.d)
         tol = cfg.tolerance if cfg.tolerance is not None else relations.MONOGAMY_TOL
-        dims = (cfg.d, cfg.d_b, cfg.d_e)
-        n = cfg.d * cfg.d_b * cfg.d_e
         keys = relations.MONOGAMY_METADATA
-        # the largest matrices monogamy_report forms are rho_AB and rho_E
-        batches = (
-            relations.monogamy_report(pure_states(n, stop - start, cfg.seed, start), dims, mubs, tol)
-            for start, stop in _chunks(cfg.samples, max(cfg.d * cfg.d_b, cfg.d_e))
-        )
+        # the largest matrices monogamy_report forms are rho_AB and rho_E; a
+        # state's vector is no larger
+        n = max(cfg.d * cfg.d_b, cfg.d_e)
+        largest = (n, n)
+
+        def reports(start, stop):
+            psi = pure_states(cfg.d * cfg.d_b * cfg.d_e, stop - start, cfg.seed, start)
+            return relations.monogamy_report(psi, (cfg.d, cfg.d_b, cfg.d_e), mubs, tol)
+    chunks = _chunks(cfg.samples, n)
+    # allocating (not touching) the largest array first makes a dimension too
+    # large for memory fail before any state is drawn
+    np.empty(largest, dtype=complex)
+    batches = (reports(start, stop) for start, stop in chunks)
     holds = True
 
     def judged():

@@ -7,14 +7,16 @@ sampler of many takes `seed` and `start`, and draws state i from stream
 start + i.  The same (seed, stream) therefore reproduces the same state
 bit-for-bit on a given build, and distinct streams are independent.
 
-A state is a `DensityMatrix`.  One built from a matrix (a file, a caller,
-`from_pure`, `random_density`, `random_separable`) is certified by a
-Cholesky factorisation of rho + EIG_TOL 1.  One built by
+A state is a `DensityMatrix`, and one function, `_certify`, decides whether
+a stack is one: Hermitian within STATE_HERM_TOL, trace within TRACE_TOL of
+1, and (m + m^dag)/2 + EIG_TOL 1 with a Cholesky factor.  A state built from
+a matrix (a file, a caller, `from_pure`, `random_density`,
+`random_separable`) runs it on rho.  One built by
 `DensityMatrix.from_factor` also keeps its normalized Ginibre factor F,
-rho = F F^dag, and is certified from F alone, by an r x r Cholesky:
-`mixed_rank_states` hands out a chunk that way when its largest rank r has
-r^2 <= d_A d_B^2, where reading F costs the kernels no more than reading
-rho.
+rho = F F^dag, and runs it on the r x r F^dag F alone: `mixed_rank_states`
+hands out a chunk that way when its largest rank r has r^2 <= d_A d_B^2,
+where reading F costs the kernels no more than reading rho.  ``rho[i]`` of
+a certified stack is not certified again.
 """
 
 import math
@@ -105,18 +107,34 @@ def _has_cholesky(m: np.ndarray) -> bool:
     return True
 
 
-def _check_trace_and_psd(trace: np.ndarray, shifted: np.ndarray):
-    """Certify a stack from its traces and its shifted matrices h + EIG_TOL 1.
+def _certify(stack: np.ndarray, trace: np.ndarray | None = None):
+    """Certify a (k, n, n) stack as k density matrices, or name the first that is not one.
 
-    ParameterError names the first state whose trace is not within TRACE_TOL
-    of 1 in its real and imaginary parts; failing that, the first whose h
-    has an eigenvalue below -EIG_TOL, as eigvalsh(h + EIG_TOL 1)[0] -
-    EIG_TOL.  h + EIG_TOL 1 has a Cholesky factor iff h has no eigenvalue
-    below -EIG_TOL, up to rounding of about n eps |h|, far inside EIG_TOL.
+    ParameterError names the first state that deviates from Hermitian by
+    more than STATE_HERM_TOL; failing that, the first whose trace is not
+    within TRACE_TOL of 1 in its real and imaginary parts; failing that, the
+    first whose h = (m + m^dag)/2 has an eigenvalue below -EIG_TOL, as
+    eigvalsh(h + EIG_TOL 1)[0] - EIG_TOL.  h + EIG_TOL 1 has a Cholesky
+    factor iff h has no eigenvalue below -EIG_TOL, up to rounding of about
+    n eps |h|, far inside EIG_TOL.  `trace` stands for the stack's traces
+    where the caller knows them to be real, as Tr F^dag F = ||F||_F^2 is.
     """
+    stack_dag = stack.conj().swapaxes(1, 2)
+    # m - m^dag is NaN or infinite wherever m is, so a non-finite entry
+    # fails the first check before it can reach the factorisation
+    with np.errstate(invalid="ignore"):
+        herm_gap = np.abs(stack - stack_dag).max(axis=(1, 2))
+    bad = ~(herm_gap <= STATE_HERM_TOL)
+    if bad.any():
+        raise ParameterError(f"matrix deviates from Hermitian by {herm_gap[bad.argmax()]:.3e}")
+    if trace is None:
+        trace = np.trace(stack, axis1=1, axis2=2)
     bad = ~((abs(trace.real - 1.0) <= TRACE_TOL) & (abs(trace.imag) <= TRACE_TOL))
     if bad.any():
         raise ParameterError(f"trace {trace[bad.argmax()]} differs from 1")
+    # (m + m^dag)/2 + EIG_TOL 1, by a shift of the diagonal alone
+    shifted = (stack + stack_dag) * 0.5
+    shifted.reshape(len(stack), -1)[:, :: stack.shape[-1] + 1] += EIG_TOL
     if not _has_cholesky(shifted):
         first = next(one for one in shifted if not _has_cholesky(one))
         raise ParameterError(f"negative eigenvalue {np.linalg.eigvalsh(first)[0] - EIG_TOL:.3e}")
@@ -160,39 +178,24 @@ class DensityMatrix:
         n = math.prod(dims)
         if m.ndim not in (2, 3) or m.shape[-2:] != (n, n):
             raise DimensionError(f"matrix shape {m.shape} does not match dims {dims}")
-        # `stack` views the caller's matrix, so it is only read; the one
-        # full-size buffer holds m^dag, then m - m^dag, then the shifted h
-        stack = m.reshape(-1, n, n)
-        stack_dag = stack.swapaxes(1, 2)
-        buf = np.conjugate(stack_dag, out=np.empty(stack.shape, complex))
-        # m - m^dag is NaN or infinite wherever m is, so a non-finite entry
-        # fails the first check before it can reach the factorisation
-        with np.errstate(invalid="ignore"):
-            np.subtract(stack, buf, out=buf)
-            herm_gap = np.abs(buf).max(axis=(1, 2))
-        bad = ~(herm_gap <= STATE_HERM_TOL)
-        if bad.any():
-            raise ParameterError(f"matrix deviates from Hermitian by {herm_gap[bad.argmax()]:.3e}")
-        # Halving and a shift of the diagonal alone give (m + m^dag)/2 +
-        # EIG_TOL 1 bit for bit, up to the sign of a zero.
-        np.conjugate(stack_dag, out=buf)
-        np.add(stack, buf, out=buf)
-        buf *= 0.5
-        buf.reshape(len(buf), -1)[:, :: n + 1] += EIG_TOL
-        _check_trace_and_psd(np.trace(stack, axis1=1, axis2=2), buf)
+        _certify(m.reshape(-1, n, n))
 
     def __getitem__(self, i) -> "DensityMatrix":
+        # state i of a certified stack: its slice, or its own factor and G
+        if (self.matrix if self.factor is None else self.factor).ndim != 3:
+            raise DimensionError("a single state has no states to index")
         if self.factor is None:
-            return DensityMatrix(self.matrix[i], self.dims)
-        # state i of a certified factor stack, from its own factor and G
-        return DensityMatrix._certified(self.dims, self.factor[i], self._ginibre_g[i])
+            return DensityMatrix._certified(self.dims, matrix=self.matrix[i])
+        g = self._ginibre_g[i]
+        return DensityMatrix._certified(self.dims, factor=self.factor[i], _ginibre_g=g)
 
     @classmethod
-    def _certified(cls, dims, factor, g) -> "DensityMatrix":
-        """A factor state, without its matrix: `__getattr__` forms that on first read."""
+    def _certified(cls, dims, **fields) -> "DensityMatrix":
+        """A state whose certificate has run, made from its fields.  A factor
+        state gets `factor` and `_ginibre_g`, not its matrix: `__getattr__`
+        forms that on first read."""
         state = cls.__new__(cls)
-        for name, value in (("dims", dims), ("factor", factor), ("_ginibre_g", g)):
-            object.__setattr__(state, name, value)
+        state.__dict__.update(dims=dims, **fields)
         return state
 
     def __getattr__(self, name):
@@ -217,13 +220,13 @@ class DensityMatrix:
         the right to the largest r.
 
         Certificate.  Every entry of G is finite, t > 0, and F = G / sqrt(t)
-        has Tr(F^dag F) within TRACE_TOL of 1 and F^dag F + EIG_TOL 1 a
-        Cholesky factor, an r x r check; F^dag F has the nonzero spectrum of
-        F F^dag.  The n x n Cholesky that a matrix from outside gets is not
-        needed: fl(G G^dag)/t differs from the exact G G^dag / t by at most
-        about r u in norm (u = 1.1e-16), so its smallest eigenvalue lies
-        above -r u, -2.8e-14 at r = 248, far inside EIG_TOL = 1e-10.  The
-        tests keep that Cholesky on the generated states as an oracle.
+        has F^dag F pass `_certify`, an r x r check with the real trace
+        ||F||_F^2; F^dag F has the nonzero spectrum of F F^dag.  The n x n
+        check that a matrix from outside gets is not needed: fl(G G^dag)/t
+        differs from the exact G G^dag / t by at most about r u in norm
+        (u = 1.1e-16), so its smallest eigenvalue lies above -r u, -2.8e-14
+        at r = 248, far inside EIG_TOL = 1e-10.  The tests keep that n x n
+        Cholesky on the generated states as an oracle.
         """
         single = isinstance(g, np.ndarray) and g.ndim == 2
         gs = [np.array(one, dtype=complex) for one in ([g] if single else g)]
@@ -246,9 +249,9 @@ class DensityMatrix:
             raise ParameterError("factor is zero: ||G||_F^2 = 0")
         f /= np.sqrt(t)[:, None, None]
         gram = f.conj().swapaxes(1, 2) @ f
-        trace = np.trace(gram, axis1=1, axis2=2).real
-        _check_trace_and_psd(trace, gram + EIG_TOL * np.eye(gram.shape[-1]))
-        return cls._certified(dims, f[0], gs[0]) if single else cls._certified(dims, f, gs)
+        _certify(gram, np.trace(gram, axis1=1, axis2=2).real)
+        stack = cls._certified(dims, factor=f, _ginibre_g=gs)
+        return stack[0] if single else stack
 
     @classmethod
     def from_pure(cls, psi: np.ndarray, dims) -> "DensityMatrix":
@@ -280,8 +283,9 @@ def pure_states(d: int, count: int, seed: int, start: int = 0) -> np.ndarray:
     if count < 1:
         raise ParameterError(f"count must be >= 1, got {count}")
     out = _stream_normals(seed, range(start, start + count), [d] * count).reshape(count, d)
-    # a norm per row: a stacked norm(axis=-1) does not round the same
-    out /= np.array([np.linalg.norm(v) for v in out])[:, None]
+    # the per-row dot products np.linalg.norm makes, so each row rounds as its
+    # norm does; a stacked norm(axis=-1) does not round the same
+    out /= np.sqrt(np.vecdot(out.real, out.real) + np.vecdot(out.imag, out.imag))[:, None]
     return out
 
 

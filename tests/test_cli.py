@@ -998,9 +998,14 @@ def test_lone_double_dash_value_is_usage_error(capsys, argv):
         (["verify", "--relation", "monogamy", "--d", "5", "--db", "4194304", "--de", "4194304",
           "--samples", "1"],
          "error: out of memory: "),
+        # rho_E is that large; the allocation fails before the vector's draw,
+        # whose 6e8 uniforms (4.8 GB) would run a small machine out of memory
+        (["verify", "--relation", "monogamy", "--d", "3", "--db", "1", "--de", "100000000",
+          "--samples", "1"],
+         "error: out of memory: "),
     ],
     ids=["main-db-1e9", "main-d-2^61-1", "sweep-d-2^61-1", "game-db-1e9",
-         "main-db-1e6", "game-db-1e6", "monogamy-db-de-2^22"],
+         "main-db-1e6", "game-db-1e6", "monogamy-db-de-2^22", "monogamy-de-1e8"],
 )
 def test_oversized_dimension_is_usage_error(capsys, argv, message):
     code, out, err = run_cli(argv, capsys)

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 from conftest import random_bipartite
 from oracles import (
     complex_gaussian_oracle,
@@ -22,7 +24,7 @@ from entguess import (
     random_separable,
 )
 from entguess.states import _philox, _stream_gaussians
-from entguess.tolerances import EIG_TOL
+from entguess.tolerances import EIG_TOL, STATE_HERM_TOL, TRACE_TOL
 
 
 class TestPhilox:
@@ -93,6 +95,26 @@ class TestRandomPure:
             pure_states(0, 1, 0)
         with pytest.raises(ParameterError):
             pure_states(0, 3, 0)
+
+
+class TestPureStatesNormProperty:
+    # pure_states divides each row by its own norm in one stacked pass; the
+    # oracle divides by np.linalg.norm, row by row
+    @settings(derandomize=True, max_examples=30, deadline=None)
+    @given(
+        d=st.integers(1, 1000),
+        count=st.integers(1, 40),
+        seed=st.integers(0, 2**64 - 1),
+        start=st.integers(0, 2**20),
+    )
+    @example(d=60, count=36, seed=0, start=0)
+    @example(d=7, count=500, seed=1, start=0)
+    @example(d=1000, count=5, seed=2, start=0)
+    @example(d=3, count=2000, seed=3, start=0)
+    def test_matches_the_per_row_norm_bit_for_bit(self, d, count, seed, start):
+        got = pure_states(d, count, seed, start)
+        expected = [pure_state_oracle(seed, k, d) for k in range(start, start + count)]
+        assert np.array_equal(got, expected)
 
 
 class TestRandomDensity:
@@ -235,11 +257,13 @@ class TestDensityMatrixInvariants:
     @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf, complex(0, np.inf)], ids=str)
     @pytest.mark.parametrize("index", [(0, 0), (1, 1), (3, 3), (0, 2)], ids=["00", "11", "33", "02"])
     def test_rejects_non_finite_entry(self, index, value):
-        # ParameterError, not numpy's LinAlgError from the factorisation
+        # ParameterError from the Hermiticity check, not numpy's LinAlgError
+        # from the factorisation, alone and second in a stack
         m = np.eye(4, dtype=complex) / 4
         m[index] = value
-        with pytest.raises(ParameterError):
-            DensityMatrix(m, (2, 2))
+        for matrix in (m, np.array([np.eye(4) / 4, m])):
+            with pytest.raises(ParameterError, match=r"^matrix deviates from Hermitian by (nan|inf)$"):
+                DensityMatrix(matrix, (2, 2))
 
     @pytest.mark.parametrize("n", [4, 28, 248])
     @pytest.mark.parametrize("offset", [-1e-2, 1e-2], ids=["inside", "outside"])
@@ -291,3 +315,82 @@ class TestDensityMatrixInvariants:
     def test_rejects_non_integer_dimensions(self, dims):
         with pytest.raises(DimensionError, match="must be integers"):
             DensityMatrix(np.eye(4) / 4, dims)
+
+
+# the tolerance each kind of defect is judged against
+EDGE_TOL = {"hermitian": STATE_HERM_TOL, "trace": TRACE_TOL, "trace-imag": TRACE_TOL,
+            "eigenvalue": EIG_TOL}
+
+
+def at_edge(kind: str, scale: float) -> np.ndarray:
+    """A 4 x 4 matrix, otherwise a state, whose defect of `kind` is `scale`
+    times its tolerance.
+
+    An imaginary trace is spread over the diagonal, so that each entry's
+    Hermiticity gap, twice its imaginary part, stays inside STATE_HERM_TOL.
+    """
+    delta = scale * EDGE_TOL[kind]
+    m = np.diag([0.5, 0.25, 0.125, 0.125]).astype(complex)
+    if kind == "hermitian":
+        m[0, 1] = delta
+    elif kind == "trace":
+        m[3, 3] += delta
+    elif kind == "trace-imag":
+        m[np.diag_indices(4)] += 1j * delta / 4
+    else:
+        m[:, :] = np.diag([0.5 + delta, 0.25, 0.25, -delta])
+    return m
+
+
+def edge_message(kind: str, m: np.ndarray) -> str:
+    if kind == "hermitian":
+        return f"matrix deviates from Hermitian by {np.abs(m - m.conj().T).max():.3e}"
+    if kind == "eigenvalue":
+        return f"negative eigenvalue {np.linalg.eigvalsh(m)[0]:.3e}"
+    return f"trace {np.trace(m)} differs from 1"
+
+
+class TestOneCertificate:
+    """Each check at 0.9x and 1.1x its tolerance, for one state and inside a
+    stack, where the message names the first state that fails."""
+
+    @pytest.mark.parametrize("kind", list(EDGE_TOL))
+    def test_accepts_inside_each_tolerance(self, kind):
+        DensityMatrix(at_edge(kind, 0.9), (2, 2))
+        DensityMatrix(np.array([at_edge(kind, 0.9)] * 3), (2, 2))
+
+    @pytest.mark.parametrize("kind", list(EDGE_TOL))
+    def test_rejects_outside_each_tolerance(self, kind):
+        first = at_edge(kind, 1.1)
+        message = edge_message(kind, first)
+        assert message.endswith(("1.100e-11", "-1.100e-10", "differs from 1"))
+        with pytest.raises(ParameterError) as single:
+            DensityMatrix(first, (2, 2))
+        # the largest defect comes last, and the message still names the first
+        stack = np.array([at_edge(kind, 0.9), first, at_edge(kind, 0.9), at_edge(kind, 1.5)])
+        with pytest.raises(ParameterError) as stacked:
+            DensityMatrix(stack, (2, 2))
+        assert str(stacked.value) == str(single.value) == message
+
+    def test_state_of_a_dense_stack_is_not_certified_again(self, monkeypatch):
+        matrix = mixed_rank_states(2, 3, 4, seed=2).matrix
+        factorisations = []
+        cholesky = np.linalg.cholesky
+        monkeypatch.setattr(np.linalg, "cholesky", lambda m: factorisations.append(m) or cholesky(m))
+        stack = DensityMatrix(matrix, (2, 3))
+        assert stack.factor is None and len(factorisations) == 1
+        one = stack[2]
+        assert len(factorisations) == 1
+        assert one.dims == (2, 3) and one.factor is None
+        assert np.shares_memory(one.matrix, stack.matrix)
+        assert np.array_equal(one.matrix, matrix[2])
+
+    @pytest.mark.parametrize(
+        "single",
+        [lambda: random_density((2, 2), 2, 0),
+         lambda: DensityMatrix.from_factor(np.ones((4, 1)), (2, 2))],
+        ids=["dense", "factor"],
+    )
+    def test_single_state_has_no_states_to_index(self, single):
+        with pytest.raises(DimensionError, match="^a single state has no states to index$"):
+            single()[0]
