@@ -4,7 +4,8 @@ Three certified constructions are provided: complete sets of mutually
 unbiased bases in prime dimension, SIC-POVMs for d = 2 and 3, and the
 computational-basis orbit of the single-qubit Clifford group.  None of the
 constructions is trusted: every family can be checked after the fact with
-`design_defect` (distance of the pooled second moment from (1+F)/(d(d+1))).
+`design_defect` (distance of the pooled second moment, each effect vector
+weighted by its scale squared, from (1+F)/(d(d+1))).
 The check works on the symmetric subspace, dimension D = d(d+1)/2, and
 forms only the lower block triangle of a D x D Gram matrix, in row blocks
 rebuilt from the N pooled effect vectors; its working memory is two blocks
@@ -15,7 +16,8 @@ all with the same number of outcomes.  ``vectors[t, :, k]`` is the k-th
 effect vector of setting t (a column of the setting's d x n_outcomes
 matrix ``vectors[t]``) and ``scales[t, k]`` its weight, so the effects are
 ``scales[t, k] * |v><v|``; for an orthonormal-basis setting the scales are
-all 1, for a SIC they are 1/d.
+all 1, for a SIC they are 1/d.  A family's numbers come from these arrays
+alone; its ``kind`` is a label for reports.
 
 A family holds read-only copies of the arrays it is given, so the defect
 and the tables cached on it cannot go stale.  The built-in constructors
@@ -60,11 +62,15 @@ class MeasurementFamily:
 
     ``vectors`` has shape (n_settings, d, n_outcomes) and ``scales`` shape
     (n_settings, n_outcomes).  Settings share a uniform sampling weight
-    1/n_settings.  ``d`` is read from ``vectors`` and the constant of the
-    guessing-probability equality from ``kind``: d+1 for complete-MUB and
-    Clifford-orbit families, d(d+1) for SICs, None otherwise.  The family
-    keeps read-only copies of both arrays: a write to them raises
-    ValueError, and a later write to the caller's arrays cannot reach it.
+    1/n_settings.  ``d`` is read from ``vectors``, and the constant of the
+    guessing-probability equality from ``scales``: c = d(d+1) / m with
+    m = sum_t sum_k scales[t, k]^2 / n_settings, so that the weighted
+    moment sum_t sum_k scales^2 |v><v|^(x2) / n_settings of a 2-design is
+    (1 + F)/c.  That gives d+1 for complete-MUB and Clifford-orbit families
+    and d(d+1) for SICs.  ``kind`` is a free label, carried into report
+    metadata; it decides no number.  The family keeps read-only copies of
+    both arrays: a write to them raises ValueError, and a later write to
+    the caller's arrays cannot reach it.
     """
 
     kind: str
@@ -86,6 +92,9 @@ class MeasurementFamily:
         # written as `not <=` so that a NaN entry fails the check
         if not np.abs(np.linalg.norm(v, axis=1) - 1.0).max() <= NORM_TOL:
             raise ParameterError("effect vectors must be normalized")
+        # a negative weight passes completeness but is no effect
+        if not scales.min() >= 0:
+            raise ParameterError("effect weights must be non-negative")
         sums = (v * scales[:, None, :]) @ v.conj().transpose(0, 2, 1)
         if not np.abs(sums - np.eye(self.d)).max() <= COMPLETENESS_TOL:
             raise ParameterError("setting effects do not sum to the identity")
@@ -94,13 +103,9 @@ class MeasurementFamily:
     def d(self) -> int:
         return self.vectors.shape[1]
 
-    @property
-    def equality_constant(self) -> float | None:
-        if self.kind == MUB_COMPLETE or self.kind == CLIFFORD_ORBIT:
-            return float(self.d + 1)
-        if self.kind == SIC:
-            return float(self.d * (self.d + 1))
-        return None
+    @cached_property
+    def equality_constant(self) -> float:
+        return float(self.d * (self.d + 1) / (np.sum(self.scales**2) / self.n_settings))
 
     @property
     def n_settings(self) -> int:
@@ -114,28 +119,40 @@ class MeasurementFamily:
         return self.vectors.shape[2] == self.d and np.allclose(self.scales, 1, atol=BASIS_SCALE_TOL)
 
     @cached_property
+    def _is_basis_set(self) -> bool:
+        """Whether the family is d + 1 settings, each an orthonormal basis, tested once."""
+        return self.n_settings == self.d + 1 and self.is_basis_family()
+
+    @cached_property
     def _design_defect(self) -> float:
         """Frobenius norm of W W^dag / N - 2/(d(d+1)) 1, taken in row blocks of W.
 
-        The moment (1/N) sum |vv><vv| and the target (1+F)/(d(d+1)) =
+        The weighted moment sum_k s_k^2 |vv><vv| / sum_k s_k^2 over the N
+        pooled vectors, with s_k the scale of vector k (the setting weights
+        are equal and cancel), and the target (1+F)/(d(d+1)) =
         2 P_sym/(d(d+1)) both live in the symmetric subspace, of dimension
         D = d(d+1)/2.  Row (i, j), i <= j, of the D x N array W is the
         coordinate of each pooled |v>|v> on the orthonormal basis vector |ii>
-        or (|ij> + |ji>)/sqrt(2), so W W^dag / N is the moment there and the
-        target is a multiple of the identity.  W is never whole.  For each
-        block J of `_DEFECT_BLOCK` rows, one buffer holds W_J and another
-        conj(W_J); then each block W_c below J is rebuilt in the first
-        buffer from the pooled vectors, bottom up, so that the last one is
-        the next W_J.  One GEMM W_c conj(W_J)^T per block gives the lower
-        block triangle of the Hermitian gap, and the squared norm sums the
-        diagonal blocks, less the target, and twice the blocks below them.
+        or (|ij> + |ji>)/sqrt(2), times sqrt(N s_k^2 / sum s^2), so
+        W W^dag / N is the moment there and the target is a multiple of the
+        identity.  W is never whole.  For each block J of `_DEFECT_BLOCK`
+        rows, one buffer holds W_J and another conj(W_J); then each block
+        W_c below J is rebuilt in the first buffer from the pooled vectors,
+        bottom up, so that the last one is the next W_J.  One GEMM
+        W_c conj(W_J)^T per block gives the lower block triangle of the
+        Hermitian gap, and the squared norm sums the diagonal blocks, less
+        the target, and twice the blocks below them.
         Working memory is the two buffers, 32 `_DEFECT_BLOCK` N bytes, and
         the pooled vectors, 16 d N bytes.
         """
         d = self.d
-        # 2^(1/4) on each factor puts the sqrt(2) of a row (i, j), i < j, in place
-        pooled = self.vectors.transpose(1, 0, 2).reshape(d, -1) * 2**0.25
-        n = pooled.shape[1]
+        squared = self.scales.reshape(-1) ** 2
+        n = squared.size
+        # the fourth root on each factor puts its vector's weight, and the
+        # sqrt(2) of a row (i, j), i < j, in place; it is 2^(1/4) when the
+        # scales are equal
+        pooled = self.vectors.transpose(1, 0, 2).reshape(d, -1)
+        pooled = pooled * (2 * squared * n / np.sum(squared)) ** 0.25
         size = d * (d + 1) // 2
         # row starts[i] is (i, i), and rows (i, i + 1), ..., (i, d - 1) follow it
         starts = np.concatenate([[0], np.cumsum(np.arange(d, 0, -1))])
@@ -192,8 +209,8 @@ class MeasurementFamily:
     def _gauss_sum_dft(self):
         """Tables of the DFT route if this family is exactly `mub_family(d)`, odd prime d.
 
-        The family is recognised by its content, not its kind, so a family
-        document that claims MUB-complete with other vectors, a partial or
+        The family is recognised by its content, so a family document
+        labelled MUB-complete with other vectors, a partial or
         rephased copy of the bases, and every other family give None.  It is
         compared with the shared `mub_family(d)`, not with a new copy.  The
         tables are the DFT matrix w^(a m), the chirp w^(a delta^2) indexed
@@ -217,7 +234,6 @@ class MeasurementFamily:
         return {
             "d": self.d,
             "kind": self.kind,
-            "equality_constant": self.equality_constant,
             "settings": [
                 [
                     {"weight": float(scale), "re": v.real.tolist(), "im": v.imag.tolist()}
@@ -231,8 +247,10 @@ class MeasurementFamily:
     def from_json_dict(cls, doc: dict) -> "MeasurementFamily":
         """Family from `to_json_dict`'s document.
 
-        FormatError if it is malformed or its ``d`` is not the length of its
-        vectors; ParameterError if its ``equality_constant`` is not its kind's.
+        FormatError if it is malformed, its ``kind`` is not a string or its
+        ``d`` is not the length of its vectors.  ``kind`` is read as a free
+        label, and an ``equality_constant`` key, which older documents carry,
+        is ignored: the constant follows from the scales.
         """
         try:
             settings = doc["settings"]
@@ -245,14 +263,13 @@ class MeasurementFamily:
                 raise ValueError("settings must be non-empty lists of equal length")
             d = exact_int(doc["d"])
             kind = doc["kind"]
+            if not isinstance(kind, str):
+                raise TypeError(f"kind must be a string, got {kind!r}")
         except (KeyError, TypeError, ValueError, OverflowError) as exc:
             raise FormatError(f"malformed family document: {exc}") from exc
         family = cls(kind, vectors.transpose(0, 2, 1), scales)
         if family.d != d:
             raise FormatError(f"family document has d = {d}, vectors of length {family.d}")
-        expected = family.equality_constant
-        if doc.get("equality_constant") != expected:
-            raise ParameterError(f"kind {kind!r} requires equality_constant {expected}")
         return family
 
 
@@ -394,11 +411,14 @@ def clifford_orbit_family() -> MeasurementFamily:
 
 
 def design_defect(family: MeasurementFamily) -> float:
-    """Frobenius distance of the pooled second moment from (1 + F)/(d(d+1)).
+    """Frobenius distance of the weighted second moment from (1 + F)/(d(d+1)).
 
-    The uniform average of |v><v| tensor |v><v| over all pooled effect
-    vectors is compared against the 2-design target; 0 means the family
-    generates an exact complex projective 2-design.  Computed once per
+    The average of |v><v| tensor |v><v| over all pooled effect vectors,
+    each weighted by the square of its scale and normalized to the target's
+    trace, is compared against the 2-design target; 0 means the family,
+    with the weights the measured side gives its effects, generates an
+    exact weighted complex projective 2-design.  For d + 1 orthonormal bases
+    that is the test that they are mutually unbiased.  Computed once per
     family: its arrays are read-only, so the value cannot go stale, and a
     built-in family is shared, so it is certified once per process.  The
     computation forms only the lower block triangle of the Gram matrix of

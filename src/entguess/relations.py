@@ -27,7 +27,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .designs import MUB_COMPLETE, MeasurementFamily, design_defect
+from .designs import MeasurementFamily, design_defect
 from .entropies import (
     classical_h2_cond,
     d0_relative,
@@ -116,8 +116,19 @@ def _require_certified(family: MeasurementFamily):
         raise DesignDefectError(
             f"family {family.kind!r} has design defect {defect:.3e} >= {CERTIFICATION_TOL}"
         )
-    if family.equality_constant is None:
-        raise DesignDefectError(f"family {family.kind!r} carries no equality constant")
+
+
+def _require_mub_set(mubs: MeasurementFamily, d: int):
+    """ParameterError unless `mubs` is d + 1 orthonormal bases of C^d; then certified.
+
+    d + 1 orthonormal bases form a 2-design if and only if they are mutually
+    unbiased (Klappenecker and Roetteler, ISIT 2005), so `_require_certified`
+    is the unbiasedness test.  The shape test is cached on the family, so a
+    call per chunk costs two attribute reads.
+    """
+    if mubs.d != d or not mubs._is_basis_set:
+        raise ParameterError("need the complete MUB family on the A system")
+    _require_certified(mubs)
 
 
 def equality_report(
@@ -128,10 +139,12 @@ def equality_report(
 ) -> RelationReport:
     """Check H_{2,nu}(K|B,Theta) = log c - log(2^(-H_{2,nu}(A|B)) + 1).
 
-    c is the family's equality constant (d+1 for complete-MUB and
-    Clifford-orbit families, d(d+1) for SICs).  The two sides go through
-    independent code paths: the left measures the state and sums per-setting
-    collision terms, the right evaluates the bipartite entropy directly.
+    c is the family's equality constant, d(d+1) over the mean squared scale
+    per setting: d+1 for families of orthonormal bases (complete MUB sets,
+    the Clifford orbit) and d(d+1) for SICs.  The family's `kind` only
+    labels the report's metadata.  The two sides go through independent
+    code paths: the left measures the state and sums per-setting collision
+    terms, the right evaluates the bipartite entropy directly.
     A `DensityMatrix` holding a stack of k states is checked as one batch
     and gives a list of k reports, in stack order.
     """
@@ -169,13 +182,16 @@ def nbasis_bounds(
 ):
     """Check both tight bounds on the average over the first n MUB settings.
 
-    Returns (lower_report, upper_report).  The lower report asserts
-    bound <= P(n) with lhs = bound, rhs = P(n); the upper report asserts
-    P(n) <= bound with lhs = P(n), rhs = bound.
+    `mubs` must be d + 1 orthonormal bases of C^d (ParameterError
+    otherwise) that pass the design certificate, which for such a family
+    is the test that they are mutually unbiased (DesignDefectError
+    otherwise); its `kind` is not read.  Returns (lower_report,
+    upper_report).  The lower report asserts bound <= P(n) with
+    lhs = bound, rhs = P(n); the upper report asserts P(n) <= bound with
+    lhs = P(n), rhs = bound.
     """
-    if mubs.kind != MUB_COMPLETE:
-        raise ParameterError(f"need a complete MUB family, got kind {mubs.kind!r}")
     d = mubs.d
+    _require_mub_set(mubs, d)
     fpg = pg_recovery_fidelity(rho)
     lower, upper = guessing_bounds(fpg, d, n)  # rejects n outside [1, d + 1]
     per_setting, _ = family_guess_prob(rho, mubs)
@@ -199,11 +215,11 @@ def achiever_state(
     Heisenberg-regime achievers are product states with the A marginal
     diagonal in those same bases.  `mix` in [0, 1] sweeps the spectrum from
     the least entangled point of the regime (mix = 0) to the most
-    (mix = 1); lower-bound constructions need n <= d.
+    (mix = 1); lower-bound constructions need n <= d.  `mubs` is checked
+    as in `nbasis_bounds`, by its content, not its `kind`.
     """
-    if mubs.kind != MUB_COMPLETE:
-        raise ParameterError(f"need a complete MUB family, got kind {mubs.kind!r}")
     d = mubs.d
+    _require_mub_set(mubs, d)
     if which not in ("upper", "lower"):
         raise ParameterError(f"which must be 'upper' or 'lower', got {which!r}")
     if regime not in (HEISENBERG, EPR):
@@ -304,13 +320,13 @@ def monogamy_report(
     matrix is formed; the rhs measures rho_AB.  The metadata flags
     rank-tolerance sensitivity when rho_AE has eigenvalues within a factor
     10 of the support cutoff, where the support projector (and so the lhs)
-    can flip on noise.  A stack of k
-    vectors, shape (k, d_A d_B d_E), is checked as one batch and gives a
-    list of k reports, in order.
+    can flip on noise.  `mubs` must be d_A + 1 orthonormal bases of A,
+    checked by content as in `nbasis_bounds`, and certified once per family.
+    A stack of k vectors, shape (k, d_A d_B d_E), is checked as one batch
+    and gives a list of k reports, in order.
     """
     d_a, d_b, d_e = dims
-    if mubs.kind != MUB_COMPLETE or mubs.d != d_a:
-        raise ParameterError("need the complete MUB family on the A system")
+    _require_mub_set(mubs, d_a)
     t = _amplitude_tensor(psi_abe, dims)
     lead = t.shape[:-3]
     rho_ab = np.einsum("...abe,...cde->...abcd", t, t.conj()).reshape(*lead, d_a * d_b, -1)

@@ -262,22 +262,30 @@ def swap_operator(d: int) -> np.ndarray:
     return f
 
 
-def moment_oracle(vectors) -> np.ndarray:
-    """Uniform second tensor moment of a column-vector set, written out."""
+def moment_oracle(vectors, weights=None) -> np.ndarray:
+    """Second tensor moment of a column-vector set, written out.
+
+    Column k counts with weights[k] / sum(weights); uniformly without weights.
+    """
     d, n = vectors.shape
+    weights = np.ones(n) if weights is None else weights
     acc = np.zeros((d * d, d * d), dtype=complex)
     for k in range(n):
         proj = np.outer(vectors[:, k], vectors[:, k].conj())
-        acc += np.kron(proj, proj)
-    return acc / n
+        acc += weights[k] * np.kron(proj, proj)
+    return acc / np.sum(weights)
 
 
 def design_defect_oracle(family: MeasurementFamily) -> float:
-    """Frobenius distance of the pooled moment from (1 + F)/(d(d+1)) on the full space."""
+    """Frobenius distance of the pooled moment from (1 + F)/(d(d+1)) on the full space.
+
+    Each pooled vector counts with the square of its scale, as the measured
+    side of the equality weights its effect.
+    """
     d = family.d
     pooled = np.concatenate(list(family.vectors), axis=1)
     target = (np.eye(d * d) + swap_operator(d)) / (d * (d + 1))
-    return float(np.linalg.norm(moment_oracle(pooled) - target))
+    return float(np.linalg.norm(moment_oracle(pooled, family.scales.ravel() ** 2) - target))
 
 
 def unbiasedness_defect(family: MeasurementFamily) -> float:

@@ -256,14 +256,14 @@ class TestVerify:
     @pytest.mark.parametrize(
         "edit, message",
         [
-            ({"equality_constant": 7.0}, "kind 'MUB-complete' requires equality_constant 4.0"),
-            ({"equality_constant": "drop"}, "kind 'MUB-complete' requires equality_constant 4.0"),
-            ({"kind": "SIC"}, "kind 'SIC' requires equality_constant 12.0"),
+            # a label, or an equality_constant key, that disagrees with the
+            # vectors contradicts nothing: the label is free, the key ignored
+            ({"equality_constant": 7.0}, None),
+            ({"equality_constant": "drop"}, None),
+            ({"kind": "SIC"}, None),
             ({"d": 2, "equality_constant": 3.0}, "family document has d = 2, vectors of length 3"),
             ({"d": 10**400}, f"family document has d = {10**400}, vectors of length 3"),
-            # consistent, and a 2-design, but its kind fixes no equality constant
-            ({"kind": "Custom", "equality_constant": "drop"},
-             "family 'Custom' carries no equality constant"),
+            ({"kind": "Custom", "equality_constant": "drop"}, None),
         ],
         ids=["wrong-constant", "no-constant", "other-kind", "wrong-d", "huge-d", "custom-kind"],
     )
@@ -277,7 +277,49 @@ class TestVerify:
              "--family", f"file:{fam_file}"],
             capsys,
         )
-        assert (code, out, err) == (2, "", f"error: {message}\n")
+        if message is not None:
+            assert (code, out, err) == (2, "", f"error: {message}\n")
+        else:
+            assert (code, err) == (0, "")
+            got = [(r["verdict"], r["metadata"]["kind"]) for r in json.loads(out)]
+            assert got == [("holds", doc["kind"])] * 2
+
+    @pytest.mark.parametrize("seed", ["0", "31"])
+    @pytest.mark.parametrize(
+        "weights, kind, code, constant",
+        [
+            (None, "SIC", 0, 3.0),
+            ([1 / 3] * 6, "SIC", 0, 9.0),
+            ([1 / 2, 1 / 2, 1 / 4, 1 / 4, 1 / 4, 1 / 4], "MUB-complete", 2, 8.0),
+        ],
+        ids=["bases-labelled-sic", "one-setting-thirds", "one-setting-unequal"],
+    )
+    def test_family_file_numbers_come_from_its_arrays(
+        self, capsys, tmp_path, weights, kind, code, constant, seed
+    ):
+        # the Pauli bases, or their six vectors as one setting, with a label and
+        # an equality_constant key (a SIC's 6) that are not theirs; a constant
+        # taken from either would read "violated" (exit 1) on every state
+        doc = {**mub_family_doc(2), "kind": kind, "equality_constant": 6.0}
+        if weights is not None:
+            effects = [e for setting in doc["settings"] for e in setting]
+            doc["settings"] = [[{**e, "weight": w} for e, w in zip(effects, weights)]]
+        fam_file = tmp_path / "fam.json"
+        fam_file.write_text(json.dumps(doc))
+        got, out, err = run_cli(
+            ["verify", "--relation", "main", "--family", f"file:{fam_file}", "--d", "2",
+             "--db", "2", "--samples", "3", "--seed", seed],
+            capsys,
+        )
+        if code == 0:
+            assert (got, err) == (0, "")
+            assert [r["verdict"] for r in json.loads(out)] == ["holds"] * 3
+        else:
+            # complete, but its weighted moment is no design
+            assert (got, out) == (2, "")
+            assert err.startswith("error: family 'MUB-complete' has design defect 2.041e-01 >= ")
+        got = designs.MeasurementFamily.from_json_dict(doc).equality_constant
+        assert got == pytest.approx(constant, rel=1e-15)
 
     @pytest.mark.parametrize(
         "family, d, code, err",
@@ -1272,6 +1314,11 @@ class TestDeterminismAndConfig:
         assert _json_text(0.1234567890123456) == "0.123456789012\n"
         assert _json_text({"a": [1, 2.00000000000049]}) == '{\n  "a": [\n    1,\n    2.0\n  ]\n}\n'
         assert _json_text(True) == "true\n"
+
+    def test_json_text_rejects_unserializable_object(self):
+        # the message of json.dumps for the same object
+        with pytest.raises(TypeError, match=r"^Object of type complex is not JSON serializable$"):
+            _json_text({"a": [1, 2j]})
 
 
 def _float_from_bits(bits: int) -> float:

@@ -1,5 +1,6 @@
 import dataclasses
 import json
+import re
 import tracemalloc
 
 import numpy as np
@@ -23,12 +24,21 @@ from entguess import (
     clifford_orbit_family,
     design_defect,
     designs,
+    equality_report,
     mub_family,
+    random_density,
     sic_povm,
 )
 
 
-# certified designs plus two partial MUB sets, which are not designs
+def pauli_one_setting(weights):
+    """The six vectors of `mub_family(2)` as one setting with scales `weights`, labelled SIC."""
+    vectors = mub_family(2).vectors.transpose(1, 0, 2).reshape(1, 2, 6)
+    return MeasurementFamily("SIC", vectors, np.array([weights], dtype=float))
+
+
+# certified designs, two partial MUB sets, which are not designs, and the six
+# Pauli vectors as one setting: a design at equal weights, none at unequal ones
 ORACLE_FAMILIES = {
     **{f"mub-{d}": (lambda d=d: mub_family(d)) for d in (2, 3, 5, 7, 11)},
     "sic-2": lambda: sic_povm(2),
@@ -40,6 +50,8 @@ ORACLE_FAMILIES = {
     "mub-7-subset-7": lambda: MeasurementFamily(
         "Custom", mub_family(7).vectors[:7], mub_family(7).scales[:7]
     ),
+    "pauli-thirds": lambda: pauli_one_setting([1 / 3] * 6),
+    "pauli-unequal": lambda: pauli_one_setting([1 / 2, 1 / 2, 1 / 4, 1 / 4, 1 / 4, 1 / 4]),
 }
 
 
@@ -316,12 +328,13 @@ class TestUnbiasednessDefect:
 
 
 class TestFamilyStructure:
-    def test_d_and_constant_follow_from_arrays_and_kind(self):
-        vectors, scales = mub_family(2).vectors, mub_family(2).scales
-        for kind, constant in (("MUB-complete", 3.0), ("CliffordOrbit", 3.0), ("SIC", 6.0)):
-            fam = MeasurementFamily(kind, vectors, scales)
-            assert (fam.d, fam.equality_constant) == (2, constant)
-        assert MeasurementFamily("Custom", vectors, scales).equality_constant is None
+    def test_d_and_constant_follow_from_arrays(self):
+        # whatever the label: d(d+1) over the mean squared scale per setting
+        for family, constant in ((mub_family(2), 3.0), (sic_povm(2), 6.0)):
+            for kind in ("MUB-complete", "CliffordOrbit", "SIC", "Custom", ""):
+                fam = MeasurementFamily(kind, family.vectors, family.scales)
+                assert (fam.d, fam.equality_constant) == (2, constant)
+        assert pauli_one_setting([1 / 3] * 6).equality_constant == pytest.approx(9.0, rel=1e-15)
 
     @pytest.mark.parametrize(
         "kind,constant",
@@ -330,21 +343,19 @@ class TestFamilyStructure:
         ids=["wrong-constant", "no-constant", "null-constant", "sic-constant", "custom-constant"],
     )
     def test_constant_enforced_on_documents(self, kind, constant):
+        # the arrays' constant holds whatever the document's label and its
+        # ignored equality_constant key say
         doc = mub_family(2).to_json_dict()
         doc["kind"] = kind
-        if constant == "missing":
-            del doc["equality_constant"]
-        else:
+        if constant != "missing":
             doc["equality_constant"] = constant
-        expected = {"MUB-complete": 3.0, "SIC": 6.0, "Custom": None}[kind]
-        with pytest.raises(ParameterError) as exc:
-            MeasurementFamily.from_json_dict(doc)
-        assert str(exc.value) == f"kind {kind!r} requires equality_constant {expected}"
+        fam = MeasurementFamily.from_json_dict(doc)
+        assert (fam.kind, fam.equality_constant) == (kind, 3.0)
+        assert "equality_constant" not in fam.to_json_dict()
 
     def test_json_wrong_d_rejected(self):
         doc = mub_family(2).to_json_dict()
         doc["d"] = 3
-        doc["equality_constant"] = 4.0
         with pytest.raises(FormatError, match="d = 3, vectors of length 2"):
             MeasurementFamily.from_json_dict(doc)
 
@@ -352,6 +363,22 @@ class TestFamilyStructure:
         half = np.eye(2, dtype=complex)[None, :, :1]
         with pytest.raises(ParameterError):
             MeasurementFamily(kind="Custom", vectors=half, scales=np.ones((1, 1)))
+
+    @pytest.mark.parametrize("weight", [-0.25, float("nan")], ids=["negative", "nan"])
+    def test_negative_weight_rejected(self, weight):
+        # two copies of the bases of C^3 in one setting, the last six vectors
+        # at weight -1/4: complete, and its squared weights are a design, but
+        # the measured side would take the square root of each weight
+        pooled = mub_family(3).vectors.transpose(1, 0, 2).reshape(1, 3, -1)
+        vectors = np.concatenate([pooled] * 2, axis=2)
+        scales = np.full((1, 24), 0.25)
+        scales[0, 12:] = 0.0
+        MeasurementFamily("Custom", vectors, scales)  # a zero weight is allowed
+        scales[0, 12:] = 0.25
+        scales[0, 18:] = -0.25
+        scales[0, 18] = weight
+        with pytest.raises(ParameterError, match="^effect weights must be non-negative$"):
+            MeasurementFamily("Custom", vectors, scales)
 
     def test_unnormalized_vector_rejected(self):
         with pytest.raises(ParameterError):
@@ -371,11 +398,13 @@ class TestFamilyStructure:
         with pytest.raises(DimensionError):
             MeasurementFamily(kind="Custom", vectors=vectors, scales=scales)
 
-    def test_subset_has_no_constant(self):
+    def test_subset_is_not_certified(self):
+        # two bases have a bases' constant, but their moment is no design
         mubs = mub_family(3)
         sub = MeasurementFamily("Custom", mubs.vectors[:2], mubs.scales[:2])
         assert sub.n_settings == 2
-        assert sub.equality_constant is None
+        assert sub.equality_constant == 4.0
+        assert design_defect(sub) > 0.1
 
     def test_json_roundtrip(self):
         for fam in (mub_family(3), sic_povm(2), clifford_orbit_family()):
@@ -388,13 +417,21 @@ class TestFamilyStructure:
             assert np.array_equal(back.scales, fam.scales)
             assert back.to_json_dict() == fam.to_json_dict()
 
+    @pytest.mark.parametrize("kind", [{"a": [1, 2]}, 3.0, None], ids=["object", "number", "null"])
+    def test_json_kind_must_be_a_string(self, kind):
+        # a label is written into reports and CSV cells as it is
+        doc = {**mub_family(2).to_json_dict(), "kind": kind}
+        message = f"^malformed family document: kind must be a string, got {re.escape(repr(kind))}$"
+        with pytest.raises(FormatError, match=message):
+            MeasurementFamily.from_json_dict(doc)
+
     @pytest.mark.parametrize(
         "settings",
         [[], [[]], "not a list"],
         ids=["no-setting", "empty-setting", "not-a-list"],
     )
     def test_json_without_effects_rejected(self, settings):
-        doc = {"d": 2, "kind": "Custom", "equality_constant": None, "settings": settings}
+        doc = {"d": 2, "kind": "Custom", "settings": settings}
         with pytest.raises(FormatError):
             MeasurementFamily.from_json_dict(doc)
 
@@ -403,3 +440,56 @@ class TestFamilyStructure:
         doc["settings"][1] = doc["settings"][1][:1]
         with pytest.raises(FormatError):
             MeasurementFamily.from_json_dict(doc)
+
+
+BUILT_IN = {
+    **{f"mub-{d}": (lambda d=d: mub_family(d)) for d in (2, 3, 5)},
+    "sic-2": lambda: sic_povm(2),
+    "sic-3": lambda: sic_povm(3),
+    "clifford": clifford_orbit_family,
+}
+# every built-in family duplicated or permuted, and every basis family merged
+# into one setting
+CHANGES = [
+    (name, change)
+    for name in BUILT_IN
+    for change in ("duplicate", "permute", "merge")
+    if change != "merge" or BUILT_IN[name]().is_basis_family()
+]
+
+
+class TestRelabelledFamilyProperty:
+    """A family's numbers follow its arrays, never its label.
+
+    Duplicating or permuting the settings of a built-in family under any
+    label keeps its constant bit for bit.  Merging a basis family into one
+    setting of weight 1/n_settings multiplies the constant by n_settings (72
+    for the Clifford orbit).  Each stays a certified design on which the
+    equality holds, and the report carries the label.
+    """
+
+    @pytest.mark.parametrize("name, change", CHANGES)
+    @settings(derandomize=True, max_examples=2, deadline=None)
+    @given(kind=st.text(max_size=8), seed=st.integers(0, 2**32 - 1))
+    def test_numbers_follow_the_arrays(self, name, change, kind, seed):
+        base = BUILT_IN[name]()
+        vectors, scales = base.vectors, base.scales
+        if change == "duplicate":
+            vectors, scales = np.concatenate([vectors] * 2), np.concatenate([scales] * 2)
+        elif change == "permute":
+            order = np.random.default_rng(seed).permutation(base.n_settings)
+            vectors, scales = vectors[order], scales[order]
+        else:
+            vectors = vectors.transpose(1, 0, 2).reshape(1, base.d, -1)
+            scales = scales.reshape(1, -1) / base.n_settings
+        fam = MeasurementFamily(kind, vectors, scales)
+        assert design_defect(fam) < 1e-11
+        if change == "merge":
+            expected = base.equality_constant * base.n_settings
+            assert fam.equality_constant == pytest.approx(expected, rel=1e-14)
+        else:
+            assert fam.equality_constant == base.equality_constant
+        rho = random_density((base.d, 2), 3, seed)
+        for nu in (0.0, 0.5, 1.0):
+            report = equality_report(rho, fam, nu)
+            assert report.holds and report.metadata["kind"] == kind, (nu, report)

@@ -92,6 +92,15 @@ class TestCertificate:
         g[:] = 0.0
         assert np.array_equal(rho.matrix, expected)
 
+    def test_missing_attribute_is_an_attribute_error(self):
+        # the lazy matrix is the only attribute a factor state forms on read
+        rho = DensityMatrix.from_factor(complex_gaussian_oracle(1, 0, (6, 3)), (3, 2))
+        message = r"^'DensityMatrix' object has no attribute 'eigvals'$"
+        with pytest.raises(AttributeError, match=message):
+            rho.eigvals
+        assert not hasattr(rho, "eigvals")
+        assert "matrix" not in vars(rho)
+
 
 class TestDensePositivityOracle:
     """The n x n Cholesky that a factor state skips still accepts every one."""

@@ -9,6 +9,7 @@ from oracles import haar_unitary, joint_statistics, monogamy_lhs_oracle
 
 import entguess
 from entguess import (
+    DensityMatrix,
     DesignDefectError,
     EPR,
     FormatError,
@@ -67,7 +68,7 @@ def test_kernels_import_from_their_modules():
 
 
 def test_no_argument_repeats_what_another_carries():
-    # d is read from the arrays it sizes, the equality constant from the kind
+    # d is read from the arrays it sizes, the equality constant from the scales
     names = {
         MeasurementFamily: ["kind", "vectors", "scales"],
         witness: ["joints", "tolerance"],
@@ -307,7 +308,7 @@ class TestWitness:
         (lambda: guessing_bounds(0.5, 3, 0), r"^n 0 out of range \[1, 4\]$"),
         (lambda: guessing_bounds(0.5, 3, 5), r"^n 5 out of range \[1, 4\]$"),
         (lambda: achiever_state(sic_povm(3), EPR, "upper", 2, 0.5),
-         "^need a complete MUB family, got kind 'SIC'$"),
+         "^need the complete MUB family on the A system$"),
         (lambda: achiever_state(mub_family(3), EPR, "middle", 2, 0.5),
          "^which must be 'upper' or 'lower', got 'middle'$"),
         (lambda: achiever_state(mub_family(3), "Bell", "upper", 2, 0.5),
@@ -335,6 +336,69 @@ class TestWitness:
 def test_rejects_bad_argument(call, message):
     with pytest.raises(ParameterError, match=message):
         call()
+
+
+def mub_set_calls(mubs):
+    """The three relations that need a complete MUB set, each called with `mubs`."""
+    d = mubs.d
+    return [
+        lambda: nbasis_bounds(max_entangled_state(d), mubs, 2),
+        lambda: achiever_state(mubs, EPR, "upper", 2, 0.5),
+        lambda: monogamy_report(pure_states(d * 4, 3, 0, 0), (d, 2, 2), mubs),
+    ]
+
+
+class TestMubSetByContent:
+    """A complete MUB set is d + 1 orthonormal bases that pass the design
+    certificate, whatever the family's label."""
+
+    @pytest.mark.parametrize("kind", ["Custom", "SIC", ""])
+    def test_relabelled_set_gives_the_built_in_results(self, kind):
+        mubs = mub_family(3)
+        relabelled = MeasurementFamily(kind, mubs.vectors, mubs.scales)
+        for built_in, other in zip(mub_set_calls(mubs), mub_set_calls(relabelled)):
+            got, expected = other(), built_in()
+            if isinstance(expected, DensityMatrix):
+                assert np.array_equal(got.matrix, expected.matrix)
+            else:
+                assert got == expected
+
+    def test_biased_bases_fail_the_certificate(self):
+        # four orthonormal bases of C^3, the first twice: not mutually unbiased
+        mubs = mub_family(3)
+        vectors = np.concatenate([mubs.vectors[:1], mubs.vectors[:3]])
+        biased = MeasurementFamily("MUB-complete", vectors, mubs.scales)
+        for call in mub_set_calls(biased):
+            with pytest.raises(DesignDefectError, match="^family 'MUB-complete' has design defect"):
+                call()
+
+    @pytest.mark.parametrize(
+        "family",
+        [lambda: clifford_orbit_family(), lambda: sic_povm(2),
+         lambda: MeasurementFamily("MUB-complete", mub_family(3).vectors[:3], np.ones((3, 3)))],
+        ids=["clifford-orbit", "sic", "three-bases"],
+    )
+    def test_family_of_other_shape_is_rejected(self, family):
+        message = "^need the complete MUB family on the A system$"
+        for call in mub_set_calls(family()):
+            with pytest.raises(ParameterError, match=message):
+                call()
+
+    def test_shape_is_tested_once_per_family(self, monkeypatch):
+        mubs = mub_family(3)
+        fresh = MeasurementFamily("Custom", mubs.vectors, mubs.scales)
+        calls = []
+        test = MeasurementFamily.is_basis_family
+
+        def counted(family):
+            calls.append(family)
+            return test(family)
+
+        monkeypatch.setattr(MeasurementFamily, "is_basis_family", counted)
+        for _ in range(3):
+            for call in mub_set_calls(fresh):
+                call()
+        assert calls == [fresh]
 
 
 class TestMonogamy:
