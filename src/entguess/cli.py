@@ -12,7 +12,7 @@ error, 3 witness inconclusive.
 
 `verify` writes each chunk's reports before it draws the next chunk, so
 one chunk bounds its memory whatever --samples is (`--d 2 --db 2
---samples 100000` peaks at about 39 MB in either format, against 163 MB
+--samples 100000` peaks at about 41 MB in either format, against 163 MB
 in JSON and 80 MB in CSV when every report was kept to the end).  It
 writes nothing before its first chunk's reports exist.  A run that fails
 after that exits 2 and removes its --output file; on stdout it leaves the
@@ -108,8 +108,11 @@ _MODE_OPTION = {"verify": "relation", "game": "state"}
 # `verify` evaluates its states in chunks sized so that a stack of the
 # chunk's largest matrices (16 bytes per complex entry) holds about this many
 # bytes: the stacked temporaries stay bounded whatever --samples is, and a
-# matrix of this size or more is evaluated one state at a time.
-_CHUNK_BYTES = 1 << 17
+# matrix of this size or more is evaluated one state at a time.  256 KiB
+# holds 20 states of 7 x 4 and 72 of monogamy's 5 x 3 x 4.  Against 128 KiB,
+# its half as many chunks made 7 x 4 runs about 20 % faster for 0.5-1.1 MB
+# more peak RSS; 512 KiB took 2.5-3.4 MB more, past a 5 % bound on the peak.
+_CHUNK_BYTES = 1 << 18
 
 
 def _chunks(count: int, n: int):

@@ -204,7 +204,7 @@ class DensityMatrix:
         g = self.__dict__.get("_ginibre_g")
         if name != "matrix" or g is None:
             raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
-        matrix = _ginibre(g) if isinstance(g, np.ndarray) else np.array([_ginibre(one) for one in g])
+        matrix = _ginibre([g])[0] if isinstance(g, np.ndarray) else _ginibre(g)
         object.__setattr__(self, "matrix", matrix)
         return matrix
 
@@ -289,10 +289,20 @@ def pure_states(d: int, count: int, seed: int, start: int = 0) -> np.ndarray:
     return out
 
 
-def _ginibre(g: np.ndarray) -> np.ndarray:
-    """The Ginibre-induced state G G^dag / Tr of a Gaussian matrix G."""
-    m = g @ g.conj().T
-    return m / np.trace(m).real
+def _ginibre(gs) -> np.ndarray:
+    """The Ginibre-induced states G G^dag / Tr of a sequence of Gaussian n x r
+    matrices G, whose r may differ, as one (k, n, n) stack.
+
+    Each G G^dag is its own product, written in place, so state i is bit for
+    bit what G_i alone gives; one division then normalizes the stack.  The
+    factors are not zero-padded into one batched product: that rounds some
+    stacks differently, such as any holding a rank-1 state at n = 2.
+    """
+    out = np.empty((len(gs), gs[0].shape[0], gs[0].shape[0]), dtype=complex)
+    for i, g in enumerate(gs):
+        np.matmul(g, g.conj().T, out=out[i])
+    out /= np.trace(out, axis1=1, axis2=2).real[:, None, None]
+    return out
 
 
 def random_density(dims: tuple, rank: int, seed: int, stream: int = 0) -> DensityMatrix:
@@ -304,7 +314,7 @@ def random_density(dims: tuple, rank: int, seed: int, stream: int = 0) -> Densit
     if not 1 <= rank <= d:
         raise ParameterError(f"rank {rank} out of range [1, {d}]")
     (g,) = _stream_gaussians(seed, [stream], [(d, rank)])
-    return DensityMatrix(_ginibre(g), tuple(dims))
+    return DensityMatrix(_ginibre([g])[0], tuple(dims))
 
 
 def random_separable(d_a: int, d_b: int, terms: int, seed: int, stream: int = 0) -> DensityMatrix:
@@ -322,7 +332,8 @@ def random_separable(d_a: int, d_b: int, terms: int, seed: int, stream: int = 0)
     shapes = [(d_a, d_a), (d_b, d_b)] * terms
     sizes = [d_a * d_a, d_b * d_b] * terms
     g = _split(_box_muller(gen.random(2 * sum(sizes)), sizes), shapes)
-    out = sum(p * np.kron(_ginibre(a), _ginibre(b)) for p, a, b in zip(weights, g[::2], g[1::2]))
+    rho_a, rho_b = _ginibre(g[::2]), _ginibre(g[1::2])
+    out = sum(p * np.kron(a, b) for p, a, b in zip(weights, rho_a, rho_b))
     return DensityMatrix(out, (d_a, d_b))
 
 
@@ -334,12 +345,15 @@ def mixed_rank_states(d_a: int, d_b: int, count: int, seed: int, start: int = 0)
     part of the sequence is reproducible independently of the rest, and the
     stack validates once.
 
-    The matrices are the same whichever way the stack is built.  With n =
-    d_a d_b and r the stack's largest rank, it is a factor state
+    With n = d_a d_b and r the stack's largest rank, it is a factor state
     (`DensityMatrix.from_factor`) when r^2 <= n d_b, and a dense one
     otherwise.  That is where the kernels' r x r products over F, such as
     F^dag (1 (x) M) F, cost no more than their n x n products over rho, such
-    as (1 (x) M) rho; above it the dense route is faster.
+    as (1 (x) M) rho; above it the dense route is faster.  Either way the
+    matrices are `_ginibre` of the same G's, bit for bit.  The kernels round
+    differently on the two routes, so the last bits of what they compute for
+    a state can move with the count and start that set its stack's largest
+    rank.
     """
     if d_a < 1 or d_b < 1:
         raise ParameterError(f"dimensions must be >= 1, got ({d_a}, {d_b})")
@@ -351,7 +365,4 @@ def mixed_rank_states(d_a: int, d_b: int, count: int, seed: int, start: int = 0)
     shapes = [(n, r) for r in ranks]
     if max(ranks) ** 2 <= n * d_b:
         return DensityMatrix.from_factor(_stream_gaussians(seed, streams, shapes), (d_a, d_b))
-    out = np.empty((count, n, n), dtype=complex)
-    for i, g in enumerate(_stream_gaussians(seed, streams, shapes)):
-        out[i] = _ginibre(g)
-    return DensityMatrix(out, (d_a, d_b))
+    return DensityMatrix(_ginibre(_stream_gaussians(seed, streams, shapes)), (d_a, d_b))

@@ -23,7 +23,7 @@ from entguess import (
     random_density,
     random_separable,
 )
-from entguess.states import _philox, _stream_gaussians
+from entguess.states import _ginibre, _philox, _stream_gaussians
 from entguess.tolerances import EIG_TOL, STATE_HERM_TOL, TRACE_TOL
 
 
@@ -115,6 +115,37 @@ class TestPureStatesNormProperty:
         got = pure_states(d, count, seed, start)
         expected = [pure_state_oracle(seed, k, d) for k in range(start, start + count)]
         assert np.array_equal(got, expected)
+
+
+class TestGinibreStackProperty:
+    # _ginibre forms each G G^dag on its own and divides the stack once; the
+    # oracle forms one state at a time.  A zero-padded batched product would
+    # round some stacks differently, such as any holding rank 1 at n = 2.
+    @settings(derandomize=True, max_examples=40, deadline=None)
+    @given(
+        d_a=st.integers(2, 6),
+        d_b=st.integers(1, 5),
+        draws=st.lists(st.integers(0, 2**16), min_size=1, max_size=11),
+        at=st.integers(0, 11),
+        seed=st.integers(0, 2**64 - 1),
+        laps=st.integers(1, 2**16),
+    )
+    @example(d_a=2, d_b=1, draws=[1], at=0, seed=0, laps=1)
+    def test_stack_matches_each_state_bit_for_bit(self, d_a, d_b, draws, at, seed, laps):
+        n, count = d_a * d_b, len(draws) + 1
+        ranks = [k % n + 1 for k in draws]
+        ranks.insert(at % count, 1)
+        gs = _stream_gaussians(seed, range(count), [(n, r) for r in ranks])
+        stack = _ginibre(gs)
+        assert all(np.array_equal(one, ginibre_oracle(g)) for one, g in zip(stack, gs))
+        # states of rank n, then 1, 2, ...: a dense stack, whose factor state
+        # forms the same matrices
+        start = laps * n - 1
+        streams = range(start, start + count)
+        dense = mixed_rank_states(d_a, d_b, count, seed, start)
+        gs = _stream_gaussians(seed, streams, [(n, k % n + 1) for k in streams])
+        assert dense.factor is None
+        assert np.array_equal(DensityMatrix.from_factor(gs, (d_a, d_b)).matrix, dense.matrix)
 
 
 class TestRandomDensity:
