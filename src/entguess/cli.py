@@ -457,7 +457,7 @@ def build_parser() -> argparse.ArgumentParser:
         description="verify entanglement/guessing-probability relations numerically",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for command, text in _COMMAND_HELP.items():
+    for command, (_, text) in _COMMANDS.items():
         # an option left out stays out of the namespace, so RunConfig supplies its default
         p = sub.add_parser(command, help=text, argument_default=argparse.SUPPRESS)
         for f in _OPTIONS:
@@ -496,17 +496,12 @@ def _reject_ignored_options(given: dict):
             raise EntguessError(f"--{flag} has no effect on {command} --{mode} {given[mode]}")
 
 
+# each command's function and its --help line, in --help order
 _COMMANDS = {
-    "verify": cmd_verify,
-    "sweep": cmd_sweep,
-    "witness": cmd_witness,
-    "game": cmd_game,
-}
-_COMMAND_HELP = {
-    "verify": "run seeded relation checks over random states",
-    "sweep": "emit the tight bound curves over an F^pg grid",
-    "witness": "evaluate the entanglement witness on a statistics file",
-    "game": "simulate the guessing game against the PGM",
+    "verify": (cmd_verify, "run seeded relation checks over random states"),
+    "sweep": (cmd_sweep, "emit the tight bound curves over an F^pg grid"),
+    "witness": (cmd_witness, "evaluate the entanglement witness on a statistics file"),
+    "game": (cmd_game, "simulate the guessing game against the PGM"),
 }
 
 
@@ -522,7 +517,7 @@ def main(argv=None) -> int:
         # the samplers reduce a seed mod 2^64, so a seed outside would alias one inside
         if not 0 <= cfg.seed < 1 << 64:
             raise EntguessError(f"--seed must be in [0, 2**64), got {cfg.seed}")
-        return _COMMANDS[cfg.command](cfg)
+        return _COMMANDS[cfg.command][0](cfg)
     except (EntguessError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

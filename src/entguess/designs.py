@@ -42,7 +42,7 @@ from .errors import (
     _require_addressable,
     exact_int,
 )
-from .tolerances import BASIS_SCALE_TOL, COMPLETENESS_TOL, NORM_TOL
+from .tolerances import COMPLETENESS_TOL, NORM_TOL
 
 MUB_COMPLETE = "MUB-complete"
 SIC = "SIC"
@@ -116,12 +116,9 @@ class MeasurementFamily:
         return 1.0 / self.vectors.shape[0]
 
     def is_basis_family(self) -> bool:
-        return self.vectors.shape[2] == self.d and np.allclose(self.scales, 1, atol=BASIS_SCALE_TOL)
-
-    @cached_property
-    def _is_basis_set(self) -> bool:
-        """Whether the family is d + 1 settings, each an orthonormal basis, tested once."""
-        return self.n_settings == self.d + 1 and self.is_basis_family()
+        """Whether every setting is an orthonormal basis: d outcomes, whose
+        scales the completeness check holds to 1 (see COMPLETENESS_TOL)."""
+        return self.vectors.shape[2] == self.d
 
     @cached_property
     def _design_defect(self) -> float:

@@ -19,10 +19,11 @@ family whose vectors are exactly the Gauss-sum bases `mub_family` builds
 for odd prime d (checked by content, not by its kind) is measured by two
 length-d DFT GEMMs over the blocks of rho, in O(d^3 d_B^2); every other
 family by one GEMM per setting, in O(d^4 d_B^2), which the tests keep as
-the reference.  Everything computed from the measured ensemble reads that
-array and decomposes rho_B once per state.  One collision kernel serves
-every ensemble: the term Tr[rho_B^k M1 rho_B^k M2] of each conditional
-operator.  At nu = 0 a setting's sum of its terms
+the reference.  Everything computed from the measured ensemble, the game's
+PGM tables included, reads that array and the powers of the rho_B it sums
+to, which one private helper forms, decomposing rho_B once per state.  One
+collision kernel serves every ensemble: the term Tr[rho_B^k M1 rho_B^k M2]
+of each conditional operator.  At nu = 0 a setting's sum of its terms
 is 2^(-H_2) of its classical-quantum state, i.e. the probability of
 guessing the outcome with the pretty good measurement
 Pi^k = rho_B^(-1/2) rho_B^k rho_B^(-1/2), which `family_guess_prob`
@@ -189,17 +190,31 @@ def measure_family(rho: DensityMatrix, family: MeasurementFamily) -> np.ndarray:
     return out.reshape(*rho.matrix.shape[:-2], -1, rho.d_b, rho.d_b)
 
 
-def _collision_terms(conds: np.ndarray, rho_b: np.ndarray, nu: float):
-    """Tr[c M1 c M2] for every conditional operator c, per ensemble of a stack.
+def _measured_ensemble(rho: DensityMatrix, family: MeasurementFamily, exponents):
+    """The conditional operators of every effect and the powers of the rho_B they sum to.
 
-    conds has shape (..., K, b, b) and rho_b (..., b, b).  M1 =
-    rho_B^(-(1-nu)/2) and M2 = rho_B^(-(1+nu)/2) come from one
-    decomposition of rho_B; each is applied to all K operators of its
-    ensemble by one (K b, b) x (b, b) GEMM, made once at nu = 0, where
-    M1 = M2.
+    rho_B is the setting-weighted sum of the measured operators, not the
+    partial trace the bipartite side uses; every complete setting sums to
+    it.  Returns `measure_family`'s array and `func_on_support`'s powers of
+    rho_B, one per exponent, for a state or per state of a stack.  This is
+    the package's one place that forms the measured rho_B, for the entropies
+    here and for the game's PGM tables.
+    """
+    conds = measure_family(rho, family)
+    powers, _ = func_on_support(family.setting_weight * conds.sum(axis=-3), exponents)
+    return conds, powers
+
+
+def _measured_collisions(rho: DensityMatrix, family: MeasurementFamily, nu: float) -> np.ndarray:
+    """Collision term Tr[c M1 c M2] of every conditional operator c of the family.
+
+    M1 = rho_B^(-(1-nu)/2) and M2 = rho_B^(-(1+nu)/2) come from one
+    decomposition of the measured rho_B; each is applied to all K operators
+    of its ensemble by one (K b, b) x (b, b) GEMM, made once at nu = 0,
+    where M1 = M2.
     """
     _require_nu(nu)
-    (m1, m2), _ = func_on_support(rho_b, (-(1.0 - nu) / 2.0, -(1.0 + nu) / 2.0))
+    conds, (m1, m2) = _measured_ensemble(rho, family, (-(1.0 - nu) / 2.0, -(1.0 + nu) / 2.0))
     *lead, k, b, _ = conds.shape
     rows = conds.reshape(*lead, k * b, b)
     x = (rows @ m1).reshape(conds.shape)
@@ -207,22 +222,16 @@ def _collision_terms(conds: np.ndarray, rho_b: np.ndarray, nu: float):
     return np.real(np.einsum("...kij,...kji->...k", x, y))
 
 
-def _measured_collisions(rho: DensityMatrix, family: MeasurementFamily, nu: float) -> np.ndarray:
-    """Collision term of every effect of the family measured on A.
-
-    rho_B is the setting-weighted sum of the measured operators, not the
-    partial trace the bipartite side uses; every complete setting sums to it.
-    """
-    conds = measure_family(rho, family)
-    return _collision_terms(conds, family.setting_weight * conds.sum(axis=-3), nu)
-
-
 def family_guess_prob(rho: DensityMatrix, family: MeasurementFamily):
-    """Per-setting PGM guessing probabilities and their weighted average."""
+    """Per-setting PGM guessing probabilities and their weighted average.
+
+    For a stack of states both keep the stack's leading axis: a list per
+    state of per-setting lists, and a list of averages.
+    """
     terms = _measured_collisions(rho, family, 0.0)
-    per_setting = terms.reshape(family.n_settings, -1).sum(axis=1).tolist()
-    average = family.setting_weight * float(np.sum(per_setting))
-    return per_setting, average
+    per_setting = terms.reshape(*terms.shape[:-1], family.n_settings, -1).sum(axis=-1)
+    average = family.setting_weight * per_setting.sum(axis=-1)
+    return per_setting.tolist(), average.tolist()
 
 
 def h2nu_outcomes(rho: DensityMatrix, family: MeasurementFamily, nu: float):
@@ -237,9 +246,10 @@ def h2nu_outcomes(rho: DensityMatrix, family: MeasurementFamily, nu: float):
     return -np.log2(family.setting_weight * terms.sum(axis=-1))
 
 
-def pg_recovery_fidelity(rho: DensityMatrix) -> float:
-    """Pretty good recovery fidelity F^pg(A|B) = 2^(-H_2(A|B)) / d_A."""
-    return float(2.0 ** (-h2nu(rho, 0.0)) / rho.d_a)
+def pg_recovery_fidelity(rho: DensityMatrix):
+    """Pretty good recovery fidelity F^pg(A|B) = 2^(-H_2(A|B)) / d_A, of a
+    state or of each state of a stack."""
+    return 2.0 ** (-h2nu(rho, 0.0)) / rho.d_a
 
 
 def classical_h2_cond(table: np.ndarray) -> float:

@@ -5,7 +5,9 @@ is drawn by the Born rule, and Bob's guess is drawn from the pretty good
 measurement's outcome distribution conditioned on Alice's outcome.  Each
 of the three is decided by a uniform of its own, so the win rate is a Monte
 Carlo estimate of exactly the PGM guessing probability the rest of the
-package computes.
+package computes.  Its tables read the measured operators and the measured
+rho_B that `entropies` forms for the entropies too; this module forms
+neither.
 
 Sampling inverts the CDFs, a fixed-size chunk of trials at a time.  A
 setting is floor(u * n_settings).  Alice's outcome is the number of entries
@@ -30,9 +32,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .designs import MeasurementFamily
-from .entropies import measure_family
-from .errors import ParameterError
-from .linops import func_on_support
+from .entropies import _measured_ensemble
+from .errors import DimensionError, ParameterError
 from .states import DensityMatrix, _philox
 
 # Trials drawn per pass of the sampling loop; bounds the uniforms and the
@@ -57,12 +58,11 @@ class GameResult:
 
 def _game_tables(rho: DensityMatrix, family: MeasurementFamily):
     """Per setting: outcome probabilities, Bob's conditional guess matrix, and
-    the analytic PGM success rate."""
+    the analytic PGM success rate, from the measured operators and the
+    rho_B^(-1/2) of `entropies`, which forms the measured rho_B."""
     n, d = family.n_settings, family.d
-    conds = measure_family(rho, family)
-    rho_b = family.setting_weight * conds.sum(axis=0)
-    (inv_sqrt,), _ = func_on_support(rho_b, (-0.5,))
-    conds = conds.reshape(n, d, *rho_b.shape)
+    conds, (inv_sqrt,) = _measured_ensemble(rho, family, (-0.5,))
+    conds = conds.reshape(n, d, *inv_sqrt.shape)
     pgm_ops = inv_sqrt @ conds @ inv_sqrt
     # table[s, k, j] = Tr[Pi^j rho_B^k] in setting s; its trace is the PGM rate
     table = np.real(np.einsum("skxy,sjyx->skj", conds, pgm_ops))
@@ -167,7 +167,8 @@ def _stream_generator(seed: int, stream: int, offset: int) -> "np.random.Generat
 def simulate_game(
     rho: DensityMatrix, family: MeasurementFamily, trials: int, seed: int, stream: int = 0
 ) -> GameResult:
-    """Play `trials` rounds of the guessing game, deterministically in (seed, stream).
+    """Play `trials` rounds of the guessing game on one state (DimensionError
+    for a stack), deterministically in (seed, stream).
 
     Stream `stream` of `seed` holds all setting uniforms, then all Alice
     outcome uniforms, then all Bob guess uniforms.  Each of the three is
@@ -185,6 +186,8 @@ def simulate_game(
         raise ParameterError(f"trials must fit the int64 trial counters, got {trials}")
     if not family.is_basis_family():
         raise ParameterError("the game is defined for basis-type families")
+    if rho._is_stack:
+        raise DimensionError("the game plays one state, not a stack")
     outcome_probs, bob_conds, analytic = _game_tables(rho, family)
     n_settings = family.n_settings
 

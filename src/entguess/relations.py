@@ -37,15 +37,9 @@ from .entropies import (
     JointDistribution,
     pg_recovery_fidelity,
 )
-from .errors import DesignDefectError, FormatError, ParameterError
+from .errors import DesignDefectError, DimensionError, FormatError, ParameterError
 from .states import DensityMatrix
-from .tolerances import (
-    CERTIFICATION_TOL,
-    EQUALITY_TOL,
-    MONOGAMY_TOL,
-    PROB_RANGE_TOL,
-    UNIT_NORM_TOL,
-)
+from .tolerances import CERTIFICATION_TOL, EQUALITY_TOL, MONOGAMY_TOL, PROB_RANGE_TOL
 
 HEISENBERG = "Heisenberg"
 EPR = "EPR"
@@ -121,12 +115,14 @@ def _require_certified(family: MeasurementFamily):
 def _require_mub_set(mubs: MeasurementFamily, d: int):
     """ParameterError unless `mubs` is d + 1 orthonormal bases of C^d; then certified.
 
-    d + 1 orthonormal bases form a 2-design if and only if they are mutually
+    The shape decides that the family is d + 1 orthonormal bases: the
+    family's completeness check already holds the scales of a setting of d
+    unit vectors to 1 (see `MeasurementFamily.is_basis_family`).  d + 1
+    orthonormal bases form a 2-design if and only if they are mutually
     unbiased (Klappenecker and Roetteler, ISIT 2005), so `_require_certified`
-    is the unbiasedness test.  The shape test is cached on the family, so a
-    call per chunk costs two attribute reads.
+    is the unbiasedness test, and the two are the whole complete-MUB test.
     """
-    if mubs.d != d or not mubs._is_basis_set:
+    if mubs.vectors.shape != (d + 1, d, d):
         raise ParameterError("need the complete MUB family on the A system")
     _require_certified(mubs)
 
@@ -180,7 +176,8 @@ def guessing_bounds(fpg: float, d: int, n: int):
 def nbasis_bounds(
     rho: DensityMatrix, mubs: MeasurementFamily, n: int, tolerance: float = EQUALITY_TOL
 ):
-    """Check both tight bounds on the average over the first n MUB settings.
+    """Check both tight bounds on the average over the first n MUB settings
+    for one state (DimensionError for a stack).
 
     `mubs` must be d + 1 orthonormal bases of C^d (ParameterError
     otherwise) that pass the design certificate, which for such a family
@@ -192,6 +189,8 @@ def nbasis_bounds(
     """
     d = mubs.d
     _require_mub_set(mubs, d)
+    if rho._is_stack:
+        raise DimensionError("nbasis_bounds checks one state, not a stack")
     fpg = pg_recovery_fidelity(rho)
     lower, upper = guessing_bounds(fpg, d, n)  # rejects n outside [1, d + 1]
     per_setting, _ = family_guess_prob(rho, mubs)
@@ -291,16 +290,6 @@ def witness(joints: JointDistribution, *, tolerance: float = EQUALITY_TOL) -> Re
     return replace(report, metadata={**meta, "entangled": not report.holds})
 
 
-def _amplitude_tensor(psi_abe: np.ndarray, dims) -> np.ndarray:
-    d_a, d_b, d_e = dims
-    psi = np.asarray(psi_abe, dtype=complex)
-    if psi.ndim not in (1, 2) or psi.shape[-1] != d_a * d_b * d_e:
-        raise ParameterError(f"vector length {psi.shape} does not match dims {dims}")
-    if np.abs(np.linalg.norm(psi, axis=-1) - 1.0).max() > UNIT_NORM_TOL:
-        raise ParameterError("tripartite vector is not normalized")
-    return psi.reshape(*psi.shape[:-1], d_a, d_b, d_e)
-
-
 def monogamy_report(
     psi_abe: np.ndarray,
     dims,
@@ -322,20 +311,27 @@ def monogamy_report(
     10 of the support cutoff, where the support projector (and so the lhs)
     can flip on noise.  `mubs` must be d_A + 1 orthonormal bases of A,
     checked by content as in `nbasis_bounds`, and certified once per family.
+    psi must be a unit vector: rho_AB is certified as a `DensityMatrix`
+    before either side is evaluated, and its trace is |psi|^2
+    (ParameterError otherwise, also for a non-finite entry).
     A stack of k vectors, shape (k, d_A d_B d_E), is checked as one batch
     and gives a list of k reports, in order.
     """
     d_a, d_b, d_e = dims
     _require_mub_set(mubs, d_a)
-    t = _amplitude_tensor(psi_abe, dims)
-    lead = t.shape[:-3]
+    psi = np.asarray(psi_abe, dtype=complex)
+    if psi.ndim not in (1, 2) or psi.shape[-1] != d_a * d_b * d_e:
+        raise ParameterError(f"vector length {psi.shape} does not match dims {dims}")
+    lead = psi.shape[:-1]
+    t = psi.reshape(*lead, d_a, d_b, d_e)
     rho_ab = np.einsum("...abe,...cde->...abcd", t, t.conj()).reshape(*lead, d_a * d_b, -1)
+    rho_ab = DensityMatrix(rho_ab, (d_a, d_b))
     rho_e = np.einsum("...abe,...abf->...ef", t, t.conj())
     # rho_AE = T T^dag with T[(a, e), b] = psi_abe
     t_ae = t.swapaxes(-1, -2).reshape(*lead, d_a * d_e, d_b)
 
     lhs, sensitive = d0_relative(t_ae, (1.0 / d_a) * rho_e)
-    h2p = h2nu_outcomes(DensityMatrix(rho_ab, (d_a, d_b)), mubs, 1.0)
+    h2p = h2nu_outcomes(rho_ab, mubs, 1.0)
     rhs = np.log2(d_a) - np.log2((d_a + 1) * 2.0 ** (-h2p) - 1.0)
     metadata = (
         dict(zip(MONOGAMY_METADATA, (list(dims), bool(flag)))) for flag in np.ravel(sensitive)

@@ -180,9 +180,14 @@ class DensityMatrix:
             raise DimensionError(f"matrix shape {m.shape} does not match dims {dims}")
         _certify(m.reshape(-1, n, n))
 
+    @property
+    def _is_stack(self) -> bool:
+        # a factor state's matrix is formed only when read
+        return (self.matrix if self.factor is None else self.factor).ndim == 3
+
     def __getitem__(self, i) -> "DensityMatrix":
         # state i of a certified stack: its slice, or its own factor and G
-        if (self.matrix if self.factor is None else self.factor).ndim != 3:
+        if not self._is_stack:
             raise DimensionError("a single state has no states to index")
         if self.factor is None:
             return DensityMatrix._certified(self.dims, matrix=self.matrix[i])

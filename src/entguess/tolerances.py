@@ -17,7 +17,8 @@ RANK_TOL = 1e-10
 FUNC_HERM_TOL = 1e-8
 # Hermiticity of a DensityMatrix.
 STATE_HERM_TOL = 1e-11
-# Distance of a DensityMatrix's trace from 1.
+# Distance of a DensityMatrix's trace from 1; also of |psi|^2, the trace of
+# the rho_AB that monogamy_report certifies, from 1.
 TRACE_TOL = 1e-11
 # Most negative eigenvalue a DensityMatrix may have.
 EIG_TOL = 1e-10
@@ -25,12 +26,10 @@ EIG_TOL = 1e-10
 # Norm of each effect vector of a MeasurementFamily.
 NORM_TOL = 1e-11
 # Largest entry of sum_k scale_k |v_k><v_k| - 1 for a MeasurementFamily setting.
+# A setting of d unit vectors that passes it is an orthonormal basis whose
+# scales lie within d * COMPLETENESS_TOL + 2 NORM_TOL of 1, so a basis setting
+# needs no scale test of its own.
 COMPLETENESS_TOL = 1e-10
-# Absolute part (np.allclose adds a relative 1e-5) of the check that every
-# effect scale of a basis setting is 1.
-BASIS_SCALE_TOL = 1e-12
-# Norm of a tripartite pure vector passed to monogamy_report.
-UNIT_NORM_TOL = 1e-10
 
 # Most negative entry of a JointDistribution table.
 TABLE_NEG_TOL = 1e-12

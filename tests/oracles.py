@@ -35,7 +35,10 @@ from entguess import (
 from entguess.entropies import measure_family
 from entguess.game import _game_tables
 from entguess.linops import func_on_support
-from entguess.tolerances import RANK_TOL, UNIT_NORM_TOL
+from entguess.tolerances import RANK_TOL
+
+# how far from 1 the norm of a vector given to `schmidt_values` may be
+UNIT_NORM_TOL = 1e-10
 
 
 def ptrace_oracle(m, da, db, keep):

@@ -7,18 +7,23 @@ from oracles import d0_relative_oracle, ptrace_oracle, rho_b_oracle
 
 from entguess import (
     DensityMatrix,
+    DimensionError,
     InfiniteDivergence,
     NotPositiveError,
     ParameterError,
     clifford_orbit_family,
     equality_report,
+    family_guess_prob,
     h2nu,
     h2nu_outcomes,
     mixed_rank_states,
     monogamy_report,
     mub_family,
+    nbasis_bounds,
+    pg_recovery_fidelity,
     pure_states,
     sic_povm,
+    simulate_game,
 )
 from entguess.entropies import d0_relative, measure_family
 from entguess.linops import func_on_support, partial_trace
@@ -92,6 +97,34 @@ class TestEntropies:
             assert close(conds[i], measure_family(rho, family))
             assert abs(lhs[i] - h2nu_outcomes(rho, family, nu)) < TOL
             assert abs(rhs[i] - h2nu(rho, nu)) < TOL
+
+
+    @pytest.mark.parametrize("name", FAMILIES)
+    def test_guessing_probabilities(self, name):
+        family = FAMILIES[name]()
+        stack = stack_of(family.d, 2, seed=7)
+        per_setting, average = family_guess_prob(stack, family)
+        fpg = pg_recovery_fidelity(stack)
+        assert np.shape(per_setting) == (4, family.n_settings)
+        assert np.shape(average) == np.shape(fpg) == (4,)
+        for i, rho in enumerate(singles(stack)):
+            single_per_setting, single_average = family_guess_prob(rho, family)
+            assert close(np.array(per_setting[i]), np.array(single_per_setting))
+            assert abs(average[i] - single_average) < TOL
+            assert abs(fpg[i] - pg_recovery_fidelity(rho)) < TOL
+
+
+class TestOneStateOnly:
+    """The game and the n-basis bounds take one state, and reject a stack."""
+
+    @pytest.mark.parametrize("route", ["dense", "factor"])
+    def test_stack_is_a_dimension_error(self, route):
+        stack = stack_of(3, 2, seed=8) if route == "dense" else mixed_rank_states(3, 2, 2, 8)
+        assert (stack.factor is None) == (route == "dense")
+        with pytest.raises(DimensionError, match="^the game plays one state, not a stack$"):
+            simulate_game(stack, mub_family(3), 10, seed=0)
+        with pytest.raises(DimensionError, match="^nbasis_bounds checks one state, not a stack$"):
+            nbasis_bounds(stack, mub_family(3), 2)
 
 
 class TestRelations:

@@ -1143,7 +1143,7 @@ def test_out_of_memory_is_usage_error(capsys, monkeypatch, error, message):
     def exhaust(cfg):
         raise error
 
-    monkeypatch.setitem(_COMMANDS, "sweep", exhaust)
+    monkeypatch.setitem(_COMMANDS, "sweep", (exhaust, _COMMANDS["sweep"][1]))
     assert run_cli(["sweep", "--d", "3"], capsys) == (2, "", message)
 
 

@@ -5,7 +5,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from oracles import (
     design_defect_oracle,
@@ -29,6 +29,7 @@ from entguess import (
     random_density,
     sic_povm,
 )
+from entguess.tolerances import COMPLETENESS_TOL, NORM_TOL
 
 
 def pauli_one_setting(weights):
@@ -379,6 +380,30 @@ class TestFamilyStructure:
         scales[0, 18] = weight
         with pytest.raises(ParameterError, match="^effect weights must be non-negative$"):
             MeasurementFamily("Custom", vectors, scales)
+
+    @settings(derandomize=True, max_examples=40, deadline=None)
+    @given(
+        name=st.sampled_from(["mub-2", "mub-3", "mub-5", "clifford"]),
+        setting=st.integers(0, 23),
+        changes=st.lists(st.floats(-1.0, 1.0), min_size=5, max_size=5),
+        size=st.integers(-12, -6),
+    )
+    @example(name="mub-5", setting=3, changes=[1.0] * 5, size=-11)
+    @example(name="mub-5", setting=3, changes=[1.0] * 5, size=-8)
+    def test_basis_scales_follow_from_completeness(self, name, setting, changes, size):
+        # a setting of d unit vectors whose weighted projectors sum to 1 is a
+        # unitary [sqrt(s_k) v_k], so completeness alone holds each s_k to 1
+        family = BUILT_IN[name]()
+        d = family.d
+        scales = np.array(family.scales)
+        scales[setting % family.n_settings] *= 1.0 + 10.0**size * np.array(changes[:d])
+        try:
+            rescaled = MeasurementFamily("Custom", family.vectors, scales)
+        except ParameterError as exc:
+            assert str(exc) == "setting effects do not sum to the identity"
+            return
+        assert rescaled.is_basis_family()
+        assert np.abs(rescaled.scales - 1.0).max() <= d * COMPLETENESS_TOL + 2 * NORM_TOL
 
     def test_unnormalized_vector_rejected(self):
         with pytest.raises(ParameterError):

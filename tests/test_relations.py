@@ -34,6 +34,7 @@ from entguess import (
     two_to_full_bound,
     witness,
 )
+from entguess import entropies, relations
 from entguess.entropies import JointDistribution
 
 
@@ -323,7 +324,7 @@ class TestWitness:
         (lambda: monogamy_report(np.full(7, 7**-0.5), (2, 2, 2), mub_family(2)),
          r"^vector length \(7,\) does not match dims \(2, 2, 2\)$"),
         (lambda: monogamy_report(np.full(8, 0.5), (2, 2, 2), mub_family(2)),
-         "^tripartite vector is not normalized$"),
+         r"^trace \(2\+0j\) differs from 1$"),
         (lambda: monogamy_report(np.full(8, 8**-0.5), (2, 2, 2), sic_povm(2)),
          "^need the complete MUB family on the A system$"),
         (lambda: monogamy_report(np.full(8, 8**-0.5), (2, 2, 2), mub_family(3)),
@@ -384,21 +385,26 @@ class TestMubSetByContent:
             with pytest.raises(ParameterError, match=message):
                 call()
 
-    def test_shape_is_tested_once_per_family(self, monkeypatch):
-        mubs = mub_family(3)
-        fresh = MeasurementFamily("Custom", mubs.vectors, mubs.scales)
-        calls = []
-        test = MeasurementFamily.is_basis_family
 
-        def counted(family):
-            calls.append(family)
-            return test(family)
+@pytest.mark.parametrize("stacked", [False, True], ids=["single", "stacked"])
+@pytest.mark.parametrize(
+    "vector, message",
+    [(np.full(8, 0.5), r"^trace \(2\+0j\) differs from 1$"),
+     (np.zeros(8), r"^trace 0j differs from 1$"),
+     (np.r_[np.inf, np.zeros(7)], "^matrix deviates from Hermitian by nan$"),
+     (np.r_[np.nan, np.full(7, 7**-0.5)], "^matrix deviates from Hermitian by nan$")],
+    ids=["unnormalized", "zero", "infinite", "nan"],
+)
+def test_monogamy_certifies_the_vector_before_either_side(monkeypatch, vector, message, stacked):
+    # rho_AB's certificate, whose trace is |psi|^2, is the only check of psi
+    def unreachable(*args):
+        raise AssertionError("a side was evaluated on a rejected vector")
 
-        monkeypatch.setattr(MeasurementFamily, "is_basis_family", counted)
-        for _ in range(3):
-            for call in mub_set_calls(fresh):
-                call()
-        assert calls == [fresh]
+    monkeypatch.setattr(relations, "d0_relative", unreachable)
+    monkeypatch.setattr(entropies, "measure_family", unreachable)
+    psi = np.array([pure_states(8, 1, 0)[0], vector]) if stacked else vector
+    with pytest.raises(ParameterError, match=message):
+        monogamy_report(psi, (2, 2, 2), mub_family(2))
 
 
 class TestMonogamy:
